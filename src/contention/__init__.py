@@ -14,10 +14,8 @@ from .protocols import (
     Deadline,
     FixedProb,
     FollowAgeBased,
-    PersonalHistory,
     Quiet,
     decision_probability,
-    is_anonymous,
     profile_from_json,
     profile_to_json,
 )

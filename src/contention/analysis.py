@@ -17,7 +17,7 @@ Notation used throughout (per-round non-departure probabilities when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .schedule import Schedule, build_schedule, format_rational
@@ -57,13 +57,6 @@ class DerivedConstants:
     gamma: Fraction
     delta: Fraction
     beta: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "gamma": float(self.gamma),
-            "delta": float(self.delta),
-            "beta": float(self.beta),
-        }
 
 
 def derive_constants(p) -> DerivedConstants:
@@ -288,14 +281,6 @@ class ExpectationInterval:
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lower - slack <= value <= self.upper + slack
 
-    def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "truncation_K": self.truncation_K,
-            "semantics": self.semantics,
-        }
-
 
 @dataclass(frozen=True)
 class ExpectationTable:
@@ -313,9 +298,9 @@ class ExpectationTable:
             "p": float(self.p),
             "semantics": self.semantics,
             "truncation_K": self.truncation_K,
-            "y1": [iv.to_json() for iv in self.y1],
-            "y2": [iv.to_json() for iv in self.y2],
-            "y3": [iv.to_json() for iv in self.y3],
+            "y1": [asdict(iv) for iv in self.y1],
+            "y2": [asdict(iv) for iv in self.y2],
+            "y3": [asdict(iv) for iv in self.y3],
         }
 
 

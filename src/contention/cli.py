@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -101,24 +102,26 @@ def _load_config(path: str) -> engine.GameConfig:
     )
 
 
+SAMPLES_HEADER = ("trial_index", "player", "latency", "censored")
+
+
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
         config = engine.GameConfig(
             n=config.n, profile=config.profile, seed=args.seed, slot_cap=config.slot_cap
         )
-    outcomes = engine.run_trials(config, args.trials, n_jobs=args.jobs)
+    outcomes = engine.run_trials(config, args.trials)
     stats = engine.summarize(outcomes, args.player, config.slot_cap)
     if args.samples_path:
         with open(args.samples_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(("trial_index", "player", "latency", "censored"))
+            writer.writerow(SAMPLES_HEADER)
             writer.writerows(engine.outcomes_to_csv_rows(outcomes))
     if args.output_format == "csv":
-        _emit(args, _csv(list(engine.outcomes_to_csv_rows(outcomes)),
-                         ("trial_index", "player", "latency", "censored")))
+        _emit(args, _csv(engine.outcomes_to_csv_rows(outcomes), SAMPLES_HEADER))
     else:
-        _emit(args, _json(stats.to_json()))
+        _emit(args, _json(dataclasses.asdict(stats)))
     return 0
 
 
@@ -168,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--config", required=True, help="game config JSON (players, seed, slot_cap)")
     mp.add_argument("--trials", type=int, default=100_000)
     mp.add_argument("--player", type=int, default=0, help="player whose latency is summarized")
-    mp.add_argument("--jobs", type=int, default=1)
     mp.add_argument("--seed", type=int, default=None, help="override the config seed")
     mp.add_argument("--samples-path", default=None, help="also write per-trial CSV samples here")
     _add_output(mp)
@@ -189,7 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (analysis.AnalysisError, ValueError) as exc:
+    except (analysis.AnalysisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,7 @@ have infinite expected latency.
 
 Randomness is counter-based: every attempt draw is a pure hash of
 (seed, trial_index, player, slot), so results are bit-identical for a
-fixed (config, trials) regardless of execution order or parallelism.
+fixed (config, trials) regardless of the order in which trials run.
 
 Stretches of slots whose outcome is forced (all pending probabilities 0
 or 1, with no lone transmitter) are fast-forwarded in one step; this is
@@ -22,14 +22,12 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .protocols import (
     AgeBased,
     Deadline,
     FollowAgeBased,
-    PersonalHistory,
     ProtocolSpec,
     decision_probability,
     next_prob_change,
@@ -89,29 +87,6 @@ class LatencyStats:
     censored_count: int
     ci95_halfwidth: float
 
-    def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean": self.mean,
-            "median": self.median,
-            "q90": self.q90,
-            "q99": self.q99,
-            "censored_count": self.censored_count,
-            "ci95_halfwidth": self.ci95_halfwidth,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LatencyStats":
-        return cls(
-            trials=data["trials"],
-            mean=data["mean"],
-            median=data["median"],
-            q90=data["q90"],
-            q99=data["q99"],
-            censored_count=data["censored_count"],
-            ci95_halfwidth=data["ci95_halfwidth"],
-        )
-
 
 def _ensure_horizons(config: GameConfig) -> None:
     for spec in config.profile:
@@ -126,20 +101,16 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
     _ensure_horizons(config)
     n, seed, cap = config.n, config.seed, config.slot_cap
     profile = config.profile
-    histories = [PersonalHistory() for _ in range(n)]
     pending = list(range(n))
     latency: list = [None] * n
     t = 1
     while pending and t <= cap:
-        probs = [decision_probability(profile[i], histories[i], t) for i in pending]
+        probs = [decision_probability(profile[i], t) for i in pending]
         if all(pr == 0.0 or pr == 1.0 for pr in probs):
             ones = sum(1 for pr in probs if pr == 1.0)
             if ones == 1:
                 # forced success, no draws needed
-                for i, pr in zip(pending, probs):
-                    histories[i].append(1 if pr == 1.0 else 0)
                 winner = pending[probs.index(1.0)]
-                histories[winner].pending = False
                 latency[winner] = t
                 pending.remove(winner)
                 t += 1
@@ -150,9 +121,6 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
                 change = next_prob_change(profile[i], t)
                 if change is not None and change < nxt:
                     nxt = change
-            span = nxt - t
-            for i, pr in zip(pending, probs):
-                histories[i].extend(1 if pr == 1.0 else 0, span)
             t = nxt
             continue
         transmitters = []
@@ -163,12 +131,10 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
                 hit = False
             else:
                 hit = attempt_uniform(seed, trial_index, i, t) < pr
-            histories[i].append(1 if hit else 0)
             if hit:
                 transmitters.append(i)
         if len(transmitters) == 1:
             winner = transmitters[0]
-            histories[winner].pending = False
             latency[winner] = t
             pending.remove(winner)
         t += 1
@@ -179,29 +145,11 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
     )
 
 
-def _run_range(config: GameConfig, start: int, stop: int) -> list[TrialOutcome]:
-    return [run_trial(config, idx) for idx in range(start, stop)]
-
-
-def run_trials(config: GameConfig, trials: int, n_jobs: int = 1) -> list[TrialOutcome]:
-    """All trial outcomes in trial-index order, optionally in parallel.
-
-    The counter-based draws make the result independent of how trials
-    are scheduled across workers.
-    """
+def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
+    """All trial outcomes in trial-index order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if n_jobs <= 1 or trials < 2 * n_jobs:
-        return _run_range(config, 0, trials)
-    _ensure_horizons(config)  # extend once up front; shared reads after
-    chunk = (trials + n_jobs - 1) // n_jobs
-    ranges = [(i, min(i + chunk, trials)) for i in range(0, trials, chunk)]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        parts = list(pool.map(lambda r: _run_range(config, *r), ranges))
-    out: list[TrialOutcome] = []
-    for part in parts:
-        out.extend(part)
-    return out
+    return [run_trial(config, idx) for idx in range(trials)]
 
 
 def _quantile(sorted_values: list, q: float) -> float:
@@ -237,23 +185,23 @@ def summarize(outcomes: list[TrialOutcome], focus_player: int, slot_cap: int) ->
     )
 
 
-def monte_carlo(config: GameConfig, trials: int, focus_player: int = 0, n_jobs: int = 1) -> LatencyStats:
+def monte_carlo(config: GameConfig, trials: int, focus_player: int = 0) -> LatencyStats:
     """Monte Carlo latency estimate for one player.
 
-    Bit-identical for fixed (config, trials, focus_player) regardless of
-    n_jobs: outcomes are aggregated in trial-index order.
+    Bit-identical for fixed (config, trials, focus_player): outcomes are
+    aggregated in trial-index order.
     """
-    outcomes = run_trials(config, trials, n_jobs=n_jobs)
+    outcomes = run_trials(config, trials)
     return summarize(outcomes, focus_player, config.slot_cap)
 
 
-def empirical_distribution(config: GameConfig, trials: int, focus_player: int = 0, n_jobs: int = 1) -> dict[int, float]:
+def empirical_distribution(config: GameConfig, trials: int, focus_player: int = 0) -> dict[int, float]:
     """Empirical latency pmf for one player, normalized by total trials.
 
     Censored trials contribute no support point, so the frequencies sum
     to (trials - censored) / trials.
     """
-    outcomes = run_trials(config, trials, n_jobs=n_jobs)
+    outcomes = run_trials(config, trials)
     counts = Counter(
         out.latency[focus_player] for out in outcomes if out.latency[focus_player] is not None
     )

@@ -3,15 +3,15 @@
 Three families are provided:
 
 * AgeBased -- transmit with probability p at the schedule's non-trivial
-  slots and probability 1 everywhere else.  Ignores history.
+  slots and probability 1 everywhere else.
 * Deadline -- transmit with probability 1 at every slot >= t0; before
   the deadline a configurable PreRule applies.  Deadline(1) is the
   persistent protocol.
 * ConstantProb -- transmit with a fixed probability q at every slot.
 
-All rules see the player's personal attempt history so the engine stays
-uniform over history-dependent rules, even though none of the built-in
-families consults it.
+Every rule is a function of the slot number alone:
+`decision_probability(spec, t)` is a pending player's transmission
+probability at slot t.
 """
 
 from __future__ import annotations
@@ -27,48 +27,6 @@ from .schedule import (
     parse_rational,
     transmission_probability,
 )
-
-
-class ContractViolationError(ValueError):
-    """A decision rule was queried outside its contract."""
-
-
-class PersonalHistory:
-    """Per-player attempt record, run-length encoded.
-
-    Long stretches of identical behavior (e.g. forced transmissions at
-    trivial slots) are stored as runs so trials over millions of slots
-    stay cheap.  Length always equals the number of elapsed slots while
-    the player was pending.
-    """
-
-    __slots__ = ("_runs", "_length", "pending")
-
-    def __init__(self):
-        self._runs: list[list[int]] = []  # [bit, count]
-        self._length = 0
-        self.pending = True
-
-    def append(self, bit: int) -> None:
-        self.extend(bit, 1)
-
-    def extend(self, bit: int, count: int) -> None:
-        if count <= 0:
-            return
-        if self._runs and self._runs[-1][0] == bit:
-            self._runs[-1][1] += count
-        else:
-            self._runs.append([bit, count])
-        self._length += count
-
-    def __len__(self) -> int:
-        return self._length
-
-    def bits(self) -> list[int]:
-        out: list[int] = []
-        for bit, count in self._runs:
-            out.extend([bit] * count)
-        return out
 
 
 @dataclass(frozen=True)
@@ -114,18 +72,8 @@ class ConstantProb:
 ProtocolSpec = Union[AgeBased, Deadline, ConstantProb]
 
 
-def _validate_history(history: PersonalHistory, t: int) -> None:
-    if not history.pending:
-        raise ContractViolationError("decision rule queried for a non-pending player")
-    if len(history) != t - 1:
-        raise ContractViolationError(
-            f"history length {len(history)} inconsistent with slot {t}"
-        )
-
-
-def decision_probability(spec: ProtocolSpec, history: PersonalHistory, t: int) -> float:
+def decision_probability(spec: ProtocolSpec, t: int) -> float:
     """Transmission probability of a pending player at slot t."""
-    _validate_history(history, t)
     if isinstance(spec, AgeBased):
         return transmission_probability(spec.schedule, spec.p, t)
     if isinstance(spec, Deadline):
@@ -169,14 +117,6 @@ def _age_based_change(sched: Schedule, p: float, t: int) -> int | None:
     if sched.nontrivial_index(t) is not None:
         return t + 1
     return sched.next_nontrivial_after(t)
-
-
-def is_anonymous(profile: list[ProtocolSpec]) -> bool:
-    """True iff every player runs a structurally identical rule."""
-    if not profile:
-        raise ContractViolationError("empty protocol profile")
-    first = profile[0]
-    return all(spec == first for spec in profile[1:])
 
 
 # --- JSON config -----------------------------------------------------------

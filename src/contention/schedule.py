@@ -50,8 +50,7 @@ class Schedule:
     """Precomputed non-trivial slots for a rational growth factor.
 
     Immutable from the caller's point of view except for `extend_to`,
-    which only appends.  Concurrent readers are safe once construction
-    and any needed extension are done.
+    which only appends.
     """
 
     def __init__(self, c: Fraction, horizon_k: int):

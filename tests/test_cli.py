@@ -90,7 +90,7 @@ def test_simulate_command(tmp_path, capsys):
         "--player", "2", "--samples-path", str(samples),
     )
     assert code == 0
-    stats = LatencyStats.from_json(json.loads(out))
+    stats = LatencyStats(**json.loads(out))
     assert stats.trials == 100
     rows = list(csv.DictReader(samples.read_text().splitlines()))
     assert len(rows) == 300
@@ -117,6 +117,14 @@ def test_infeasible_parameters_exit_nonzero(capsys):
     code, _, err = run_cli(capsys, "bounds", "--c", "13/10", "--p", "0.2")
     assert code == 1
     assert "diverges" in err
+
+
+def test_missing_config_file_is_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert err.count("\n") == 1
 
 
 def test_parse_failure_exit_nonzero(capsys):

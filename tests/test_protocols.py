@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 from contention.protocols import (
     AgeBased,
     ConstantProb,
-    ContractViolationError,
     Deadline,
     FixedProb,
     FollowAgeBased,
-    PersonalHistory,
     Quiet,
     decision_probability,
-    is_anonymous,
     next_prob_change,
     profile_from_json,
     profile_to_json,
@@ -23,92 +20,49 @@ from contention.protocols import (
 from contention.schedule import build_schedule
 
 
-def history_of(bits) -> PersonalHistory:
-    h = PersonalHistory()
-    for b in bits:
-        h.append(b)
-    return h
-
-
 @pytest.fixture(scope="module")
 def age_based():
     return AgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=0.75)
 
 
 def test_age_based_trivial_slot(age_based):
-    assert decision_probability(age_based, history_of([1, 0]), 3) == 1.0
+    assert decision_probability(age_based, 3) == 1.0
 
 
 def test_age_based_nontrivial_slot(age_based):
-    assert decision_probability(age_based, history_of([1]), 2) == 0.75
+    assert decision_probability(age_based, 2) == 0.75
 
 
 def test_persistent_always_transmits():
-    assert decision_probability(Deadline(t0=1), history_of([]), 1) == 1.0
+    assert decision_probability(Deadline(t0=1), 1) == 1.0
 
 
 def test_deadline_quiet_before_deadline():
     spec = Deadline(t0=5, pre=Quiet())
-    assert decision_probability(spec, history_of([0, 0, 0]), 4) == 0.0
-    assert decision_probability(spec, history_of([0, 0, 0, 0]), 5) == 1.0
+    assert decision_probability(spec, 4) == 0.0
+    assert decision_probability(spec, 5) == 1.0
 
 
 def test_deadline_fixed_prob_pre_rule():
     spec = Deadline(t0=4, pre=FixedProb(q=0.5))
-    assert decision_probability(spec, history_of([1]), 2) == 0.5
+    assert decision_probability(spec, 2) == 0.5
 
 
 def test_deadline_follow_age_based_pre_rule(age_based):
     spec = Deadline(t0=10, pre=FollowAgeBased(schedule=age_based.schedule, p=0.75))
-    assert decision_probability(spec, history_of([1] * 3), 4) == 0.75
-    assert decision_probability(spec, history_of([1] * 4), 5) == 1.0
-    assert decision_probability(spec, history_of([1] * 10), 11) == 1.0
+    assert decision_probability(spec, 4) == 0.75
+    assert decision_probability(spec, 5) == 1.0
+    assert decision_probability(spec, 11) == 1.0
 
 
 def test_constant_prob():
-    assert decision_probability(ConstantProb(q=1 / 3), history_of([0, 1]), 3) == 1 / 3
-
-
-def test_non_pending_query_rejected(age_based):
-    h = history_of([1])
-    h.pending = False
-    with pytest.raises(ContractViolationError):
-        decision_probability(age_based, h, 2)
-
-
-def test_history_length_mismatch_rejected(age_based):
-    with pytest.raises(ContractViolationError):
-        decision_probability(age_based, history_of([1, 1]), 2)
+    assert decision_probability(ConstantProb(q=1 / 3), 3) == 1 / 3
 
 
 @settings(max_examples=100, deadline=None)
-@given(t=st.integers(min_value=1, max_value=23), data=st.data())
-def test_age_based_ignores_history(age_based, t, data):
-    bits_a = data.draw(st.lists(st.integers(0, 1), min_size=t - 1, max_size=t - 1))
-    bits_b = data.draw(st.lists(st.integers(0, 1), min_size=t - 1, max_size=t - 1))
-    assert decision_probability(age_based, history_of(bits_a), t) == decision_probability(
-        age_based, history_of(bits_b), t
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(t0=st.integers(min_value=1, max_value=30), extra=st.integers(min_value=0, max_value=50), data=st.data())
-def test_deadline_is_one_from_deadline_on(t0, extra, data):
-    t = t0 + extra
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=t - 1, max_size=t - 1))
-    assert decision_probability(Deadline(t0=t0), history_of(bits), t) == 1.0
-
-
-def test_is_anonymous(age_based):
-    same = AgeBased(schedule=build_schedule(Fraction(11, 10), 20), p=0.75)
-    assert is_anonymous([age_based, same, age_based])
-    assert not is_anonymous([age_based, age_based, Deadline(t0=1)])
-    assert is_anonymous([ConstantProb(q=1 / 3)] * 3)
-
-
-def test_is_anonymous_rejects_empty():
-    with pytest.raises(ContractViolationError):
-        is_anonymous([])
+@given(t0=st.integers(min_value=1, max_value=30), extra=st.integers(min_value=0, max_value=50))
+def test_deadline_is_one_from_deadline_on(t0, extra):
+    assert decision_probability(Deadline(t0=t0), t0 + extra) == 1.0
 
 
 def test_next_prob_change(age_based):
@@ -119,16 +73,6 @@ def test_next_prob_change(age_based):
     assert next_prob_change(Deadline(t0=5), 2) == 5
     assert next_prob_change(Deadline(t0=5), 5) is None
     assert next_prob_change(ConstantProb(q=0.2), 7) is None
-
-
-def test_history_run_length_encoding():
-    h = PersonalHistory()
-    h.extend(1, 1000)
-    h.append(0)
-    h.extend(0, 2)
-    assert len(h) == 1003
-    bits = h.bits()
-    assert bits[:1000] == [1] * 1000 and bits[1000:] == [0, 0, 0]
 
 
 def test_profile_json_round_trip(age_based):
