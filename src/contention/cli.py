@@ -93,11 +93,15 @@ def cmd_analyze(args) -> int:
 def _load_config(path: str) -> engine.GameConfig:
     with open(path) as fh:
         data = json.load(fh)
-    profile = protocols.profile_from_json(data)
+    try:
+        profile = protocols.profile_from_json(data)
+        seed = int(data["seed"])
+    except KeyError as exc:
+        raise ValueError(f"config {path} is missing key {exc}") from None
     return engine.GameConfig(
         n=int(data.get("n", len(profile))),
         profile=tuple(profile),
-        seed=int(data["seed"]),
+        seed=seed,
         slot_cap=int(data.get("slot_cap", 10**6)),
     )
 
@@ -111,6 +115,8 @@ def cmd_simulate(args) -> int:
         config = engine.GameConfig(
             n=config.n, profile=config.profile, seed=args.seed, slot_cap=config.slot_cap
         )
+    if not 0 <= args.player < config.n:
+        raise ValueError(f"--player {args.player} is not a player of this {config.n}-player config")
     outcomes = engine.run_trials(config, args.trials)
     stats = engine.summarize(outcomes, args.player, config.slot_cap)
     if args.samples_path:

@@ -1,20 +1,31 @@
 """Slotted-channel game simulation with reproducible Monte Carlo.
 
-Each trial plays out the game slot by slot: every pending player draws a
-transmission attempt from her protocol's decision probability; exactly
-one transmitter in a slot succeeds and exits, any other outcome leaves
-the pending set unchanged.  Trials are censored at a slot cap because
-some profiles (a persistent deviator against the age-based protocol)
-have infinite expected latency.
+In every slot each pending player transmits with its protocol's decision
+probability; exactly one transmitter in a slot succeeds and exits, any
+other outcome leaves the pending set unchanged.  Trials are censored at
+a slot cap because some profiles (a persistent deviator against the
+age-based protocol) have infinite expected latency.
+
+Every rule is a function of the slot alone, so `run_trials` first builds
+the config's probability timeline once: segments (start, end, probs) of
+slots over which every player's probability is constant, covering
+1..slot_cap.  Each trial then walks the segments.  A segment whose
+outcome is forced for the pending players (all probabilities 0 or 1, or
+two players certain to transmit) resolves in one step; this is what
+makes slot caps of 10^6 affordable when the age-based protocol collides
+deterministically at every trivial slot.  Draws happen only for players
+whose probability is strictly between 0 and 1.
 
 Randomness is counter-based: every attempt draw is a pure hash of
 (seed, trial_index, player, slot), so results are bit-identical for a
-fixed (config, trials) regardless of the order in which trials run.
+fixed (config, trials) regardless of the order in which trials run.  The
+hash is split into a per-(trial, player) key (`draw_key`) and a per-slot
+finish (`keyed_uniform`), so a trial mixes the seed, trial and player in
+once and pays one mix per draw.
 
-Stretches of slots whose outcome is forced (all pending probabilities 0
-or 1, with no lone transmitter) are fast-forwarded in one step; this is
-what makes slot caps of 10^6 affordable when the age-based protocol
-collides deterministically at every trivial slot.
+`run_trial` plays one trial straight from the rules, querying them anew
+at every slot it visits; it is kept as the independent oracle that
+`run_trials` is tested against.
 """
 
 from __future__ import annotations
@@ -45,13 +56,22 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def attempt_uniform(seed: int, trial_index: int, player: int, slot: int) -> float:
-    """Deterministic uniform in [0, 1) for one attempt draw."""
+def draw_key(seed: int, trial_index: int, player: int) -> int:
+    """Hash key of one player's attempt draws in one trial."""
     z = _mix64(seed)
     z = _mix64(z ^ ((trial_index * _GOLDEN) & _MASK64))
-    z = _mix64(z ^ ((player * _GOLDEN) & _MASK64))
-    z = _mix64(z ^ ((slot * _GOLDEN) & _MASK64))
+    return _mix64(z ^ ((player * _GOLDEN) & _MASK64))
+
+
+def keyed_uniform(key: int, slot: int) -> float:
+    """Uniform in [0, 1) for the attempt draw at `slot` under a `draw_key`."""
+    z = _mix64(key ^ ((slot * _GOLDEN) & _MASK64))
     return (z >> 11) * (1.0 / (1 << 53))
+
+
+def attempt_uniform(seed: int, trial_index: int, player: int, slot: int) -> float:
+    """Deterministic uniform in [0, 1) for one attempt draw."""
+    return keyed_uniform(draw_key(seed, trial_index, player), slot)
 
 
 @dataclass(frozen=True)
@@ -145,11 +165,95 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
     )
 
 
+def _segments(config: GameConfig):
+    """Yield the config's probability timeline in slot order: segments
+    (start, end, probs) covering slots 1..slot_cap, where probs[i] is
+    player i's transmission probability at every slot from start to end."""
+    _ensure_horizons(config)
+    profile, cap = config.profile, config.slot_cap
+    t = 1
+    while t <= cap:
+        probs = tuple(decision_probability(spec, t) for spec in profile)
+        end = cap
+        for spec in profile:
+            change = next_prob_change(spec, t)
+            if change is not None and change <= end:
+                end = change - 1
+        yield t, end, probs
+        t = end + 1
+
+
+def _replay(built: list, rest):
+    """Iterate a timeline built on demand: the segments in built, then
+    those from rest, which are kept in built for the next trial.  rest
+    is read with a for loop, not `yield from`, so abandoning this walk
+    does not close it."""
+    yield from built
+    for segment in rest:
+        built.append(segment)
+        yield segment
+
+
+def _first_success(keys, probs, forced, drawn, t, end):
+    """(slot, winner) of the first slot in t..end with exactly one
+    transmitter, or None.  forced are the pending players certain to
+    transmit (at most one), drawn those that draw."""
+    if not drawn:
+        return t, forced[0]
+    lone = forced[0] if forced else None
+    for slot in range(t, end + 1):
+        winner = lone
+        for i in drawn:
+            if keyed_uniform(keys[i], slot) < probs[i]:
+                if winner is not None:
+                    break  # collision: the other draws cannot matter
+                winner = i
+        else:
+            if winner is not None:
+                return slot, winner
+    return None
+
+
+def _play(segments, keys: list, cap: int) -> TrialOutcome:
+    """One trial walked over the segments of a probability timeline,
+    with the players' draw keys."""
+    latency: list = [None] * len(keys)
+    pending = list(range(len(keys)))
+    for start, end, probs in segments:
+        t = start
+        while pending and t <= end:
+            forced = [i for i in pending if probs[i] == 1.0]
+            drawn = [i for i in pending if 0.0 < probs[i] < 1.0]
+            if len(forced) > 1 or not (forced or drawn):
+                break  # collision or silence until the segment ends
+            success = _first_success(keys, probs, forced, drawn, t, end)
+            if success is None:
+                break
+            t, winner = success
+            latency[winner] = t
+            pending.remove(winner)
+            t += 1
+        if not pending:
+            break
+    return TrialOutcome(
+        latency=tuple(latency),
+        censored=tuple(lat is None for lat in latency),
+        slots_run=t - 1 if not pending else cap,
+    )
+
+
 def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
-    """All trial outcomes in trial-index order."""
+    """All trial outcomes in trial-index order; each equals
+    `run_trial(config, trial_index)`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return [run_trial(config, idx) for idx in range(trials)]
+    # Trials that end early never make the timeline reach the slot cap.
+    built, rest = [], _segments(config)
+    seed, players, cap = config.seed, range(config.n), config.slot_cap
+    return [
+        _play(_replay(built, rest), [draw_key(seed, idx, i) for i in players], cap)
+        for idx in range(trials)
+    ]
 
 
 def _quantile(sorted_values: list, q: float) -> float:

@@ -29,6 +29,12 @@ from .schedule import (
 )
 
 
+def _check_probability(name: str, value: float) -> None:
+    # also rejects nan and infinities
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class Quiet:
     """Pre-deadline rule: never transmit."""
@@ -40,6 +46,9 @@ class FixedProb:
 
     q: float
 
+    def __post_init__(self):
+        _check_probability("q", self.q)
+
 
 @dataclass(frozen=True)
 class FollowAgeBased:
@@ -47,6 +56,9 @@ class FollowAgeBased:
 
     schedule: Schedule
     p: float
+
+    def __post_init__(self):
+        _check_probability("p", self.p)
 
 
 PreRule = Union[Quiet, FixedProb, FollowAgeBased]
@@ -57,16 +69,26 @@ class AgeBased:
     schedule: Schedule
     p: float
 
+    def __post_init__(self):
+        _check_probability("p", self.p)
+
 
 @dataclass(frozen=True)
 class Deadline:
     t0: int
     pre: PreRule = field(default_factory=Quiet)
 
+    def __post_init__(self):
+        if self.t0 < 1:
+            raise ValueError(f"deadline t0 must be >= 1, got {self.t0!r}")
+
 
 @dataclass(frozen=True)
 class ConstantProb:
     q: float
+
+    def __post_init__(self):
+        _check_probability("q", self.q)
 
 
 ProtocolSpec = Union[AgeBased, Deadline, ConstantProb]

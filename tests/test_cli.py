@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import contention
 from contention.cli import main
 from contention.engine import LatencyStats
 from contention.schedule import Schedule
@@ -131,3 +136,61 @@ def test_parse_failure_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # --config required
     assert exc.value.code != 0
+
+
+def _write_config(tmp_path, data):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"players": [{"type": "age_based", "c": "11/10"}], "seed": 1}, "p"),
+        ({"players": [{"type": "constant_prob", "q": 0.5}]}, "seed"),
+        ({"seed": 1}, "players"),
+        ({"players": [{"type": "deadline", "t0": 3, "pre": {"q": 0.5}}], "seed": 1}, "type"),
+    ],
+)
+def test_missing_config_key_is_one_line_error(tmp_path, capsys, data, key):
+    path = _write_config(tmp_path, data)
+    code, out, err = run_cli(capsys, "simulate", "--config", path, "--trials", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and repr(key) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "age_based", "c": "11/10", "p": 1.5},
+        {"type": "constant_prob", "q": -1},
+        {"type": "deadline", "t0": 0},
+    ],
+)
+def test_invalid_rule_parameter_is_one_line_error(tmp_path, capsys, spec):
+    path = _write_config(tmp_path, {"players": [spec], "seed": 1})
+    code, out, err = run_cli(capsys, "simulate", "--config", path, "--trials", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("player", ["3", "-1"])
+def test_player_out_of_range_is_one_line_error(tmp_path, capsys, monkeypatch, player):
+    # rejected before any trial runs
+    monkeypatch.setattr("contention.engine.run_trials", lambda *args: pytest.fail("simulated"))
+    path = _write_config(tmp_path, {"players": [{"type": "constant_prob", "q": 0.5}] * 3, "seed": 1})
+    code, out, err = run_cli(capsys, "simulate", "--config", path, "--trials", "5", "--player", player)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"--player {player}" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy would add its import time and resident memory to every run
+    src = str(Path(contention.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, contention.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

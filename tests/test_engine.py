@@ -1,19 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contention.analysis import persistent_distribution, solve_expectations
 from contention.engine import (
     GameConfig,
     attempt_uniform,
+    draw_key,
     empirical_distribution,
+    keyed_uniform,
     monte_carlo,
     outcomes_to_csv_rows,
     run_trial,
     run_trials,
     summarize,
 )
-from contention.protocols import AgeBased, ConstantProb, Deadline, Quiet
+from contention.protocols import AgeBased, ConstantProb, Deadline, FixedProb, FollowAgeBased, Quiet
 from contention.schedule import build_schedule
 
 C = Fraction(11, 10)
@@ -129,3 +133,92 @@ def test_config_validation(age_based):
         GameConfig(n=2, profile=(age_based,), seed=0)
     with pytest.raises(ValueError):
         GameConfig(n=1, profile=(age_based,), seed=0, slot_cap=0)
+
+
+# --- run_trials against the run_trial oracle -----------------------------------
+
+def _age(c, p):
+    return AgeBased(schedule=build_schedule(Fraction(c), 8), p=p)
+
+
+def _follow(c, p):
+    return FollowAgeBased(schedule=build_schedule(Fraction(c), 8), p=p)
+
+
+AB = _age(C, 0.75)
+DIFFERENTIAL = {
+    "all-protocol": ((AB, AB, AB), 10**6),
+    "persistent": ((AB, AB, Deadline(t0=1)), 10**6),
+    "deadline-quiet": ((AB, AB, Deadline(t0=40, pre=Quiet())), 3000),
+    "deadline-quiet-beyond-cap": ((AB, AB, Deadline(t0=5000, pre=Quiet())), 3000),
+    "deadline-fixed": ((AB, AB, Deadline(t0=40, pre=FixedProb(q=0.3))), 3000),
+    "deadline-fixed-beyond-cap": ((AB, Deadline(t0=5000, pre=FixedProb(q=0.3))), 3000),
+    "deadline-follow": ((AB, AB, Deadline(t0=40, pre=_follow(C, 0.75))), 3000),
+    "deadline-follow-beyond-cap": ((AB, AB, Deadline(t0=5000, pre=_follow(C, 0.75))), 3000),
+    "constant": ((ConstantProb(q=0.125),) * 3, 10**6),
+    "mixed-c": ((AB, _age("3/2", 0.5), ConstantProb(q=0.3)), 10**5),
+    "age-based-p1": ((_age(C, 1.0), AB, AB), 3000),
+    "single-player": ((AB,), 100),
+    "censoring-cap": ((AB, AB, AB), 5),  # at most two successes by slot 5
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_run_trials_matches_run_trial(name):
+    profile, cap = DIFFERENTIAL[name]
+    config = GameConfig(n=len(profile), profile=profile, seed=2024, slot_cap=cap)
+    assert run_trials(config, 300) == [run_trial(config, idx) for idx in range(300)]
+
+
+_PROB = st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+_C = st.sampled_from(["1", "11/10", "3/2", "2"])
+_SPEC = st.one_of(
+    st.builds(_age, _C, _PROB),
+    st.builds(ConstantProb, _PROB),
+    st.builds(
+        Deadline,
+        st.integers(min_value=1, max_value=60),
+        st.one_of(st.just(Quiet()), st.builds(FixedProb, _PROB), st.builds(_follow, _C, _PROB)),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    profile=st.lists(_SPEC, min_size=1, max_size=4),
+    seed=st.integers(min_value=0, max_value=2**64),
+    slot_cap=st.integers(min_value=1, max_value=400),
+    trials=st.integers(min_value=1, max_value=12),
+)
+def test_run_trials_matches_run_trial_on_random_profiles(profile, seed, slot_cap, trials):
+    config = GameConfig(n=len(profile), profile=tuple(profile), seed=seed, slot_cap=slot_cap)
+    assert run_trials(config, trials) == [run_trial(config, idx) for idx in range(trials)]
+
+
+def _four_mix_uniform(seed, trial_index, player, slot):
+    # the unsplit hash: seed, trial, player and slot mixed in one after another
+    mask, golden = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z &= mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    z = mix(seed)
+    for part in (trial_index, player, slot):
+        z = mix(z ^ ((part * golden) & mask))
+    return (z >> 11) * (1.0 / (1 << 53))
+
+
+def test_split_key_reproduces_attempt_uniform():
+    cases = [(7, 0, 0, 2), (7, 3999, 2, 13), (2**64 + 5, 10**6, 1, 10**6), (-1, 1, 2, 3)]
+    cases += [(s, t, p, slot) for s in (0, 31) for t in (0, 5) for p in range(3) for slot in (1, 2, 77)]
+    for seed, trial, player, slot in cases:
+        expected = _four_mix_uniform(seed, trial, player, slot)
+        assert keyed_uniform(draw_key(seed, trial, player), slot) == expected
+        assert attempt_uniform(seed, trial, player, slot) == expected
+    # values recorded before the split
+    assert [attempt_uniform(*case) for case in cases[:4]] == [
+        0.5297901411194159, 0.5632193649605226, 0.3435247918539034, 0.2884533026485421,
+    ]

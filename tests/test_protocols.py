@@ -92,3 +92,21 @@ def test_profile_json_example():
 def test_unknown_protocol_type_rejected():
     with pytest.raises(ValueError):
         spec_from_json({"type": "psychic"})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=1.5),
+        lambda: AgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=float("nan")),
+        lambda: FollowAgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=-0.25),
+        lambda: FixedProb(q=float("inf")),
+        lambda: ConstantProb(q=-1.0),
+        lambda: ConstantProb(q=float("nan")),
+        lambda: Deadline(t0=0),
+    ],
+)
+def test_invalid_parameters_rejected_at_construction(build):
+    with pytest.raises(ValueError):
+        build()
+
