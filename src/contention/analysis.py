@@ -311,13 +311,17 @@ def _lone_series_interval(sched: Schedule, c: Fraction, p: Fraction, k: int, ter
     truncated with a geometric tail bound."""
     sched.extend_to(k + terms)
     s_prev = sched.s[k - 1] if k >= 1 else 0
-    q = 1 - p
-    partial = Fraction(0)
-    weight = p  # p (1-p)^(ell-k)
-    for ell in range(k, k + terms + 1):
-        partial += (sched.s[ell] - s_prev) * weight
-        weight *= q
-    r = c * q
+    # p (1-p)^i = pn qn^i pd^(terms-i) / pd^(terms+1): one integer dot
+    # product over the common denominator, one Fraction at the end
+    pn, pd = p.numerator, p.denominator
+    qn = pd - pn
+    dot = 0
+    weight = pd**terms  # qn^i pd^(terms-i)
+    for s_ell in sched.s[k : k + terms + 1]:
+        dot += (s_ell - s_prev) * weight
+        weight = weight // pd * qn
+    partial = Fraction(pn * dot, pd ** (terms + 1))
+    r = c * (1 - p)
     # terms beyond the cutoff: (s_ell - s_prev) <= 2 c^(ell+1) / (c-1)
     tail = (2 * p * c ** (k + 1) / (c - 1)) * r ** (terms + 1) / (1 - r)
     return partial, partial + tail
@@ -461,8 +465,7 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         float(Fraction(support[z + 1], support[z]) * gamma) for z in range(z_max)
     ]
     expected_rounds = 1 / success
-    jensen_k = int(expected_rounds - 1)  # floor of E[Z]
-    sched.extend_to(jensen_k)
+    jensen_k = int(expected_rounds - 1)  # floor of E[Z], within the horizon
     return PersistentDistribution(
         c=c,
         p=p,

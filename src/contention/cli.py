@@ -20,9 +20,12 @@ from . import analysis, engine, protocols
 from .schedule import build_schedule, parse_rational
 
 
-def _add_cp(parser, default_c="11/10", default_p=0.75):
-    parser.add_argument("--c", default=default_c, help="growth factor as a rational, e.g. 11/10")
-    parser.add_argument("--p", type=float, default=default_p, help="scheduled-slot transmission probability")
+def _add_cp(parser):
+    parser.add_argument("--c", default="11/10", help="growth factor as a rational, e.g. 11/10")
+    parser.add_argument(
+        "--p", type=parse_rational, default="3/4",
+        help="scheduled-slot transmission probability as a rational, e.g. 3/4 or 0.75",
+    )
 
 
 def _add_output(parser):
@@ -93,17 +96,18 @@ def cmd_analyze(args) -> int:
 def _load_config(path: str) -> engine.GameConfig:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config {path} must hold a JSON object, not a {type(data).__name__}")
     try:
         profile = protocols.profile_from_json(data)
         seed = int(data["seed"])
+        n = int(data.get("n", len(profile)))
+        slot_cap = int(data.get("slot_cap", 10**6))
     except KeyError as exc:
         raise ValueError(f"config {path} is missing key {exc}") from None
-    return engine.GameConfig(
-        n=int(data.get("n", len(profile))),
-        profile=tuple(profile),
-        seed=seed,
-        slot_cap=int(data.get("slot_cap", 10**6)),
-    )
+    except TypeError as exc:
+        raise ValueError(f"config {path} has a value of the wrong type: {exc}") from None
+    return engine.GameConfig(n=n, profile=tuple(profile), seed=seed, slot_cap=slot_cap)
 
 
 SAMPLES_HEADER = ("trial_index", "player", "latency", "censored")

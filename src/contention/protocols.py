@@ -162,6 +162,8 @@ def _pre_to_json(pre: PreRule) -> dict:
 
 
 def spec_from_json(data: dict) -> ProtocolSpec:
+    if not isinstance(data, dict):
+        raise TypeError(f"a player must be a JSON object, got {data!r}")
     kind = data["type"]
     if kind == "age_based":
         return AgeBased(schedule=build_schedule(parse_rational(data["c"]), 8), p=float(data["p"]))

@@ -8,10 +8,15 @@ for a rational growth factor c >= 1.  At those slots the protocol
 transmits with some probability p < 1; at every other slot it transmits
 with probability 1.
 
-All arithmetic here is exact: floor(2 * c^j) is computed as integer
-division of 2 * num^j by den^j with unbounded integers, so a schedule
-can never drift from what floating-point powering would produce near an
-integer boundary.
+Every gap is exact and no float is involved.  c = num/den is powered in
+fixed point: integer bounds lo <= c^j * 2^P <= hi are carried from one
+index to the next (lo rounded down, hi rounded up, starting at
+P = 128 bits).  A gap floor(2 * c^j) is read off the bounds when both
+give the same integer; when they straddle an integer boundary, that one
+gap is the exact integer division of 2 * num^j by den^j, and the bounds
+are re-seeded from the exact power at a higher precision.  So a schedule
+equals the exact bigint formula at every index, at the cost of bounds
+that grow by only log2(c) bits per entry.
 """
 
 from __future__ import annotations
@@ -46,11 +51,14 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_START_BITS = 128  # fixed-point precision of a fresh schedule
+
+
 class Schedule:
     """Precomputed non-trivial slots for a rational growth factor.
 
-    Immutable from the caller's point of view except for `extend_to`,
-    which only appends.
+    Immutable from the caller's point of view except for `extend_to`
+    and `ensure_covers_time`, which only append.
     """
 
     def __init__(self, c: Fraction, horizon_k: int):
@@ -62,9 +70,9 @@ class Schedule:
         self.c = c
         self.x: list[int] = []
         self.s: list[int] = []
-        # incremental exact powers of num/den
-        self._num_pow = 1
-        self._den_pow = 1
+        # lo <= c^j * 2^bits <= hi for the next index j = len(self.x)
+        self._bits = _START_BITS
+        self._lo = self._hi = 1 << _START_BITS
         self.extend_to(horizon_k)
 
     @property
@@ -73,18 +81,34 @@ class Schedule:
 
     def extend_to(self, horizon_k: int) -> None:
         """Append entries so that x_0..x_horizon_k are available."""
-        num, den = self.c.numerator, self.c.denominator
-        while len(self.x) <= horizon_k:
-            gap = (2 * self._num_pow) // self._den_pow
-            self.x.append(gap)
-            self.s.append((self.s[-1] if self.s else 0) + gap)
-            self._num_pow *= num
-            self._den_pow *= den
+        self._extend(horizon_k, 0)
 
     def ensure_covers_time(self, t: int) -> None:
         """Extend until the last non-trivial slot is >= t."""
-        while self.s[-1] < t:
-            self.extend_to(len(self.x))
+        self._extend(-1, t)
+
+    def _extend(self, horizon_k: int, t: int) -> None:
+        """Append entries while x_horizon_k is missing or s_last < t."""
+        num, den = self.c.numerator, self.c.denominator
+        x, s = self.x, self.s
+        bits, lo, hi = self._bits, self._lo, self._hi
+        total = s[-1] if s else 0
+        while len(x) <= horizon_k or total < t:
+            gap = (2 * lo) >> bits
+            if gap != (2 * hi) >> bits:
+                # the bounds straddle an integer: take this gap exactly
+                j = len(x)
+                num_pow, den_pow = num**j, den**j
+                gap = (2 * num_pow) // den_pow
+                bits += max(64, (hi - lo).bit_length())
+                lo, rem = divmod(num_pow << bits, den_pow)
+                hi = lo + (rem != 0)
+            x.append(gap)
+            total += gap
+            s.append(total)
+            lo = lo * num // den
+            hi = -(-hi * num // den)
+        self._bits, self._lo, self._hi = bits, lo, hi
 
     def nontrivial_index(self, t: int) -> int | None:
         """Index k with s_k == t, or None if t is a trivial slot."""

@@ -4,6 +4,7 @@ import pytest
 
 from contention.analysis import (
     AnalysisError,
+    _lone_series_interval,
     DivergentSeriesError,
     InvalidTruncationError,
     NoFiniteTruncationError,
@@ -159,6 +160,32 @@ def test_paper_series_lone_player_expectation():
     assert table.y1[0].width < 1e-9
     for k in (1, 2, 5):
         assert table.y1[k].contains(lone_player_series_oracle(C, Fraction(3, 4), k), slack=1e-9)
+
+
+def _lone_series_interval_fraction_loop(sched, c, p, k, terms=80):
+    # the term-by-term Fraction sum the integer dot product replaced
+    sched.extend_to(k + terms)
+    s_prev = sched.s[k - 1] if k >= 1 else 0
+    q = 1 - p
+    partial = Fraction(0)
+    weight = p
+    for ell in range(k, k + terms + 1):
+        partial += (sched.s[ell] - s_prev) * weight
+        weight *= q
+    r = c * q
+    tail = (2 * p * c ** (k + 1) / (c - 1)) * r ** (terms + 1) / (1 - r)
+    return partial, partial + tail
+
+
+@pytest.mark.parametrize(
+    "c, p",
+    [(Fraction(11, 10), Fraction(3, 4)), (Fraction(10001, 10000), Fraction(127, 128)),
+     (Fraction(11, 10), Fraction(1, 10))],
+)
+def test_lone_series_interval_matches_fraction_loop(c, p):
+    sched = build_schedule(c, 8)
+    for k in (0, 1, 7, 60, 400):
+        assert _lone_series_interval(sched, c, p, k) == _lone_series_interval_fraction_loop(sched, c, p, k)
 
 
 def test_literal_lone_player_is_one():

@@ -51,6 +51,14 @@ def test_feasibility_command(capsys):
     }
 
 
+def test_feasibility_p_is_rational(capsys):
+    code, out, _ = run_cli(capsys, "feasibility", "--c", "11/10", "--p", "0.1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["thresholds"]["inv_1mp"]["exact"] == "10/9"
+    assert data["p"] == 0.1
+
+
 def test_bounds_command(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--c", "11/10", "--p", "0.75", "--k1", "2")
     assert code == 0
@@ -158,6 +166,22 @@ def test_missing_config_key_is_one_line_error(tmp_path, capsys, data, key):
     code, out, err = run_cli(capsys, "simulate", "--config", path, "--trials", "5")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and repr(key) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data, what",
+    [
+        ({"players": [5], "seed": 1}, "a player must be a JSON object"),
+        ([1, 2], "must hold a JSON object"),
+        ({"players": [{"type": "age_based", "c": "11/10", "p": None}], "seed": 1}, "wrong type"),
+    ],
+)
+def test_malformed_config_is_one_line_error(tmp_path, capsys, data, what):
+    path = _write_config(tmp_path, data)
+    code, out, err = run_cli(capsys, "simulate", "--config", path, "--trials", "5")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: config {path} ") and what in err
     assert err.count("\n") == 1
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,65 @@ def test_extension_is_stable():
     sched.extend_to(40)
     assert sched.s[:4] == head
     assert sched.x == reference_gaps(Fraction(11, 10), 40)
+
+
+def exact_gap(c: Fraction, j: int) -> int:
+    return (2 * c.numerator**j) // c.denominator**j
+
+
+def _starting_bits(sched: Schedule) -> bool:
+    # True while no gap has needed the exact fallback
+    return sched._bits == 128
+
+
+@pytest.mark.parametrize(
+    "c",
+    [Fraction(1), Fraction(2), Fraction(3, 2), Fraction(11, 10), Fraction(13, 9),
+     Fraction(10001, 10000), Fraction(2097151, 1048576)],
+)
+def test_fixed_point_schedule_matches_exact_formula(c):
+    sched = build_schedule(c, 600)
+    assert sched.x == [exact_gap(c, j) for j in range(601)]
+    assert sched.s == list(accumulate(sched.x))
+
+
+def test_fixed_point_schedule_near_one_far_out():
+    c = Fraction(10001, 10000)
+    sched = build_schedule(c, 40_000)
+    assert len(sched.x) == len(sched.s) == 40_001
+    for j in [*range(0, 40_001, 997), 16_383, 40_000]:
+        assert sched.x[j] == exact_gap(c, j)
+    assert sched.s == list(accumulate(sched.x))
+
+
+@pytest.mark.parametrize("c, k", [(Fraction(3, 2), 1500), (Fraction(11, 10), 2000)])
+def test_exact_fallback_keeps_schedule_exact(c, k):
+    sched = build_schedule(c, k)
+    assert not _starting_bits(sched)  # the fallback ran
+    assert sched.x == [exact_gap(c, j) for j in range(k + 1)]
+    assert sched.s == list(accumulate(sched.x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num=st.integers(min_value=1, max_value=2**24),
+    den=st.integers(min_value=1, max_value=2**24),
+    k=st.integers(min_value=0, max_value=400),
+)
+def test_fixed_point_schedule_property(num, den, k):
+    c = 1 + Fraction(min(num, den), max(num, den))  # rational in (1, 2]
+    sched = build_schedule(c, k)
+    assert sched.x == [exact_gap(c, j) for j in range(k + 1)]
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(11, 10), Fraction(10001, 10000)])
+@pytest.mark.parametrize("t", [1, 2, 3, 23, 24, 10**5])
+def test_ensure_covers_time_stops_at_first_covering_entry(c, t):
+    sched = build_schedule(c, 0)
+    sched.ensure_covers_time(t)
+    assert sched.s[-1] >= t
+    assert len(sched.s) == 1 or sched.s[-2] < t
+    assert sched.x[-1] == exact_gap(c, len(sched.x) - 1)
 
 
 def test_transmission_probability_examples():
