@@ -22,6 +22,7 @@ from contention.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TRIALS = "4000"
+CORNER = ("--c", "10001/10000", "--p", "0.9921875")  # feasible corner near c = 1
 
 
 def _simulate(profile, player, *extra):
@@ -36,6 +37,8 @@ CASES = {
     "bounds": ["bounds"],
     "analyze_literal": ["analyze"],
     "analyze_paper_series": ["analyze", "--semantics", "paper-series"],
+    "analyze_literal_corner_k400": ["analyze", *CORNER, "--semantics", "literal", "--K", "400"],
+    "analyze_paper_series_corner_k400": ["analyze", *CORNER, "--semantics", "paper-series", "--K", "400"],
     "analyze_persistent_json": ["analyze", "--persistent"],
     "analyze_persistent_csv": ["analyze", "--persistent", "--output-format", "csv"],
     "compare_deadline": ["compare-deadline", "--t0", "5"],
