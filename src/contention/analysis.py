@@ -17,6 +17,7 @@ Notation used throughout (per-round non-departure probabilities when
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -304,27 +305,38 @@ class ExpectationTable:
         }
 
 
-def _lone_series_interval(sched: Schedule, c: Fraction, p: Fraction, k: int, terms: int = 80) -> tuple:
-    """Enclosure of the lone player's expected extra latency after the
-    (k-1)-th scheduled slot, under the reading where she departs only at
-    scheduled slots: sum over ell >= k of (s_ell - s_{k-1}) p (1-p)^(ell-k),
-    truncated with a geometric tail bound."""
-    sched.extend_to(k + terms)
-    s_prev = sched.s[k - 1] if k >= 1 else 0
-    # p (1-p)^i = pn qn^i pd^(terms-i) / pd^(terms+1): one integer dot
-    # product over the common denominator, one Fraction at the end
+def _lone_series_numerators(sched: Schedule, c: Fraction, p: Fraction, K: int, terms: int = 80) -> tuple:
+    """Enclosures of the lone player's expected extra latency after the
+    (k-1)-th scheduled slot, k = 0..K, under the reading where she departs
+    only at scheduled slots: sum over ell >= k of (s_ell - s_{k-1}) p (1-p)^(ell-k),
+    truncated after `terms` terms with a geometric tail bound T c^k.
+
+    Returns ([(lo_k, hi_k)], V): integer numerators over the one common
+    denominator V = pd^(terms+1) * T.den * cd^K."""
+    sched.extend_to(K + terms)
     pn, pd = p.numerator, p.denominator
+    cn, cd = c.numerator, c.denominator
     qn = pd - pn
-    dot = 0
-    weight = pd**terms  # qn^i pd^(terms-i)
-    for s_ell in sched.s[k : k + terms + 1]:
-        dot += (s_ell - s_prev) * weight
-        weight = weight // pd * qn
-    partial = Fraction(pn * dot, pd ** (terms + 1))
     r = c * (1 - p)
     # terms beyond the cutoff: (s_ell - s_prev) <= 2 c^(ell+1) / (c-1)
-    tail = (2 * p * c ** (k + 1) / (c - 1)) * r ** (terms + 1) / (1 - r)
-    return partial, partial + tail
+    tail = (2 * p * c / (c - 1)) * r ** (terms + 1) / (1 - r)
+    # p (1-p)^i = pn qn^i pd^(terms-i) / pd^(terms+1), and
+    # c^k = cn^k cd^(K-k) / cd^K
+    common = tail.denominator * cd**K
+    partial_scale = pn * common
+    tail_scale = tail.numerator * pd ** (terms + 1)
+    weights = [qn**i * pd ** (terms - i) for i in range(terms + 1)]
+    weight_sum = sum(weights)
+    s = sched.s
+    power = cd**K  # cn^k cd^(K-k)
+    nums = []
+    for k in range(K + 1):
+        s_prev = s[k - 1] if k >= 1 else 0
+        dot = sum(s_ell * w for s_ell, w in zip(s[k : k + terms + 1], weights)) - s_prev * weight_sum
+        lo = dot * partial_scale
+        nums.append((lo, lo + tail_scale * power))
+        power = power // cd * cn
+    return nums, pd ** (terms + 1) * common
 
 
 def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60) -> ExpectationTable:
@@ -341,10 +353,20 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     are propagated down to k = 0 in interval arithmetic (all
     coefficients are nonnegative, so endpoints map to endpoints).
 
+    The recurrence runs in exact integers with no gcd reduction.  With
+    p = pn/pd and qn = pd - pn, the coefficients are a2 = pn qn / pd^2,
+    delta = (pd^2 - 2 pn qn) / pd^2, a3 = 2 pn qn^2 / pd^3 and
+    beta = (pd^3 - 3 pn qn^2) / pd^3, so every endpoint is an integer
+    numerator over a known denominator that each step multiplies by pd^2
+    (for E[Y_2]) or pd^3 (for E[Y_3]).  The seed denominators are chosen
+    so that E[Y_1]'s divides E[Y_2]'s, which divides E[Y_3]'s.  Each
+    endpoint is reported as num / den, which Python rounds correctly,
+    i.e. to the float nearest the exact value.
+
     semantics "literal": a lone player succeeds at the next slot, where
     the protocol transmits with probability 1, so E[Y_1,k] = 1.
     semantics "paper-series": the lone player departs only at scheduled
-    slots, giving the dominating series enclosed by _lone_series_interval.
+    slots, giving the dominating series enclosed by _lone_series_numerators.
     """
     c = _as_fraction(c)
     p = _as_fraction(p)
@@ -357,43 +379,56 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         raise DivergentSeriesError(
             "parameters outside the finite-latency region; no finite enclosure exists"
         )
-    consts = derive_constants(p)
-    delta, beta = consts.delta, consts.beta
     K = truncation_K
     sched = build_schedule(c, K)
 
     if semantics == "literal":
-        e1 = [(Fraction(1), Fraction(1)) for _ in range(K + 1)]
+        n1, d1 = [(1, 1)] * (K + 1), 1
     else:
-        e1 = [_lone_series_interval(sched, c, p, k) for k in range(K + 1)]
+        n1, d1 = _lone_series_numerators(sched, c, p, K)
 
     k1 = min_truncation_k1(c, p)
-    bound2 = Fraction(delta_bound(c, p, k1))
-    bound3 = Fraction(y30_upper(c, p, k1))
     grow = c ** (K - 1) * (c + 1)
+    seed2 = Fraction(delta_bound(c, p, k1)) * grow
+    seed3 = Fraction(y30_upper(c, p, k1)) * grow
+    d2 = math.lcm(d1, seed2.denominator)
+    d3 = math.lcm(d2, seed3.denominator)
+    n2 = (0, seed2.numerator * (d2 // seed2.denominator))
+    n3 = (0, seed3.numerator * (d3 // seed3.denominator))
+    scale21, scale32 = d2 // d1, d3 // d2
+
+    pn, pd = p.numerator, p.denominator
+    qn = pd - pn
+    pd2, pd3 = pd**2, pd**3
+    a2, delta = pn * qn, pd2 - 2 * pn * qn
+    a3, beta = 2 * pn * qn**2, pd3 - 3 * pn * qn**2
     e2: list = [None] * (K + 1)
     e3: list = [None] * (K + 1)
-    e2[K] = (Fraction(0), bound2 * grow)
-    e3[K] = (Fraction(0), bound3 * grow)
-    a2 = p * (1 - p)
-    a3 = 2 * p * (1 - p) ** 2
+    e2[K] = (n2[0] / d2, n2[1] / d2)
+    e3[K] = (n3[0] / d3, n3[1] / d3)
     for i in range(K - 1, -1, -1):
-        x_i = sched.x[i]
-        e2[i] = (
-            x_i + a2 * e1[i + 1][0] + delta * e2[i + 1][0],
-            x_i + a2 * e1[i + 1][1] + delta * e2[i + 1][1],
+        # over the new denominators pd^2 d2 and pd^3 d3, reading
+        # E[Y_1,i+1] and E[Y_2,i+1] before E[Y_2,i] replaces the latter
+        d2 *= pd2
+        d3 *= pd3
+        x2, x3 = sched.x[i] * d2, sched.x[i] * d3
+        w1, w2 = a2 * scale21, a3 * scale32
+        n2, n3 = (
+            tuple(x2 + w1 * u + delta * v for u, v in zip(n1[i + 1], n2)),
+            tuple(x3 + w2 * u + beta * v for u, v in zip(n2, n3)),
         )
-        e3[i] = (
-            x_i + a3 * e2[i + 1][0] + beta * e3[i + 1][0],
-            x_i + a3 * e2[i + 1][1] + beta * e3[i + 1][1],
-        )
+        scale21 *= pd2
+        scale32 *= pd
+        e2[i] = (n2[0] / d2, n2[1] / d2)
+        e3[i] = (n3[0] / d3, n3[1] / d3)
 
     def pack(rows):
         return [
-            ExpectationInterval(lower=float(lo), upper=float(hi), truncation_K=K, semantics=semantics)
+            ExpectationInterval(lower=lo, upper=hi, truncation_K=K, semantics=semantics)
             for lo, hi in rows
         ]
 
+    e1 = [(lo / d1, hi / d1) for lo, hi in n1]
     return ExpectationTable(
         c=c, p=p, semantics=semantics, truncation_K=K,
         y1=pack(e1), y2=pack(e2), y3=pack(e3),
@@ -430,6 +465,22 @@ class PersistentDistribution:
         }
 
 
+def _persistent_partials(support: list, success: Fraction, gamma: Fraction) -> tuple:
+    """pmf(z) = success gamma^z of the persistent deviator's round count
+    and the partial expectations sum_{j <= z} s_j pmf(j), exact, for the
+    support points s_0..s_z_max given."""
+    pmf = []
+    partials = []
+    weight = success
+    total = Fraction(0)
+    for s_z in support:
+        pmf.append(weight)
+        total += s_z * weight
+        partials.append(total)
+        weight *= gamma
+    return pmf, partials
+
+
 def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
     """Exact latency law of a persistent deviator against two protocol
     players.
@@ -446,21 +497,12 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         raise AnalysisError(f"p must be in (0, 1), got {p}")
     if z_max < 0:
         raise AnalysisError("z_max must be >= 0")
-    consts = derive_constants(p)
-    gamma = consts.gamma
     success = (1 - p) ** 2
     horizon = max(z_max, int(1 / success) + 1)
     sched = build_schedule(c, horizon)
     support = sched.s[: z_max + 1]
-    pmf = []
-    partials = []
-    weight = success
-    total = Fraction(0)
-    for z in range(z_max + 1):
-        pmf.append(weight)
-        total += support[z] * weight
-        partials.append(total)
-        weight *= gamma
+    gamma = derive_constants(p).gamma
+    pmf, partials = _persistent_partials(support, success, gamma)
     ratios = [
         float(Fraction(support[z + 1], support[z]) * gamma) for z in range(z_max)
     ]
@@ -523,22 +565,25 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     p = _as_fraction(p)
     if t0 < 1:
         raise AnalysisError("deadline must be >= 1")
-    delta = derive_constants(p).delta
-    sched = build_schedule(c, 1)
+    if not z_grid or min(z_grid) < 0:
+        raise AnalysisError(f"z_grid must be a non-empty list of z_max >= 0, got {list(z_grid)}")
+    if not (0 < p < 1):
+        raise AnalysisError(f"p must be in (0, 1), got {p}")
+    consts = derive_constants(p)
+    z_max = max(z_grid)
+    sched = build_schedule(c, z_max)
     sched.ensure_covers_time(t0)
     xi = sum(1 for s in sched.s if s < t0)
-    pr_lower = delta**xi
-    dist = persistent_distribution(c, p, max(z_grid))
+    pr_lower = consts.delta**xi
+    _, partials = _persistent_partials(sched.s[: z_max + 1], (1 - p) ** 2, consts.gamma)
     factor = pr_lower * c ** (xi - 1) * (c - 1)
-    bounds = [
-        (z, float(factor * dist.partial_expectations[z] - t0**2)) for z in z_grid
-    ]
+    bounds = [(z, float(factor * partials[z] - t0**2)) for z in z_grid]
     return DeadlineComparison(
         c=c,
         p=p,
         t0=t0,
         xi=xi,
         prE_lower=float(pr_lower),
-        diverges=dist.divergent,
+        diverges=c * consts.gamma > 1,
         truncated_lower_bounds=bounds,
     )

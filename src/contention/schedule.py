@@ -43,8 +43,13 @@ class InvalidArgumentsError(ScheduleError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a plain integer / decimal string) exactly."""
-    return Fraction(text)
+    """Parse "num/den" (or a plain integer / decimal string) exactly.
+
+    Raises ValueError for malformed text and for a zero denominator."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contention.analysis import (
     AnalysisError,
-    _lone_series_interval,
+    _lone_series_numerators,
     DivergentSeriesError,
     InvalidTruncationError,
     NoFiniteTruncationError,
@@ -184,8 +186,68 @@ def _lone_series_interval_fraction_loop(sched, c, p, k, terms=80):
 )
 def test_lone_series_interval_matches_fraction_loop(c, p):
     sched = build_schedule(c, 8)
+    nums, den = _lone_series_numerators(sched, c, p, 400)
     for k in (0, 1, 7, 60, 400):
-        assert _lone_series_interval(sched, c, p, k) == _lone_series_interval_fraction_loop(sched, c, p, k)
+        lo, hi = nums[k]
+        assert (Fraction(lo, den), Fraction(hi, den)) == _lone_series_interval_fraction_loop(sched, c, p, k)
+
+
+def _solve_expectations_fraction_loop(c, p, semantics, K):
+    # the Fraction interval recurrence the integer numerators replaced
+    sched = build_schedule(c, K)
+    if semantics == "literal":
+        e1 = [(Fraction(1), Fraction(1))] * (K + 1)
+    else:
+        e1 = [_lone_series_interval_fraction_loop(sched, c, p, k) for k in range(K + 1)]
+    consts = derive_constants(p)
+    k1 = min_truncation_k1(c, p)
+    grow = c ** (K - 1) * (c + 1)
+    e2 = [None] * (K + 1)
+    e3 = [None] * (K + 1)
+    e2[K] = (Fraction(0), Fraction(delta_bound(c, p, k1)) * grow)
+    e3[K] = (Fraction(0), Fraction(y30_upper(c, p, k1)) * grow)
+    a2 = p * (1 - p)
+    a3 = 2 * p * (1 - p) ** 2
+    for i in range(K - 1, -1, -1):
+        x_i = sched.x[i]
+        e2[i] = tuple(x_i + a2 * u + consts.delta * v for u, v in zip(e1[i + 1], e2[i + 1]))
+        e3[i] = tuple(x_i + a3 * u + consts.beta * v for u, v in zip(e2[i + 1], e3[i + 1]))
+    return [[(float(lo), float(hi)) for lo, hi in rows] for rows in (e1, e2, e3)]
+
+
+def _endpoints(table):
+    return [[(iv.lower, iv.upper) for iv in rows] for rows in (table.y1, table.y2, table.y3)]
+
+
+@pytest.mark.parametrize("semantics", ["literal", "paper-series"])
+@pytest.mark.parametrize(
+    "c, p",
+    [(Fraction(11, 10), Fraction(3, 4)), (Fraction(10001, 10000), Fraction(127, 128)),
+     (Fraction(21, 20), Fraction(1, 10))],
+)
+@pytest.mark.parametrize("K", [1, 2, 60, 400])
+def test_solve_expectations_matches_fraction_recurrence(c, p, semantics, K):
+    table = solve_expectations(c, p, semantics, truncation_K=K)
+    assert _endpoints(table) == _solve_expectations_fraction_loop(c, p, semantics, K)
+
+
+@st.composite
+def feasible_points(draw):
+    den = draw(st.integers(2, 64))
+    p = Fraction(draw(st.integers(1, den - 1)), den)
+    consts = derive_constants(p)
+    c_max = min(1 / (1 - p), 1 / consts.delta, 1 / consts.beta, Fraction(2))
+    steps = draw(st.integers(2, 20))
+    c = 1 + (c_max - 1) * Fraction(draw(st.integers(1, steps - 1)), steps)
+    return c, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(feasible_points(), st.sampled_from(["literal", "paper-series"]), st.integers(1, 12))
+def test_solve_expectations_matches_fraction_recurrence_property(point, semantics, K):
+    c, p = point
+    table = solve_expectations(c, p, semantics, truncation_K=K)
+    assert _endpoints(table) == _solve_expectations_fraction_loop(c, p, semantics, K)
 
 
 def test_literal_lone_player_is_one():
@@ -282,3 +344,9 @@ def test_deadline_lower_bounds_unbounded_in_zmax():
     bounds = [b for _, b in report.truncated_lower_bounds]
     assert bounds == sorted(bounds)
     assert bounds[-1] > 10**8
+
+
+@pytest.mark.parametrize("z_grid", [(), (5, -1), (-3,)])
+def test_deadline_comparison_rejects_bad_z_grid(z_grid):
+    with pytest.raises(AnalysisError):
+        deadline_comparison(C, P, 5, z_grid=z_grid)

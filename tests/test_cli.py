@@ -140,6 +140,32 @@ def test_missing_config_file_is_one_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["feasibility", "analyze", "bounds"])
+def test_zero_denominator_c_is_one_line_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--c", "1/0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "'1/0'" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["feasibility", "analyze", "bounds"])
+@pytest.mark.parametrize("value", ["1/0", "nan"])
+def test_malformed_p_is_usage_error(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --p: invalid parse_rational value: '{value}'" in err
+    assert "Traceback" not in err
+
+
+def test_negative_zmax_grid_is_one_line_error(capsys):
+    code, out, err = run_cli(capsys, "compare-deadline", "--t0", "5", "--zmax-grid", "5", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "z_grid" in err
+    assert err.count("\n") == 1
+
+
 def test_parse_failure_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # --config required
@@ -191,6 +217,7 @@ def test_malformed_config_is_one_line_error(tmp_path, capsys, data, what):
         {"type": "age_based", "c": "11/10", "p": 1.5},
         {"type": "constant_prob", "q": -1},
         {"type": "deadline", "t0": 0},
+        {"type": "age_based", "c": "1/0", "p": 0.75},
     ],
 )
 def test_invalid_rule_parameter_is_one_line_error(tmp_path, capsys, spec):

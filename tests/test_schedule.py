@@ -215,3 +215,9 @@ def test_json_tamper_detected():
 def test_parse_rational():
     assert parse_rational("11/10") == Fraction(11, 10)
     assert parse_rational("2") == 2
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0", "nan", "1/2/3", ""])
+def test_parse_rational_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
