@@ -465,20 +465,21 @@ class PersistentDistribution:
         }
 
 
-def _persistent_partials(support: list, success: Fraction, gamma: Fraction) -> tuple:
-    """pmf(z) = success gamma^z of the persistent deviator's round count
-    and the partial expectations sum_{j <= z} s_j pmf(j), exact, for the
-    support points s_0..s_z_max given."""
-    pmf = []
-    partials = []
-    weight = success
-    total = Fraction(0)
+def _partial_expectations(support: list, p: Fraction, zs) -> list:
+    """Exact partial expectations sum_{j <= z} s_j (1-p)^2 gamma^j of the
+    persistent deviator's latency, for each index z in zs, given the
+    support points s_0, s_1, ..."""
+    pn, pd = p.numerator, p.denominator
+    pd2 = pd * pd
+    qn2 = (pd - pn) ** 2
+    # (1-p)^2 gamma^j = qn^2 (pd^2 - qn^2)^j / pd^(2(j+1)): integer
+    # numerators over pd^(2(z+1)), and one Fraction per z reported
+    weight, total, nums = qn2, 0, []
     for s_z in support:
-        pmf.append(weight)
-        total += s_z * weight
-        partials.append(total)
-        weight *= gamma
-    return pmf, partials
+        total = total * pd2 + s_z * weight
+        nums.append(total)
+        weight *= pd2 - qn2
+    return [Fraction(nums[z], pd2 ** (z + 1)) for z in zs]
 
 
 def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
@@ -502,7 +503,10 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
     sched = build_schedule(c, horizon)
     support = sched.s[: z_max + 1]
     gamma = derive_constants(p).gamma
-    pmf, partials = _persistent_partials(support, success, gamma)
+    pmf = [success]
+    for _ in range(z_max):
+        pmf.append(pmf[-1] * gamma)
+    partials = _partial_expectations(support, p, range(z_max + 1))
     ratios = [
         float(Fraction(support[z + 1], support[z]) * gamma) for z in range(z_max)
     ]
@@ -575,9 +579,9 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     sched.ensure_covers_time(t0)
     xi = sum(1 for s in sched.s if s < t0)
     pr_lower = consts.delta**xi
-    _, partials = _persistent_partials(sched.s[: z_max + 1], (1 - p) ** 2, consts.gamma)
+    partials = _partial_expectations(sched.s[: z_max + 1], p, z_grid)
     factor = pr_lower * c ** (xi - 1) * (c - 1)
-    bounds = [(z, float(factor * partials[z] - t0**2)) for z in z_grid]
+    bounds = [(z, float(factor * part - t0**2)) for z, part in zip(z_grid, partials)]
     return DeadlineComparison(
         c=c,
         p=p,

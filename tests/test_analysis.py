@@ -330,6 +330,28 @@ def test_persistent_convergent_case():
     assert not dist.divergent
 
 
+@pytest.mark.parametrize(
+    "c, p",
+    [(Fraction(11, 10), Fraction(3, 4)), (Fraction(10001, 10000), Fraction(127, 128)),
+     (Fraction(11, 10), Fraction(1, 10))],
+)
+def test_partial_expectations_match_fraction_loop(c, p):
+    # the cumulative Fraction sum the integer numerators replaced
+    dist = persistent_distribution(c, p, 400)
+    gamma = derive_constants(p).gamma
+    weight, total = (1 - p) ** 2, Fraction(0)
+    for z, s_z in enumerate(dist.support):
+        total += s_z * weight
+        assert (dist.pmf[z], dist.partial_expectations[z]) == (weight, total)
+        weight *= gamma
+    z_grid = (400, 0, 25)
+    report = deadline_comparison(c, p, 5, z_grid=z_grid)
+    factor = derive_constants(p).delta ** report.xi * c ** (report.xi - 1) * (c - 1)
+    assert report.truncated_lower_bounds == [
+        (z, float(factor * dist.partial_expectations[z] - 25)) for z in z_grid
+    ]
+
+
 def test_deadline_comparison_examples():
     r1 = deadline_comparison(C, P, 1)
     assert r1.xi == 0 and r1.prE_lower == 1.0 and r1.diverges
