@@ -12,12 +12,8 @@ from .protocols import (
     AgeBased,
     ConstantProb,
     Deadline,
-    FixedProb,
-    FollowAgeBased,
-    Quiet,
     decision_probability,
     profile_from_json,
-    profile_to_json,
 )
 from .engine import (
     GameConfig,
@@ -35,7 +31,6 @@ from .analysis import (
     derive_constants,
     feasibility,
     min_truncation_k1,
-    min_truncation_k2,
     persistent_distribution,
     solve_expectations,
     y1_upper,

@@ -137,6 +137,18 @@ def feasibility(c, p) -> FeasibilityReport:
 
 # --- closed-form upper bounds ------------------------------------------------
 
+def _series_params(c, p) -> tuple:
+    """(c, p) as fractions, checked for the lone player's series."""
+    c, p = _as_fraction(c), _as_fraction(p)
+    if not 0 < p < 1:
+        raise AnalysisError(f"p must be in (0, 1), got {p}")
+    if c == 1:
+        raise AnalysisError("c = 1 makes the geometric prefactor 1/(c-1) undefined")
+    if c * (1 - p) >= 1:
+        raise DivergentSeriesError(f"c(1-p) = {float(c * (1 - p)):.4f} >= 1: series diverges")
+    return c, p
+
+
 def y1_upper(c, p, k: int) -> float:
     """Closed-form bound on the lone player's scheduled-slot latency tail:
 
@@ -144,12 +156,7 @@ def y1_upper(c, p, k: int) -> float:
 
     Valid for 1 < c < 1/(1-p).
     """
-    c = _as_fraction(c)
-    p = _as_fraction(p)
-    if c == 1:
-        raise AnalysisError("c = 1 makes the geometric prefactor 1/(c-1) undefined")
-    if c * (1 - p) >= 1:
-        raise DivergentSeriesError(f"c(1-p) = {float(c * (1 - p)):.4f} >= 1: series diverges")
+    c, p = _series_params(c, p)
     if k < 0:
         raise AnalysisError("k must be >= 0")
     value = 2 * c * p / ((c - 1) * (1 - c * (1 - p))) * (c / (1 - p)) ** k
@@ -177,23 +184,11 @@ def min_truncation_k1(c, p) -> int:
     return _min_truncation(consts.delta, c)
 
 
-def min_truncation_k2(c, p) -> int:
-    """Smallest truncation making the 3-pending recurrence contract."""
-    c = _as_fraction(c)
-    consts = derive_constants(p)
-    return _min_truncation(consts.beta, c)
-
-
 def delta_bound(c, p, k1_prime: int) -> float:
     """Truncated-recurrence upper bound on the 2-pending expected extra
     latency (the quotient with denominator 1 - delta^k1' c^(k1'-1) (c+1)).
     """
-    c = _as_fraction(c)
-    p = _as_fraction(p)
-    if c == 1:
-        raise AnalysisError("c = 1 makes the geometric prefactor 1/(c-1) undefined")
-    if c * (1 - p) >= 1:
-        raise DivergentSeriesError(f"c(1-p) = {float(c * (1 - p)):.4f} >= 1: series diverges")
+    c, p = _series_params(c, p)
     if k1_prime < 1:
         raise InvalidTruncationError("truncation index must be >= 1")
     delta = derive_constants(p).delta
@@ -250,6 +245,8 @@ def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundRep
     """All closed-form upper bounds in one report."""
     c = _as_fraction(c)
     p = _as_fraction(p)
+    if k_max < 0:
+        raise AnalysisError(f"k_max must be >= 0, got {k_max}")
     k1_min = min_truncation_k1(c, p)
     k1_used = k1_min if k1_prime is None else k1_prime
     return BoundReport(
@@ -448,7 +445,7 @@ class PersistentDistribution:
     divergent: bool
     growth_rate: float  # c * gamma, the ratio-test certificate
     expected_rounds: float  # E[Z+1] = 1/(1-p)^2
-    jensen_lower: int  # s evaluated at floor(E[Z])
+    jensen_lower: int | None  # s at floor(E[Z]), None when that exceeds z_max
 
     def to_json(self) -> dict:
         return {
@@ -499,9 +496,7 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
     if z_max < 0:
         raise AnalysisError("z_max must be >= 0")
     success = (1 - p) ** 2
-    horizon = max(z_max, int(1 / success) + 1)
-    sched = build_schedule(c, horizon)
-    support = sched.s[: z_max + 1]
+    support = build_schedule(c, z_max).s
     gamma = derive_constants(p).gamma
     pmf = [success]
     for _ in range(z_max):
@@ -511,7 +506,7 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         float(Fraction(support[z + 1], support[z]) * gamma) for z in range(z_max)
     ]
     expected_rounds = 1 / success
-    jensen_k = int(expected_rounds - 1)  # floor of E[Z], within the horizon
+    jensen_k = int(expected_rounds - 1)  # floor of E[Z]
     return PersistentDistribution(
         c=c,
         p=p,
@@ -522,7 +517,7 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         divergent=c * gamma > 1,
         growth_rate=float(c * gamma),
         expected_rounds=float(expected_rounds),
-        jensen_lower=sched.s[jensen_k],
+        jensen_lower=support[jensen_k] if jensen_k <= z_max else None,
     )
 
 

@@ -107,6 +107,8 @@ def _load_config(path: str) -> engine.GameConfig:
         raise ValueError(f"config {path} is missing key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"config {path} has a value of the wrong type: {exc}") from None
+    except OverflowError as exc:
+        raise ValueError(f"config {path} has a value out of range: {exc}") from None
     return engine.GameConfig(n=n, profile=tuple(profile), seed=seed, slot_cap=slot_cap)
 
 
@@ -201,7 +203,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (analysis.AnalysisError, ValueError, OSError) as exc:
+    except (analysis.AnalysisError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,14 +35,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 
-from .protocols import (
-    AgeBased,
-    Deadline,
-    FollowAgeBased,
-    ProtocolSpec,
-    decision_probability,
-    next_prob_change,
-)
+from .protocols import ProtocolSpec, decision_probability, next_prob_change
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -108,17 +101,8 @@ class LatencyStats:
     ci95_halfwidth: float
 
 
-def _ensure_horizons(config: GameConfig) -> None:
-    for spec in config.profile:
-        if isinstance(spec, AgeBased):
-            spec.schedule.ensure_covers_time(config.slot_cap)
-        elif isinstance(spec, Deadline) and isinstance(spec.pre, FollowAgeBased):
-            spec.pre.schedule.ensure_covers_time(min(config.slot_cap, spec.t0))
-
-
 def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
     """Play one game to completion or the slot cap."""
-    _ensure_horizons(config)
     n, seed, cap = config.n, config.seed, config.slot_cap
     profile = config.profile
     pending = list(range(n))
@@ -169,7 +153,6 @@ def _segments(config: GameConfig):
     """Yield the config's probability timeline in slot order: segments
     (start, end, probs) covering slots 1..slot_cap, where probs[i] is
     player i's transmission probability at every slot from start to end."""
-    _ensure_horizons(config)
     profile, cap = config.profile, config.slot_cap
     t = 1
     while t <= cap:

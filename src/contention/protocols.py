@@ -5,8 +5,9 @@ Three families are provided:
 * AgeBased -- transmit with probability p at the schedule's non-trivial
   slots and probability 1 everywhere else.
 * Deadline -- transmit with probability 1 at every slot >= t0; before
-  the deadline a configurable PreRule applies.  Deadline(1) is the
-  persistent protocol.
+  the deadline an AgeBased or ConstantProb rule applies (by default
+  ConstantProb(0.0), i.e. silence).  Deadline(1) is the persistent
+  protocol.
 * ConstantProb -- transmit with a fixed probability q at every slot.
 
 Every rule is a function of the slot number alone:
@@ -16,14 +17,12 @@ probability at slot t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Union
 
 from .schedule import (
     Schedule,
     build_schedule,
-    format_rational,
     parse_rational,
     transmission_probability,
 )
@@ -36,51 +35,12 @@ def _check_probability(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True)
-class Quiet:
-    """Pre-deadline rule: never transmit."""
-
-
-@dataclass(frozen=True)
-class FixedProb:
-    """Pre-deadline rule: transmit with a fixed probability."""
-
-    q: float
-
-    def __post_init__(self):
-        _check_probability("q", self.q)
-
-
-@dataclass(frozen=True)
-class FollowAgeBased:
-    """Pre-deadline rule: behave like the age-based protocol."""
-
-    schedule: Schedule
-    p: float
-
-    def __post_init__(self):
-        _check_probability("p", self.p)
-
-
-PreRule = Union[Quiet, FixedProb, FollowAgeBased]
-
-
-@dataclass(frozen=True)
 class AgeBased:
     schedule: Schedule
     p: float
 
     def __post_init__(self):
         _check_probability("p", self.p)
-
-
-@dataclass(frozen=True)
-class Deadline:
-    t0: int
-    pre: PreRule = field(default_factory=Quiet)
-
-    def __post_init__(self):
-        if self.t0 < 1:
-            raise ValueError(f"deadline t0 must be >= 1, got {self.t0!r}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +51,16 @@ class ConstantProb:
         _check_probability("q", self.q)
 
 
+@dataclass(frozen=True)
+class Deadline:
+    t0: int
+    pre: Union[AgeBased, ConstantProb] = ConstantProb(0.0)
+
+    def __post_init__(self):
+        if self.t0 < 1:
+            raise ValueError(f"deadline t0 must be >= 1, got {self.t0!r}")
+
+
 ProtocolSpec = Union[AgeBased, Deadline, ConstantProb]
 
 
@@ -99,14 +69,7 @@ def decision_probability(spec: ProtocolSpec, t: int) -> float:
     if isinstance(spec, AgeBased):
         return transmission_probability(spec.schedule, spec.p, t)
     if isinstance(spec, Deadline):
-        if t >= spec.t0:
-            return 1.0
-        pre = spec.pre
-        if isinstance(pre, Quiet):
-            return 0.0
-        if isinstance(pre, FixedProb):
-            return pre.q
-        return transmission_probability(pre.schedule, pre.p, t)
+        return 1.0 if t >= spec.t0 else decision_probability(spec.pre, t)
     if isinstance(spec, ConstantProb):
         return spec.q
     raise TypeError(f"unknown protocol spec {spec!r}")
@@ -114,8 +77,7 @@ def decision_probability(spec: ProtocolSpec, t: int) -> float:
 
 def next_prob_change(spec: ProtocolSpec, t: int) -> int | None:
     """Earliest slot > t where the rule's probability can differ from its
-    value at t, or None if it is constant from t on (within the schedule
-    horizon for age-based rules; callers must pre-extend schedules).
+    value at t, or None if it is constant from t on.
     """
     if isinstance(spec, ConstantProb):
         return None
@@ -124,12 +86,8 @@ def next_prob_change(spec: ProtocolSpec, t: int) -> int | None:
     if isinstance(spec, Deadline):
         if t >= spec.t0:
             return None
-        pre = spec.pre
-        if isinstance(pre, FollowAgeBased):
-            change = _age_based_change(pre.schedule, pre.p, t)
-            if change is not None and change < spec.t0:
-                return change
-        return spec.t0
+        change = next_prob_change(spec.pre, t)
+        return spec.t0 if change is None else min(change, spec.t0)
     raise TypeError(f"unknown protocol spec {spec!r}")
 
 
@@ -143,30 +101,12 @@ def _age_based_change(sched: Schedule, p: float, t: int) -> int | None:
 
 # --- JSON config -----------------------------------------------------------
 
-def spec_to_json(spec: ProtocolSpec) -> dict:
-    if isinstance(spec, AgeBased):
-        return {"type": "age_based", "c": format_rational(spec.schedule.c), "p": spec.p}
-    if isinstance(spec, Deadline):
-        return {"type": "deadline", "t0": spec.t0, "pre": _pre_to_json(spec.pre)}
-    if isinstance(spec, ConstantProb):
-        return {"type": "constant_prob", "q": spec.q}
-    raise TypeError(f"unknown protocol spec {spec!r}")
-
-
-def _pre_to_json(pre: PreRule) -> dict:
-    if isinstance(pre, Quiet):
-        return {"type": "quiet"}
-    if isinstance(pre, FixedProb):
-        return {"type": "fixed_prob", "q": pre.q}
-    return {"type": "follow_age_based", "c": format_rational(pre.schedule.c), "p": pre.p}
-
-
 def spec_from_json(data: dict) -> ProtocolSpec:
     if not isinstance(data, dict):
         raise TypeError(f"a player must be a JSON object, got {data!r}")
     kind = data["type"]
     if kind == "age_based":
-        return AgeBased(schedule=build_schedule(parse_rational(data["c"]), 8), p=float(data["p"]))
+        return _age_based_from_json(data)
     if kind == "deadline":
         return Deadline(t0=int(data["t0"]), pre=_pre_from_json(data.get("pre", {"type": "quiet"})))
     if kind == "constant_prob":
@@ -174,19 +114,21 @@ def spec_from_json(data: dict) -> ProtocolSpec:
     raise ValueError(f"unknown protocol type {kind!r}")
 
 
-def _pre_from_json(data: dict) -> PreRule:
+def _age_based_from_json(data: dict) -> AgeBased:
+    return AgeBased(schedule=build_schedule(parse_rational(data["c"]), 0), p=float(data["p"]))
+
+
+def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:
+    """The rule a deadline player follows before t0: "quiet",
+    "fixed_prob" (key q) or "follow_age_based" (keys c, p)."""
     kind = data["type"]
     if kind == "quiet":
-        return Quiet()
+        return ConstantProb(0.0)
     if kind == "fixed_prob":
-        return FixedProb(q=float(data["q"]))
+        return ConstantProb(q=float(data["q"]))
     if kind == "follow_age_based":
-        return FollowAgeBased(schedule=build_schedule(parse_rational(data["c"]), 8), p=float(data["p"]))
+        return _age_based_from_json(data)
     raise ValueError(f"unknown pre-deadline rule {kind!r}")
-
-
-def profile_to_json(profile: list[ProtocolSpec]) -> dict:
-    return {"players": [spec_to_json(spec) for spec in profile]}
 
 
 def profile_from_json(data: dict) -> list[ProtocolSpec]:

@@ -17,6 +17,9 @@ gap is the exact integer division of 2 * num^j by den^j, and the bounds
 are re-seeded from the exact power at a higher precision.  So a schedule
 equals the exact bigint formula at every index, at the cost of bounds
 that grow by only log2(c) bits per entry.
+
+A schedule grows on query: a lookup past its last entry first extends
+it, so callers never size it in advance.
 """
 
 from __future__ import annotations
@@ -32,10 +35,6 @@ class ScheduleError(ValueError):
 
 class InvalidParameterError(ScheduleError):
     """Growth factor outside the supported range."""
-
-
-class HorizonExceededError(ScheduleError):
-    """A query referenced a slot beyond the precomputed horizon."""
 
 
 class InvalidArgumentsError(ScheduleError):
@@ -60,10 +59,11 @@ _START_BITS = 128  # fixed-point precision of a fresh schedule
 
 
 class Schedule:
-    """Precomputed non-trivial slots for a rational growth factor.
+    """Non-trivial slots for a rational growth factor, built on demand.
 
-    Immutable from the caller's point of view except for `extend_to`
-    and `ensure_covers_time`, which only append.
+    Entries are only ever appended: by `extend_to`, by
+    `ensure_covers_time`, and by the lookups, which extend the schedule
+    as far as their slot needs.
     """
 
     def __init__(self, c: Fraction, horizon_k: int):
@@ -117,17 +117,16 @@ class Schedule:
 
     def nontrivial_index(self, t: int) -> int | None:
         """Index k with s_k == t, or None if t is a trivial slot."""
+        if t > self.s[-1]:
+            self.ensure_covers_time(t)
         i = bisect_left(self.s, t)
-        if i < len(self.s) and self.s[i] == t:
-            return i
-        return None
+        return i if self.s[i] == t else None
 
-    def next_nontrivial_after(self, t: int) -> int | None:
-        """Smallest s_k > t within the current horizon, else None."""
-        i = bisect_right(self.s, t)
-        if i < len(self.s):
-            return self.s[i]
-        return None
+    def next_nontrivial_after(self, t: int) -> int:
+        """Smallest s_k > t."""
+        if t >= self.s[-1]:
+            self.ensure_covers_time(t + 1)
+        return self.s[bisect_right(self.s, t)]
 
     def __eq__(self, other: object) -> bool:
         # structural identity of the protocol, not of the cached horizon
@@ -144,13 +143,6 @@ class Schedule:
     def to_json(self) -> dict:
         return {"c": format_rational(self.c), "s": list(self.s), "x": list(self.x)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Schedule":
-        sched = cls(parse_rational(data["c"]), len(data["s"]) - 1)
-        if list(sched.s) != list(data["s"]) or list(sched.x) != list(data["x"]):
-            raise InvalidArgumentsError("serialized schedule disagrees with exact recomputation")
-        return sched
-
 
 def build_schedule(c: Fraction, horizon_k: int) -> Schedule:
     """Build the exact schedule for growth factor c up to index horizon_k."""
@@ -158,15 +150,9 @@ def build_schedule(c: Fraction, horizon_k: int) -> Schedule:
 
 
 def transmission_probability(sched: Schedule, p: float, t: int) -> float:
-    """Protocol transmission probability at slot t: p on {s_k}, else 1.
-
-    Raises HorizonExceededError beyond the precomputed horizon; the
-    caller decides how far to extend.
-    """
+    """Protocol transmission probability at slot t: p on {s_k}, else 1."""
     if t < 1:
         raise InvalidArgumentsError("slots are numbered from 1")
-    if t > sched.s[-1]:
-        raise HorizonExceededError(f"slot {t} beyond schedule horizon s_{sched.horizon_k} = {sched.s[-1]}")
     return p if sched.nontrivial_index(t) is not None else 1.0
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contention import analysis
 from contention.analysis import (
     AnalysisError,
     _lone_series_numerators,
@@ -16,7 +17,6 @@ from contention.analysis import (
     derive_constants,
     feasibility,
     min_truncation_k1,
-    min_truncation_k2,
     persistent_distribution,
     solve_expectations,
     y1_upper,
@@ -94,11 +94,18 @@ def test_min_truncation_k1():
     assert delta * (C + 1) >= 1
 
 
-def test_min_truncation_k2_against_brute_force():
-    beta = derive_constants(P).beta
-    brute = next(k for k in range(1, 21) if beta**k * C ** (k - 1) * (C + 1) < 1)
-    assert brute == 12
-    assert min_truncation_k2(C, P) == brute
+def test_bound_report_rejects_negative_table_horizon():
+    with pytest.raises(AnalysisError):
+        bound_report(C, P, k_max=-1)
+    assert bound_report(C, P, k_max=0).y1k_upper == [(0, y1_upper(C, P, 0))]
+
+
+@pytest.mark.parametrize("p", [0, 1, Fraction(-1, 2)])
+def test_series_bounds_reject_p_outside_open_unit_interval(p):
+    with pytest.raises(AnalysisError):
+        delta_bound(Fraction(1, 2), p, 2)
+    with pytest.raises(AnalysisError):
+        y1_upper(Fraction(1, 2), p, 0)
 
 
 def test_min_truncation_no_finite_value():
@@ -304,6 +311,22 @@ def test_persistent_distribution_reference_point():
     assert dist.expected_rounds == 16.0
     assert dist.jensen_lower == 64  # s_15
     assert dist.divergent and dist.growth_rate == pytest.approx(1.03125)
+
+
+def test_persistent_jensen_lower_only_within_zmax():
+    # floor(E[Z]) = 15 at p = 3/4: reported from z_max = 15 on
+    assert persistent_distribution(C, P, 15).jensen_lower == 64
+    assert persistent_distribution(C, P, 14).jensen_lower is None
+
+
+def test_persistent_distribution_schedule_follows_zmax(monkeypatch):
+    # floor(E[Z]) = 65535 at p = 255/256 must not size the schedule
+    horizons = []
+    real = analysis.build_schedule
+    monkeypatch.setattr(analysis, "build_schedule", lambda c, k: horizons.append(k) or real(c, k))
+    dist = persistent_distribution(C, Fraction(255, 256), 10)
+    assert horizons == [10] and len(dist.support) == 11
+    assert dist.jensen_lower is None
 
 
 def test_persistent_partial_expectations_grow_past_all_p_bound():

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -7,11 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import contention
 from contention.cli import main
 from contention.engine import LatencyStats
-from contention.schedule import Schedule
 
 
 def run_cli(capsys, *argv):
@@ -25,9 +28,6 @@ def test_schedule_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["s"] == [2, 4, 6, 8]
-    # JSON report re-parses losslessly into its domain type
-    sched = Schedule.from_json(data)
-    assert sched.c == 1 and sched.s == [2, 4, 6, 8]
 
 
 def test_schedule_csv(capsys):
@@ -166,6 +166,13 @@ def test_negative_zmax_grid_is_one_line_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_negative_kmax_is_one_line_error(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--kmax", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "k_max" in err
+    assert err.count("\n") == 1
+
+
 def test_parse_failure_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # --config required
@@ -245,3 +252,136 @@ def test_cli_import_does_not_load_numpy():
     probe = "import sys, contention.cli; print('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["bounds", "--kmax", "2000"], None),
+        (["bounds", "--k1", "100000"], None),
+        (["simulate", "--trials", "2"], {"players": [{"type": "deadline", "t0": 1e400}], "seed": 1}),
+        (["simulate", "--trials", "2"], {"players": [{"type": "deadline", "t0": 1}], "seed": 1e400}),
+    ],
+)
+def test_huge_numbers_are_one_line_errors(tmp_path, capsys, argv, config):
+    if config is not None:
+        argv = [*argv, "--config", _write_config(tmp_path, config)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- fuzz: no input may end in a traceback ------------------------------------
+
+CONFIG = "<config>"  # stands for the path of the fuzzed config in an argv
+_JUNK = st.sampled_from([None, True, "x", "", "1/0", "nan", [], {}, 1e400, -1e400, float("nan"), 10**400])
+_INT = st.integers(min_value=-3, max_value=40)
+_RATIONAL = st.builds("{}/{}".format, st.integers(-4, 40), st.integers(0, 16))
+_NUMBER = st.one_of(_INT, st.floats(), _RATIONAL, st.sampled_from(["11/10", "0.75", "1", "2"]), _JUNK)
+_PROB = st.sampled_from([0.0, 0.125, 0.75, 1.0])
+_VALID_PLAYER = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.just("age_based"), "c": st.sampled_from(["1", "11/10", "3/2", "2"]), "p": _PROB}
+    ),
+    st.fixed_dictionaries({"type": st.just("constant_prob"), "q": _PROB}),
+    st.fixed_dictionaries(
+        {"type": st.just("deadline"), "t0": st.integers(1, 50)},
+        optional={"pre": st.sampled_from([
+            {"type": "quiet"}, {"type": "fixed_prob", "q": 0.5}, {"type": "follow_age_based", "c": "1", "p": 0.5},
+        ])},
+    ),
+)
+_RULE = {"type": st.sampled_from(["age_based", "constant_prob", "deadline", "quiet", "fixed_prob", "follow_age_based"])}
+_ANY_PLAYER = st.fixed_dictionaries(
+    _RULE,
+    optional={
+        "c": _NUMBER, "p": _NUMBER, "q": _NUMBER, "t0": _NUMBER,
+        "pre": st.fixed_dictionaries(_RULE, optional={"c": _NUMBER, "p": _NUMBER, "q": _NUMBER}) | _JUNK,
+    },
+)
+_CONFIG = st.one_of(
+    st.fixed_dictionaries({
+        "players": st.lists(_VALID_PLAYER, min_size=1, max_size=4),
+        "seed": st.integers(-1, 2**70),
+        "slot_cap": st.integers(1, 1000),
+    }),
+    st.fixed_dictionaries(
+        {
+            "players": st.lists(_VALID_PLAYER | _ANY_PLAYER | _JUNK, max_size=4) | _JUNK,
+            "seed": st.integers(-1, 2**70) | _JUNK,
+            # no larger caps: some valid profiles never finish before the cap
+            "slot_cap": st.integers(-1, 1000) | st.sampled_from([None, "x", 1e400, float("nan")]),
+        },
+        optional={"n": st.integers(0, 5) | _JUNK},
+    ),
+    _JUNK,
+)
+
+
+def _options(**options):
+    """Any subset of the options, each with a value from its strategy."""
+    return st.fixed_dictionaries({}, optional=options).map(
+        lambda chosen: [token for name, value in chosen.items() for token in (name, value)]
+    )
+
+
+_TEXT = _RATIONAL | st.sampled_from(["0", "1", "1/2", "11/10", "3/4", "0.75", "1e400", "-1", "abc", "inf", "1/0"])
+_SMALL = st.integers(-3, 30).map(str)
+_ARGV = st.one_of(
+    st.builds(
+        lambda trials, opts: ["simulate", "--config", CONFIG, "--trials", str(trials), *opts],
+        st.integers(-1, 5),  # never the default of 100,000
+        _options(**{
+            "--player": st.integers(-2, 5).map(str),
+            "--seed": st.integers(-1, 2**70).map(str),
+            "--output-format": st.sampled_from(["json", "csv"]),
+        }),
+    ),
+    st.builds(
+        lambda opts: ["bounds", *opts],
+        _options(**{"--c": _TEXT, "--p": _TEXT, "--k1": _SMALL, "--kmax": _SMALL}),
+    ),
+    st.builds(
+        lambda opts, persistent: ["analyze", *opts, *persistent],
+        _options(**{
+            "--c": _TEXT, "--p": _TEXT, "--zmax": _SMALL, "--K": _SMALL,
+            "--semantics": st.sampled_from(["literal", "paper-series", "other"]),
+            "--output-format": st.sampled_from(["json", "csv"]),
+        }),
+        st.sampled_from([[], ["--persistent"]]),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ARGV, config=_CONFIG)
+@example(argv=["bounds", "--kmax", "2000"], config={})
+@example(argv=["bounds", "--k1", "100000"], config={})
+@example(argv=["bounds", "--c", "1/2", "--p", "1"], config={})
+@example(
+    argv=["simulate", "--config", CONFIG, "--trials", "2"],
+    config={"players": [{"type": "deadline", "t0": 1e400}], "seed": 1},
+)
+@example(
+    argv=["simulate", "--config", CONFIG, "--trials", "2"],
+    config={"players": [{"type": "deadline", "t0": 1}], "seed": 1e400},
+)
+def test_cli_never_shows_a_traceback(fuzz_config_path, argv, config):
+    fuzz_config_path.write_text(json.dumps(config))
+    argv = [str(fuzz_config_path) if token == CONFIG else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    err = err.getvalue()
+    assert "Traceback" not in err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1

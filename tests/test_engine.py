@@ -17,7 +17,7 @@ from contention.engine import (
     run_trials,
     summarize,
 )
-from contention.protocols import AgeBased, ConstantProb, Deadline, FixedProb, FollowAgeBased, Quiet
+from contention.protocols import AgeBased, ConstantProb, Deadline
 from contention.schedule import build_schedule
 
 C = Fraction(11, 10)
@@ -93,7 +93,7 @@ def test_all_p_mean_within_recurrence_enclosure(age_based):
 
 def test_quiet_deadline_waits_then_wins_alone():
     # a lone quiet-then-deadline player idles to t0 and succeeds there
-    config = GameConfig(n=1, profile=(Deadline(t0=50, pre=Quiet()),), seed=1, slot_cap=100)
+    config = GameConfig(n=1, profile=(Deadline(t0=50),), seed=1, slot_cap=100)
     out = run_trial(config, 0)
     assert out.latency == (50,)
 
@@ -141,20 +141,16 @@ def _age(c, p):
     return AgeBased(schedule=build_schedule(Fraction(c), 8), p=p)
 
 
-def _follow(c, p):
-    return FollowAgeBased(schedule=build_schedule(Fraction(c), 8), p=p)
-
-
 AB = _age(C, 0.75)
 DIFFERENTIAL = {
     "all-protocol": ((AB, AB, AB), 10**6),
     "persistent": ((AB, AB, Deadline(t0=1)), 10**6),
-    "deadline-quiet": ((AB, AB, Deadline(t0=40, pre=Quiet())), 3000),
-    "deadline-quiet-beyond-cap": ((AB, AB, Deadline(t0=5000, pre=Quiet())), 3000),
-    "deadline-fixed": ((AB, AB, Deadline(t0=40, pre=FixedProb(q=0.3))), 3000),
-    "deadline-fixed-beyond-cap": ((AB, Deadline(t0=5000, pre=FixedProb(q=0.3))), 3000),
-    "deadline-follow": ((AB, AB, Deadline(t0=40, pre=_follow(C, 0.75))), 3000),
-    "deadline-follow-beyond-cap": ((AB, AB, Deadline(t0=5000, pre=_follow(C, 0.75))), 3000),
+    "deadline-quiet": ((AB, AB, Deadline(t0=40, pre=ConstantProb(q=0.0))), 3000),
+    "deadline-quiet-beyond-cap": ((AB, AB, Deadline(t0=5000, pre=ConstantProb(q=0.0))), 3000),
+    "deadline-fixed": ((AB, AB, Deadline(t0=40, pre=ConstantProb(q=0.3))), 3000),
+    "deadline-fixed-beyond-cap": ((AB, Deadline(t0=5000, pre=ConstantProb(q=0.3))), 3000),
+    "deadline-follow": ((AB, AB, Deadline(t0=40, pre=_age(C, 0.75))), 3000),
+    "deadline-follow-beyond-cap": ((AB, AB, Deadline(t0=5000, pre=_age(C, 0.75))), 3000),
     "constant": ((ConstantProb(q=0.125),) * 3, 10**6),
     "mixed-c": ((AB, _age("3/2", 0.5), ConstantProb(q=0.3)), 10**5),
     "age-based-p1": ((_age(C, 1.0), AB, AB), 3000),
@@ -178,7 +174,7 @@ _SPEC = st.one_of(
     st.builds(
         Deadline,
         st.integers(min_value=1, max_value=60),
-        st.one_of(st.just(Quiet()), st.builds(FixedProb, _PROB), st.builds(_follow, _C, _PROB)),
+        st.one_of(st.just(ConstantProb(q=0.0)), st.builds(ConstantProb, _PROB), st.builds(_age, _C, _PROB)),
     ),
 )
 

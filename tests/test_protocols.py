@@ -8,13 +8,9 @@ from contention.protocols import (
     AgeBased,
     ConstantProb,
     Deadline,
-    FixedProb,
-    FollowAgeBased,
-    Quiet,
     decision_probability,
     next_prob_change,
     profile_from_json,
-    profile_to_json,
     spec_from_json,
 )
 from contention.schedule import build_schedule
@@ -38,18 +34,18 @@ def test_persistent_always_transmits():
 
 
 def test_deadline_quiet_before_deadline():
-    spec = Deadline(t0=5, pre=Quiet())
+    spec = Deadline(t0=5)  # the default pre-deadline rule is ConstantProb(0.0)
     assert decision_probability(spec, 4) == 0.0
     assert decision_probability(spec, 5) == 1.0
 
 
 def test_deadline_fixed_prob_pre_rule():
-    spec = Deadline(t0=4, pre=FixedProb(q=0.5))
+    spec = Deadline(t0=4, pre=ConstantProb(q=0.5))
     assert decision_probability(spec, 2) == 0.5
 
 
 def test_deadline_follow_age_based_pre_rule(age_based):
-    spec = Deadline(t0=10, pre=FollowAgeBased(schedule=age_based.schedule, p=0.75))
+    spec = Deadline(t0=10, pre=age_based)
     assert decision_probability(spec, 4) == 0.75
     assert decision_probability(spec, 5) == 1.0
     assert decision_probability(spec, 11) == 1.0
@@ -75,11 +71,37 @@ def test_next_prob_change(age_based):
     assert next_prob_change(ConstantProb(q=0.2), 7) is None
 
 
-def test_profile_json_round_trip(age_based):
-    profile = [age_based, Deadline(t0=5, pre=FixedProb(q=0.25)), ConstantProb(q=1 / 3)]
-    data = profile_to_json(profile)
-    again = profile_from_json(data)
-    assert again == profile
+def test_deadline_change_slot_is_min_of_pre_and_t0(age_based):
+    # age-based pre-rule: its own change slots until the deadline cuts in
+    spec = Deadline(t0=12, pre=age_based)
+    assert [next_prob_change(spec, t) for t in (1, 2, 9, 10, 11, 12)] == [2, 3, 10, 11, 12, None]
+    assert next_prob_change(Deadline(t0=12, pre=ConstantProb(q=0.5)), 3) == 12
+    # a pre-rule that never changes (p = 1) leaves only the deadline
+    always = AgeBased(schedule=age_based.schedule, p=1.0)
+    assert next_prob_change(Deadline(t0=7, pre=always), 2) == 7
+
+
+def test_profile_json_parses_every_rule_type():
+    data = {
+        "players": [
+            {"type": "age_based", "c": "11/10", "p": 0.75},
+            {"type": "constant_prob", "q": 0.125},
+            {"type": "deadline", "t0": 1},
+            {"type": "deadline", "t0": 5, "pre": {"type": "quiet"}},
+            {"type": "deadline", "t0": 5, "pre": {"type": "fixed_prob", "q": 0.25}},
+            {"type": "deadline", "t0": 9, "pre": {"type": "follow_age_based", "c": "3/2", "p": 0.5}},
+        ]
+    }
+    eleven_tenths = build_schedule(Fraction(11, 10), 0)
+    three_halves = build_schedule(Fraction(3, 2), 0)
+    assert profile_from_json(data) == [
+        AgeBased(schedule=eleven_tenths, p=0.75),
+        ConstantProb(q=0.125),
+        Deadline(t0=1, pre=ConstantProb(q=0.0)),
+        Deadline(t0=5, pre=ConstantProb(q=0.0)),
+        Deadline(t0=5, pre=ConstantProb(q=0.25)),
+        Deadline(t0=9, pre=AgeBased(schedule=three_halves, p=0.5)),
+    ]
 
 
 def test_profile_json_example():
@@ -99,8 +121,8 @@ def test_unknown_protocol_type_rejected():
     [
         lambda: AgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=1.5),
         lambda: AgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=float("nan")),
-        lambda: FollowAgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=-0.25),
-        lambda: FixedProb(q=float("inf")),
+        lambda: Deadline(t0=3, pre=AgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=-0.25)),
+        lambda: Deadline(t0=3, pre=ConstantProb(q=float("inf"))),
         lambda: ConstantProb(q=-1.0),
         lambda: ConstantProb(q=float("nan")),
         lambda: Deadline(t0=0),
