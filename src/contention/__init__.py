@@ -1,13 +1,7 @@
 """Simulation and exact analysis of a 3-player slotted contention game
 with an age-based backoff protocol."""
 
-from .schedule import (
-    Schedule,
-    build_schedule,
-    check_domination,
-    parse_rational,
-    transmission_probability,
-)
+from .schedule import Schedule, check_domination, parse_rational
 from .protocols import (
     AgeBased,
     ConstantProb,

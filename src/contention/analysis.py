@@ -21,27 +21,18 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .schedule import Schedule, build_schedule, format_rational
+from .schedule import Schedule, format_rational
 
 
-class AnalysisError(ValueError):
-    """Base class for analysis failures."""
-
-
-class DivergentSeriesError(AnalysisError):
-    """Parameters put a series outside its radius of convergence."""
-
-
-class NoFiniteTruncationError(AnalysisError):
-    """No truncation index can satisfy the contraction inequality."""
-
-
-class InvalidTruncationError(AnalysisError):
-    """Truncation index too small: contraction factor >= 1."""
-
-
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _check_cp(c, p) -> tuple:
+    """(c, p) as fractions, checked against the protocol's domain
+    c >= 1, 0 < p < 1."""
+    c, p = Fraction(c), Fraction(p)
+    if not 0 < p < 1:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    if c < 1:
+        raise ValueError(f"c must be >= 1, got {c}")
+    return c, p
 
 
 def _geom_sum(r: Fraction, n: int) -> Fraction:
@@ -62,9 +53,9 @@ class DerivedConstants:
 
 def derive_constants(p) -> DerivedConstants:
     """Per-round non-departure probabilities, exactly in p."""
-    p = _as_fraction(p)
+    p = Fraction(p)
     if not 0 <= p <= 1:
-        raise AnalysisError(f"p must be in [0, 1], got {p}")
+        raise ValueError(f"p must be in [0, 1], got {p}")
     return DerivedConstants(
         gamma=1 - (1 - p) ** 2,
         delta=1 - 2 * p * (1 - p),
@@ -107,12 +98,7 @@ def feasibility(c, p) -> FeasibilityReport:
     persistent_diverges: a persistent deviator faces infinite expected
     latency, which needs  1/gamma < c <= 2.  feasible is the conjunction.
     """
-    c = _as_fraction(c)
-    p = _as_fraction(p)
-    if not (0 < p < 1):
-        raise AnalysisError(f"p must be in (0, 1), got {p}")
-    if c < 1:
-        raise AnalysisError(f"c must be >= 1, got {c}")
+    c, p = _check_cp(c, p)
     consts = derive_constants(p)
     inv_1mp = 1 / (1 - p)
     inv_delta = 1 / consts.delta
@@ -139,13 +125,11 @@ def feasibility(c, p) -> FeasibilityReport:
 
 def _series_params(c, p) -> tuple:
     """(c, p) as fractions, checked for the lone player's series."""
-    c, p = _as_fraction(c), _as_fraction(p)
-    if not 0 < p < 1:
-        raise AnalysisError(f"p must be in (0, 1), got {p}")
+    c, p = _check_cp(c, p)
     if c == 1:
-        raise AnalysisError("c = 1 makes the geometric prefactor 1/(c-1) undefined")
+        raise ValueError("c = 1 makes the geometric prefactor 1/(c-1) undefined")
     if c * (1 - p) >= 1:
-        raise DivergentSeriesError(f"c(1-p) = {float(c * (1 - p)):.4f} >= 1: series diverges")
+        raise ValueError(f"c(1-p) = {c * (1 - p)} >= 1: series diverges")
     return c, p
 
 
@@ -158,30 +142,24 @@ def y1_upper(c, p, k: int) -> float:
     """
     c, p = _series_params(c, p)
     if k < 0:
-        raise AnalysisError("k must be >= 0")
+        raise ValueError("k must be >= 0")
     value = 2 * c * p / ((c - 1) * (1 - c * (1 - p))) * (c / (1 - p)) ** k
     return float(value)
 
 
-def _min_truncation(rate: Fraction, c: Fraction) -> int:
-    """Smallest k >= 1 with rate^k c^(k-1) (c+1) < 1."""
-    if rate * c >= 1:
-        raise NoFiniteTruncationError(
-            f"contraction rate {float(rate * c):.4f} >= 1: no finite truncation exists"
-        )
+def min_truncation_k1(c, p) -> int:
+    """Smallest truncation making the 2-pending recurrence contract:
+    the least k >= 1 with delta^k c^(k-1) (c+1) < 1."""
+    c, p = _check_cp(c, p)
+    delta = derive_constants(p).delta
+    if delta * c >= 1:
+        raise ValueError(f"contraction rate {delta * c} >= 1: no finite truncation exists")
     k = 1
-    term = rate * (c + 1)
+    term = delta * (c + 1)
     while term >= 1:
         k += 1
-        term *= rate * c
+        term *= delta * c
     return k
-
-
-def min_truncation_k1(c, p) -> int:
-    """Smallest truncation making the 2-pending recurrence contract."""
-    c = _as_fraction(c)
-    consts = derive_constants(p)
-    return _min_truncation(consts.delta, c)
 
 
 def delta_bound(c, p, k1_prime: int) -> float:
@@ -190,13 +168,11 @@ def delta_bound(c, p, k1_prime: int) -> float:
     """
     c, p = _series_params(c, p)
     if k1_prime < 1:
-        raise InvalidTruncationError("truncation index must be >= 1")
+        raise ValueError("truncation index must be >= 1")
     delta = derive_constants(p).delta
     denom = 1 - delta**k1_prime * c ** (k1_prime - 1) * (c + 1)
     if denom <= 0:
-        raise InvalidTruncationError(
-            f"truncation {k1_prime} too small: contraction factor {float(1 - denom):.4f} >= 1"
-        )
+        raise ValueError(f"truncation {k1_prime} too small: contraction factor {1 - denom} >= 1")
     numer = 2 * _geom_sum(delta * c, k1_prime) + (
         2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p)))
     ) * _geom_sum(delta * c / (1 - p), k1_prime)
@@ -209,11 +185,10 @@ def y30_upper(c, p, k1_prime: int) -> float:
 
         (2 + 2p(1-p)^2 (c+1) Delta) / (1 - beta c).
     """
-    c = _as_fraction(c)
-    p = _as_fraction(p)
+    c, p = _check_cp(c, p)
     beta = derive_constants(p).beta
     if beta * c >= 1:
-        raise DivergentSeriesError(f"beta*c = {float(beta * c):.4f} >= 1: bound diverges")
+        raise ValueError(f"beta*c = {beta * c} >= 1: bound diverges")
     bound2 = Fraction(delta_bound(c, p, k1_prime))
     value = (2 + 2 * p * (1 - p) ** 2 * (c + 1) * bound2) / (1 - beta * c)
     return float(value)
@@ -243,10 +218,9 @@ class BoundReport:
 
 def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundReport:
     """All closed-form upper bounds in one report."""
-    c = _as_fraction(c)
-    p = _as_fraction(p)
+    c, p = _check_cp(c, p)
     if k_max < 0:
-        raise AnalysisError(f"k_max must be >= 0, got {k_max}")
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     k1_min = min_truncation_k1(c, p)
     k1_used = k1_min if k1_prime is None else k1_prime
     return BoundReport(
@@ -365,19 +339,15 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     semantics "paper-series": the lone player departs only at scheduled
     slots, giving the dominating series enclosed by _lone_series_numerators.
     """
-    c = _as_fraction(c)
-    p = _as_fraction(p)
+    c, p = _check_cp(c, p)
     if semantics not in SEMANTICS:
-        raise AnalysisError(f"semantics must be one of {SEMANTICS}")
+        raise ValueError(f"semantics must be one of {SEMANTICS}")
     if truncation_K < 1:
-        raise AnalysisError("truncation_K must be >= 1")
-    report = feasibility(c, p)
-    if not report.finite_all_P:
-        raise DivergentSeriesError(
-            "parameters outside the finite-latency region; no finite enclosure exists"
-        )
+        raise ValueError("truncation_K must be >= 1")
+    if not feasibility(c, p).finite_all_P:
+        raise ValueError("parameters outside the finite-latency region: the expectations diverge")
     K = truncation_K
-    sched = build_schedule(c, K)
+    sched = Schedule(c, K)
 
     if semantics == "literal":
         n1, d1 = [(1, 1)] * (K + 1), 1
@@ -462,21 +432,25 @@ class PersistentDistribution:
         }
 
 
-def _partial_expectations(support: list, p: Fraction, zs) -> list:
-    """Exact partial expectations sum_{j <= z} s_j (1-p)^2 gamma^j of the
-    persistent deviator's latency, for each index z in zs, given the
-    support points s_0, s_1, ..."""
+def _persistent_law(support: list, p: Fraction, zs) -> tuple:
+    """Exact pmf (1-p)^2 gamma^z of the persistent deviator's latency and
+    its partial expectations sum_{j <= z} s_j (1-p)^2 gamma^j, each a list
+    over the indices z in zs, given the support points s_0, s_1, ..."""
     pn, pd = p.numerator, p.denominator
     pd2 = pd * pd
     qn2 = (pd - pn) ** 2
-    # (1-p)^2 gamma^j = qn^2 (pd^2 - qn^2)^j / pd^(2(j+1)): integer
-    # numerators over pd^(2(z+1)), and one Fraction per z reported
-    weight, total, nums = qn2, 0, []
+    # pmf(j) = qn^2 (pd^2 - qn^2)^j / pd^(2(j+1)) is in lowest terms, as
+    # qn and pd^2 - qn^2 = pn (2 pd - pn) are prime to pd.  So each partial
+    # sum is an integer numerator over pmf(z)'s denominator, made a
+    # Fraction only where it is reported.
+    term, gamma = Fraction(qn2, pd2), Fraction(pd2 - qn2, pd2)
+    total, walk = 0, []
     for s_z in support:
-        total = total * pd2 + s_z * weight
-        nums.append(total)
-        weight *= pd2 - qn2
-    return [Fraction(nums[z], pd2 ** (z + 1)) for z in zs]
+        total = total * pd2 + s_z * term.numerator
+        walk.append((term, total))
+        term *= gamma
+    pmf = [walk[z][0] for z in zs]
+    return pmf, [Fraction(walk[z][1], walk[z][0].denominator) for z in zs]
 
 
 def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
@@ -489,23 +463,16 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
     The expectation series has term ratio tending to c*gamma, giving a
     machine-checkable divergence certificate whenever c*gamma > 1.
     """
-    c = _as_fraction(c)
-    p = _as_fraction(p)
-    if not (0 < p < 1):
-        raise AnalysisError(f"p must be in (0, 1), got {p}")
+    c, p = _check_cp(c, p)
     if z_max < 0:
-        raise AnalysisError("z_max must be >= 0")
-    success = (1 - p) ** 2
-    support = build_schedule(c, z_max).s
+        raise ValueError("z_max must be >= 0")
+    support = Schedule(c, z_max).s
     gamma = derive_constants(p).gamma
-    pmf = [success]
-    for _ in range(z_max):
-        pmf.append(pmf[-1] * gamma)
-    partials = _partial_expectations(support, p, range(z_max + 1))
+    pmf, partials = _persistent_law(support, p, range(z_max + 1))
     ratios = [
         float(Fraction(support[z + 1], support[z]) * gamma) for z in range(z_max)
     ]
-    expected_rounds = 1 / success
+    expected_rounds = 1 / pmf[0]
     jensen_k = int(expected_rounds - 1)  # floor of E[Z]
     return PersistentDistribution(
         c=c,
@@ -560,21 +527,18 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     which is unbounded in z_max exactly when the persistent expectation
     diverges.
     """
-    c = _as_fraction(c)
-    p = _as_fraction(p)
+    c, p = _check_cp(c, p)
     if t0 < 1:
-        raise AnalysisError("deadline must be >= 1")
+        raise ValueError("deadline must be >= 1")
     if not z_grid or min(z_grid) < 0:
-        raise AnalysisError(f"z_grid must be a non-empty list of z_max >= 0, got {list(z_grid)}")
-    if not (0 < p < 1):
-        raise AnalysisError(f"p must be in (0, 1), got {p}")
+        raise ValueError(f"z_grid must be a non-empty list of z_max >= 0, got {list(z_grid)}")
     consts = derive_constants(p)
     z_max = max(z_grid)
-    sched = build_schedule(c, z_max)
+    sched = Schedule(c, z_max)
     sched.ensure_covers_time(t0)
     xi = sum(1 for s in sched.s if s < t0)
     pr_lower = consts.delta**xi
-    partials = _partial_expectations(sched.s[: z_max + 1], p, z_grid)
+    _, partials = _persistent_law(sched.s[: z_max + 1], p, z_grid)
     factor = pr_lower * c ** (xi - 1) * (c - 1)
     bounds = [(z, float(factor * part - t0**2)) for z, part in zip(z_grid, partials)]
     return DeadlineComparison(

@@ -2,9 +2,11 @@
 
 Subcommands mirror the library: exact schedules, feasibility verdicts,
 closed-form bounds, persistent/deadline analysis, recurrence enclosures,
-and Monte Carlo simulation.  Reports are JSON by default; `schedule` and
-`simulate` can also emit CSV.  Rational parameters are passed as
-"num/den" text so exactness survives the command line.
+and Monte Carlo simulation.  Reports are JSON by default; `schedule`,
+`analyze --persistent` and `simulate` can also emit CSV.  Every report
+goes to stdout or, with --output-path, to a file, with the same bytes.
+Rational parameters are passed as "num/den" text so exactness survives
+the command line.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import sys
 
 from . import analysis, engine, protocols
-from .schedule import build_schedule, parse_rational
+from .schedule import Schedule, parse_rational
 
 
 def _add_cp(parser):
@@ -28,15 +30,18 @@ def _add_cp(parser):
     )
 
 
-def _add_output(parser):
-    parser.add_argument("--output-format", choices=("json", "csv"), default="json")
+def _add_output(parser, formats: bool = False):
+    if formats:
+        parser.add_argument("--output-format", choices=("json", "csv"), default="json")
     parser.add_argument("--output-path", default=None, help="write the report here instead of stdout")
 
 
-def _emit(args, text: str) -> None:
-    if args.output_path:
-        with open(args.output_path, "w") as fh:
-            fh.write(text)
+def _emit(path, text: str) -> None:
+    """Write text and a newline to the file at path, or to stdout when
+    path is None; the file gets the same bytes as stdout would."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            fh.write(text + "\n")
     else:
         print(text)
 
@@ -53,44 +58,37 @@ def _csv(rows, header) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def cmd_schedule(args) -> int:
-    sched = build_schedule(parse_rational(args.c), args.k)
+def cmd_schedule(args) -> str:
+    sched = Schedule(parse_rational(args.c), args.k)
     if args.output_format == "csv":
-        rows = [(k, sched.x[k], sched.s[k]) for k in range(len(sched.s))]
-        _emit(args, _csv(rows, ("k", "x", "s")))
-    else:
-        _emit(args, _json(sched.to_json()))
-    return 0
+        return _csv([(k, sched.x[k], sched.s[k]) for k in range(len(sched.s))], ("k", "x", "s"))
+    return _json(sched.to_json())
 
 
-def cmd_feasibility(args) -> int:
-    report = analysis.feasibility(parse_rational(args.c), args.p)
-    _emit(args, _json(report.to_json()))
-    return 0
+def cmd_feasibility(args) -> str:
+    return _json(analysis.feasibility(parse_rational(args.c), args.p).to_json())
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> str:
     report = analysis.bound_report(parse_rational(args.c), args.p, k1_prime=args.k1, k_max=args.kmax)
-    _emit(args, _json(report.to_json()))
-    return 0
+    return _json(report.to_json())
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     c = parse_rational(args.c)
-    if args.persistent:
-        dist = analysis.persistent_distribution(c, args.p, args.zmax)
+    if not args.persistent:
         if args.output_format == "csv":
-            rows = [
-                (z, dist.support[z], float(dist.pmf[z]), float(dist.partial_expectations[z]))
-                for z in range(len(dist.support))
-            ]
-            _emit(args, _csv(rows, ("z", "support", "pmf", "partial_expectation")))
-        else:
-            _emit(args, _json(dist.to_json()))
-        return 0
-    table = analysis.solve_expectations(c, args.p, semantics=args.semantics, truncation_K=args.K)
-    _emit(args, _json(table.to_json()))
-    return 0
+            raise ValueError("--output-format csv needs --persistent")
+        table = analysis.solve_expectations(c, args.p, semantics=args.semantics, truncation_K=args.K)
+        return _json(table.to_json())
+    dist = analysis.persistent_distribution(c, args.p, args.zmax)
+    if args.output_format == "csv":
+        rows = [
+            (z, dist.support[z], float(dist.pmf[z]), float(dist.partial_expectations[z]))
+            for z in range(len(dist.support))
+        ]
+        return _csv(rows, ("z", "support", "pmf", "partial_expectation"))
+    return _json(dist.to_json())
 
 
 def _load_config(path: str) -> engine.GameConfig:
@@ -115,7 +113,7 @@ def _load_config(path: str) -> engine.GameConfig:
 SAMPLES_HEADER = ("trial_index", "player", "latency", "censored")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     config = _load_config(args.config)
     if args.seed is not None:
         config = engine.GameConfig(
@@ -126,23 +124,17 @@ def cmd_simulate(args) -> int:
     outcomes = engine.run_trials(config, args.trials)
     stats = engine.summarize(outcomes, args.player, config.slot_cap)
     if args.samples_path:
-        with open(args.samples_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SAMPLES_HEADER)
-            writer.writerows(engine.outcomes_to_csv_rows(outcomes))
+        _emit(args.samples_path, _csv(engine.outcomes_to_csv_rows(outcomes), SAMPLES_HEADER))
     if args.output_format == "csv":
-        _emit(args, _csv(engine.outcomes_to_csv_rows(outcomes), SAMPLES_HEADER))
-    else:
-        _emit(args, _json(dataclasses.asdict(stats)))
-    return 0
+        return _csv(engine.outcomes_to_csv_rows(outcomes), SAMPLES_HEADER)
+    return _json(dataclasses.asdict(stats))
 
 
-def cmd_compare_deadline(args) -> int:
+def cmd_compare_deadline(args) -> str:
     report = analysis.deadline_comparison(
         parse_rational(args.c), args.p, args.t0, z_grid=tuple(args.zmax_grid)
     )
-    _emit(args, _json(report.to_json()))
-    return 0
+    return _json(report.to_json())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("schedule", help="print the exact non-trivial slot schedule")
     sp.add_argument("--c", default="11/10")
     sp.add_argument("--k", type=int, default=8, help="schedule horizon index")
-    _add_output(sp)
+    _add_output(sp, formats=True)
     sp.set_defaults(handler=cmd_schedule)
 
     fp = sub.add_parser("feasibility", help="exact parameter-region verdict")
@@ -176,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--zmax", type=int, default=200, help="support points for --persistent")
     ap.add_argument("--semantics", choices=analysis.SEMANTICS, default="literal")
     ap.add_argument("--K", type=int, default=60, help="truncation for the expectation enclosures")
-    _add_output(ap)
+    _add_output(ap, formats=True)
     ap.set_defaults(handler=cmd_analyze)
 
     mp = sub.add_parser("simulate", help="Monte Carlo latency estimation")
@@ -185,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--player", type=int, default=0, help="player whose latency is summarized")
     mp.add_argument("--seed", type=int, default=None, help="override the config seed")
     mp.add_argument("--samples-path", default=None, help="also write per-trial CSV samples here")
-    _add_output(mp)
+    _add_output(mp, formats=True)
     mp.set_defaults(handler=cmd_simulate)
 
     dp = sub.add_parser("compare-deadline", help="lower-bound evidence against a deadline deviator")
@@ -202,10 +194,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except (analysis.AnalysisError, ValueError, OSError, OverflowError) as exc:
+        _emit(args.output_path, args.handler(args))
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

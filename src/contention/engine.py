@@ -6,15 +6,16 @@ other outcome leaves the pending set unchanged.  Trials are censored at
 a slot cap because some profiles (a persistent deviator against the
 age-based protocol) have infinite expected latency.
 
-Every rule is a function of the slot alone, so `run_trials` first builds
-the config's probability timeline once: segments (start, end, probs) of
-slots over which every player's probability is constant, covering
-1..slot_cap.  Each trial then walks the segments.  A segment whose
-outcome is forced for the pending players (all probabilities 0 or 1, or
-two players certain to transmit) resolves in one step; this is what
-makes slot caps of 10^6 affordable when the age-based protocol collides
-deterministically at every trivial slot.  Draws happen only for players
-whose probability is strictly between 0 and 1.
+Every rule is a function of the slot alone, so `run_trials` shares one
+probability timeline among its trials: segments (start, end, probs) of
+slots over which every player's probability is constant.  The timeline
+is built on demand, only as far as the trials reach, and each trial
+walks its segments.  A segment whose outcome is forced for the pending
+players (all probabilities 0 or 1, or two players certain to transmit)
+resolves in one step; this is what makes slot caps of 10^6 affordable
+when the age-based protocol collides deterministically at every trivial
+slot.  Draws happen only for players whose probability is strictly
+between 0 and 1.
 
 Randomness is counter-based: every attempt draw is a pure hash of
 (seed, trial_index, player, slot), so results are bit-identical for a
@@ -86,8 +87,11 @@ class GameConfig:
 @dataclass(frozen=True)
 class TrialOutcome:
     latency: tuple  # per-player int or None when censored
-    censored: tuple
     slots_run: int
+
+    @property
+    def censored(self) -> tuple:
+        return tuple(lat is None for lat in self.latency)
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,6 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
         t += 1
     return TrialOutcome(
         latency=tuple(latency),
-        censored=tuple(latency[i] is None for i in range(n)),
         slots_run=min(t - 1, cap),
     )
 
@@ -220,7 +223,6 @@ def _play(segments, keys: list, cap: int) -> TrialOutcome:
             break
     return TrialOutcome(
         latency=tuple(latency),
-        censored=tuple(lat is None for lat in latency),
         slots_run=t - 1 if not pending else cap,
     )
 
@@ -299,4 +301,4 @@ def outcomes_to_csv_rows(outcomes: list[TrialOutcome]):
     """Yield (trial_index, player, latency, censored) rows for export."""
     for idx, out in enumerate(outcomes):
         for player, lat in enumerate(out.latency):
-            yield idx, player, "" if lat is None else lat, int(out.censored[player])
+            yield idx, player, "" if lat is None else lat, int(lat is None)

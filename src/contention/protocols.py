@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .schedule import (
-    Schedule,
-    build_schedule,
-    parse_rational,
-    transmission_probability,
-)
+from .schedule import Schedule, parse_rational
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -67,7 +62,7 @@ ProtocolSpec = Union[AgeBased, Deadline, ConstantProb]
 def decision_probability(spec: ProtocolSpec, t: int) -> float:
     """Transmission probability of a pending player at slot t."""
     if isinstance(spec, AgeBased):
-        return transmission_probability(spec.schedule, spec.p, t)
+        return spec.p if spec.schedule.nontrivial_index(t) is not None else 1.0
     if isinstance(spec, Deadline):
         return 1.0 if t >= spec.t0 else decision_probability(spec.pre, t)
     if isinstance(spec, ConstantProb):
@@ -115,7 +110,7 @@ def spec_from_json(data: dict) -> ProtocolSpec:
 
 
 def _age_based_from_json(data: dict) -> AgeBased:
-    return AgeBased(schedule=build_schedule(parse_rational(data["c"]), 0), p=float(data["p"]))
+    return AgeBased(schedule=Schedule(parse_rational(data["c"]), 0), p=float(data["p"]))
 
 
 def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:

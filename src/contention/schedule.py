@@ -29,18 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class ScheduleError(ValueError):
-    """Base class for schedule construction/query failures."""
-
-
-class InvalidParameterError(ScheduleError):
-    """Growth factor outside the supported range."""
-
-
-class InvalidArgumentsError(ScheduleError):
-    """Malformed index arguments (e.g. k' <= k)."""
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" (or a plain integer / decimal string) exactly.
 
@@ -69,9 +57,9 @@ class Schedule:
     def __init__(self, c: Fraction, horizon_k: int):
         c = Fraction(c)
         if c < 1:
-            raise InvalidParameterError(f"growth factor must be >= 1, got {c}")
+            raise ValueError(f"growth factor must be >= 1, got {c}")
         if horizon_k < 0:
-            raise InvalidArgumentsError("horizon_k must be >= 0")
+            raise ValueError("horizon_k must be >= 0")
         self.c = c
         self.x: list[int] = []
         self.s: list[int] = []
@@ -144,18 +132,6 @@ class Schedule:
         return {"c": format_rational(self.c), "s": list(self.s), "x": list(self.x)}
 
 
-def build_schedule(c: Fraction, horizon_k: int) -> Schedule:
-    """Build the exact schedule for growth factor c up to index horizon_k."""
-    return Schedule(c, horizon_k)
-
-
-def transmission_probability(sched: Schedule, p: float, t: int) -> float:
-    """Protocol transmission probability at slot t: p on {s_k}, else 1."""
-    if t < 1:
-        raise InvalidArgumentsError("slots are numbered from 1")
-    return p if sched.nontrivial_index(t) is not None else 1.0
-
-
 @dataclass(frozen=True)
 class DominationCheck:
     lower: Fraction
@@ -171,10 +147,10 @@ def check_domination(sched: Schedule, k: int, k_prime: int, j: int) -> Dominatio
     in rational arithmetic.  Requires c in [1, 2] and k' > k >= 0, j >= 0.
     """
     if k_prime <= k or k < 0 or j < 0:
-        raise InvalidArgumentsError(f"need k' > k >= 0 and j >= 0, got k={k}, k'={k_prime}, j={j}")
+        raise ValueError(f"need k' > k >= 0 and j >= 0, got k={k}, k'={k_prime}, j={j}")
     c = sched.c
     if not (1 <= c <= 2):
-        raise InvalidArgumentsError(f"domination check requires c in [1, 2], got {c}")
+        raise ValueError(f"domination check requires c in [1, 2], got {c}")
     sched.extend_to(k_prime + j)
     factor = c ** (k_prime - k - 1)
     base = sched.x[k + j]

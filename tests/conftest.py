@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from contention import AgeBased, Deadline, GameConfig, build_schedule, monte_carlo, run_trials
+from contention import AgeBased, Deadline, GameConfig, Schedule, monte_carlo, run_trials
 
 C = Fraction(11, 10)
 P = 0.75
@@ -13,7 +13,7 @@ SEED_DEVIATOR = 99
 
 @pytest.fixture(scope="session")
 def age_based():
-    return AgeBased(schedule=build_schedule(C, 8), p=P)
+    return AgeBased(schedule=Schedule(C, 8), p=P)
 
 
 @pytest.fixture(scope="session")

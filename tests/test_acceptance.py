@@ -20,7 +20,7 @@ from contention.analysis import (
     y30_upper,
 )
 from contention.engine import run_trial, summarize
-from contention.schedule import build_schedule, check_domination
+from contention.schedule import Schedule, check_domination
 
 C = Fraction(11, 10)
 P = 0.75
@@ -71,7 +71,7 @@ def test_criterion_4_minimum_truncation():
 def test_criterion_5_domination_property_suite():
     rng = random.Random(0xD07)
     grid = [1 + Fraction(i, 64) for i in range(65)]  # 65 rationals spanning [1, 2]
-    schedules = {c: build_schedule(c, 61) for c in grid}
+    schedules = {c: Schedule(c, 61) for c in grid}
     start = time.perf_counter()
     violations = 0
     for _ in range(10_000):

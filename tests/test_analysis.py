@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 
 from contention import analysis
 from contention.analysis import (
-    AnalysisError,
     _lone_series_numerators,
-    DivergentSeriesError,
-    InvalidTruncationError,
-    NoFiniteTruncationError,
     bound_report,
     deadline_comparison,
     delta_bound,
@@ -22,7 +18,7 @@ from contention.analysis import (
     y1_upper,
     y30_upper,
 )
-from contention.schedule import build_schedule
+from contention.schedule import Schedule
 
 C = Fraction(11, 10)
 P = 0.75
@@ -78,12 +74,12 @@ def test_y1_upper_values():
 
 
 def test_y1_upper_divergent():
-    with pytest.raises(DivergentSeriesError):
+    with pytest.raises(ValueError, match="diverges"):
         y1_upper(Fraction(13, 10), 0.2, 0)  # c(1-p) = 1.04
 
 
 def test_y1_upper_c1_guard():
-    with pytest.raises(AnalysisError):
+    with pytest.raises(ValueError, match="c = 1"):
         y1_upper(Fraction(1), P, 0)
 
 
@@ -95,21 +91,21 @@ def test_min_truncation_k1():
 
 
 def test_bound_report_rejects_negative_table_horizon():
-    with pytest.raises(AnalysisError):
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
         bound_report(C, P, k_max=-1)
     assert bound_report(C, P, k_max=0).y1k_upper == [(0, y1_upper(C, P, 0))]
 
 
 @pytest.mark.parametrize("p", [0, 1, Fraction(-1, 2)])
 def test_series_bounds_reject_p_outside_open_unit_interval(p):
-    with pytest.raises(AnalysisError):
+    with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
         delta_bound(Fraction(1, 2), p, 2)
-    with pytest.raises(AnalysisError):
+    with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
         y1_upper(Fraction(1, 2), p, 0)
 
 
 def test_min_truncation_no_finite_value():
-    with pytest.raises(NoFiniteTruncationError):
+    with pytest.raises(ValueError, match="no finite truncation"):
         min_truncation_k1(Fraction(6, 5), 0.05)  # delta*c > 1
 
 
@@ -118,7 +114,7 @@ def test_delta_bound_reference_value():
 
 
 def test_delta_bound_too_small_truncation():
-    with pytest.raises(InvalidTruncationError):
+    with pytest.raises(ValueError, match="too small"):
         delta_bound(C, P, 1)
 
 
@@ -139,7 +135,7 @@ def test_y30_upper_larger_truncation_regression():
 
 
 def test_y30_upper_divergent():
-    with pytest.raises(DivergentSeriesError):
+    with pytest.raises(ValueError, match="diverges"):
         y30_upper(Fraction(6, 5), 0.05, 2)
 
 
@@ -153,7 +149,7 @@ def test_bound_report_consistency():
 
 def lone_player_series_oracle(c: Fraction, p: Fraction, k: int, terms: int = 200) -> float:
     # independent direct summation: sum_{l>=k} (s_l - s_{k-1}) p (1-p)^(l-k)
-    sched = build_schedule(c, k + terms)
+    sched = Schedule(c, k + terms)
     s_prev = sched.s[k - 1] if k else 0
     total = Fraction(0)
     for ell in range(k, k + terms + 1):
@@ -192,7 +188,7 @@ def _lone_series_interval_fraction_loop(sched, c, p, k, terms=80):
      (Fraction(11, 10), Fraction(1, 10))],
 )
 def test_lone_series_interval_matches_fraction_loop(c, p):
-    sched = build_schedule(c, 8)
+    sched = Schedule(c, 8)
     nums, den = _lone_series_numerators(sched, c, p, 400)
     for k in (0, 1, 7, 60, 400):
         lo, hi = nums[k]
@@ -201,7 +197,7 @@ def test_lone_series_interval_matches_fraction_loop(c, p):
 
 def _solve_expectations_fraction_loop(c, p, semantics, K):
     # the Fraction interval recurrence the integer numerators replaced
-    sched = build_schedule(c, K)
+    sched = Schedule(c, K)
     if semantics == "literal":
         e1 = [(Fraction(1), Fraction(1))] * (K + 1)
     else:
@@ -300,7 +296,7 @@ def test_expectation_midpoints_satisfy_domination():
 
 
 def test_solver_rejects_infeasible_parameters():
-    with pytest.raises(DivergentSeriesError):
+    with pytest.raises(ValueError, match="diverge"):
         solve_expectations(Fraction(6, 5), P, "literal", truncation_K=20)
 
 
@@ -322,8 +318,8 @@ def test_persistent_jensen_lower_only_within_zmax():
 def test_persistent_distribution_schedule_follows_zmax(monkeypatch):
     # floor(E[Z]) = 65535 at p = 255/256 must not size the schedule
     horizons = []
-    real = analysis.build_schedule
-    monkeypatch.setattr(analysis, "build_schedule", lambda c, k: horizons.append(k) or real(c, k))
+    real = analysis.Schedule
+    monkeypatch.setattr(analysis, "Schedule", lambda c, k: horizons.append(k) or real(c, k))
     dist = persistent_distribution(C, Fraction(255, 256), 10)
     assert horizons == [10] and len(dist.support) == 11
     assert dist.jensen_lower is None
@@ -393,5 +389,5 @@ def test_deadline_lower_bounds_unbounded_in_zmax():
 
 @pytest.mark.parametrize("z_grid", [(), (5, -1), (-3,)])
 def test_deadline_comparison_rejects_bad_z_grid(z_grid):
-    with pytest.raises(AnalysisError):
+    with pytest.raises(ValueError, match="z_grid"):
         deadline_comparison(C, P, 5, z_grid=z_grid)

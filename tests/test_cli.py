@@ -166,6 +166,35 @@ def test_negative_zmax_grid_is_one_line_error(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "c, reason",
+    [("1/2", "c must be >= 1, got 1/2"), ("1e400", "no finite truncation")],
+)
+def test_c_outside_the_protocol_domain_is_one_line_error(capsys, c, reason):
+    # c = 1/2 once printed negative latency bounds; c = 1e400 once
+    # overflowed a float while formatting the contraction rate
+    code, out, err = run_cli(capsys, "bounds", "--c", c, "--p", "3/4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and reason in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["feasibility"], ["bounds"], ["compare-deadline", "--t0", "5"]]
+)
+def test_output_format_is_not_an_option_of_json_only_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output-format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --output-format" in capsys.readouterr().err
+
+
+def test_analyze_csv_needs_persistent(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--output-format", "csv")
+    assert code == 1 and out == ""
+    assert err == "error: --output-format csv needs --persistent\n"
+
+
 def test_negative_kmax_is_one_line_error(capsys):
     code, out, err = run_cli(capsys, "bounds", "--kmax", "-1")
     assert code == 1 and out == ""
@@ -342,6 +371,23 @@ _ARGV = st.one_of(
         _options(**{"--c": _TEXT, "--p": _TEXT, "--k1": _SMALL, "--kmax": _SMALL}),
     ),
     st.builds(
+        lambda opts: ["feasibility", *opts],
+        _options(**{"--c": _TEXT, "--p": _TEXT}),
+    ),
+    st.builds(
+        # never the default grid, which reaches z_max = 400
+        lambda t0, grid, opts: ["compare-deadline", "--t0", t0, "--zmax-grid", *grid, *opts],
+        _SMALL,
+        st.lists(_SMALL, max_size=3),
+        _options(**{"--c": _TEXT, "--p": _TEXT}),
+    ),
+    st.builds(
+        lambda opts: ["schedule", *opts],
+        _options(**{
+            "--c": _TEXT, "--k": _SMALL, "--output-format": st.sampled_from(["json", "csv"]),
+        }),
+    ),
+    st.builds(
         lambda opts, persistent: ["analyze", *opts, *persistent],
         _options(**{
             "--c": _TEXT, "--p": _TEXT, "--zmax": _SMALL, "--K": _SMALL,
@@ -363,6 +409,8 @@ def fuzz_config_path(tmp_path_factory):
 @example(argv=["bounds", "--kmax", "2000"], config={})
 @example(argv=["bounds", "--k1", "100000"], config={})
 @example(argv=["bounds", "--c", "1/2", "--p", "1"], config={})
+@example(argv=["bounds", "--c", "1/2", "--p", "3/4"], config={})
+@example(argv=["bounds", "--c", "1e400", "--p", "3/4"], config={})
 @example(
     argv=["simulate", "--config", CONFIG, "--trials", "2"],
     config={"players": [{"type": "deadline", "t0": 1e400}], "seed": 1},

@@ -18,14 +18,14 @@ from contention.engine import (
     summarize,
 )
 from contention.protocols import AgeBased, ConstantProb, Deadline
-from contention.schedule import build_schedule
+from contention.schedule import Schedule
 
 C = Fraction(11, 10)
 
 
 @pytest.fixture(scope="module")
 def age_based():
-    return AgeBased(schedule=build_schedule(C, 8), p=0.75)
+    return AgeBased(schedule=Schedule(C, 8), p=0.75)
 
 
 def test_single_player_succeeds_immediately(age_based):
@@ -69,7 +69,7 @@ def test_attempt_uniform_range_and_determinism():
 def test_deviator_only_succeeds_at_scheduled_slots(age_based):
     config = GameConfig(n=3, profile=(age_based, age_based, Deadline(t0=1)), seed=2, slot_cap=10**5)
     emp = empirical_distribution(config, 5000, focus_player=2)
-    support = set(build_schedule(C, 200).s)
+    support = set(Schedule(C, 200).s)
     assert set(emp) <= support
     # first-slot success requires both others quiet: (1-p)^2 = 0.0625
     assert emp[2] == pytest.approx(0.0625, abs=0.01)
@@ -138,7 +138,7 @@ def test_config_validation(age_based):
 # --- run_trials against the run_trial oracle -----------------------------------
 
 def _age(c, p):
-    return AgeBased(schedule=build_schedule(Fraction(c), 8), p=p)
+    return AgeBased(schedule=Schedule(Fraction(c), 8), p=p)
 
 
 AB = _age(C, 0.75)

@@ -1,8 +1,10 @@
 """Byte-for-byte replay of every CLI subcommand against golden files.
 
 Each case runs `contention.cli.main(argv)` and compares its stdout with
-`tests/golden/<case>.out`; the persistent `--samples-path` file is
-compared with `tests/golden/simulate_persistent.samples.csv`.  The
+`tests/golden/<case>.out`, then runs it again with `--output-path` and
+compares the file it writes with the same golden file; the persistent
+`--samples-path` file is compared with
+`tests/golden/simulate_persistent.samples.csv`.  The
 `simulate` cases use the configs in `tests/golden/` (config seed 7) and
 4,000 trials.
 
@@ -50,9 +52,10 @@ CASES = {
 SAMPLES_CASE = "simulate_persistent"
 
 
-def replay(name, samples_path):
-    """(stdout, samples bytes or None) of one case."""
-    argv = list(CASES[name])
+def replay(name, samples_path, *extra):
+    """(stdout, samples bytes or None) of one case, run with the extra
+    arguments appended."""
+    argv = [*CASES[name], *extra]
     if name == SAMPLES_CASE:
         argv += ["--samples-path", str(samples_path)]
     out = io.StringIO()
@@ -65,10 +68,14 @@ def replay(name, samples_path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
+    golden = (GOLDEN / f"{name}.out").read_bytes()
     stdout, samples = replay(name, tmp_path / "samples.csv")
-    assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    assert stdout.encode() == golden
     if samples is not None:
         assert samples == (GOLDEN / f"{name}.samples.csv").read_bytes()
+    report = tmp_path / "report.out"
+    stdout, _ = replay(name, tmp_path / "samples.csv", "--output-path", str(report))
+    assert stdout == "" and report.read_bytes() == golden
 
 
 if __name__ == "__main__":

@@ -13,12 +13,12 @@ from contention.protocols import (
     profile_from_json,
     spec_from_json,
 )
-from contention.schedule import build_schedule
+from contention.schedule import Schedule
 
 
 @pytest.fixture(scope="module")
 def age_based():
-    return AgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=0.75)
+    return AgeBased(schedule=Schedule(Fraction(11, 10), 8), p=0.75)
 
 
 def test_age_based_trivial_slot(age_based):
@@ -92,8 +92,8 @@ def test_profile_json_parses_every_rule_type():
             {"type": "deadline", "t0": 9, "pre": {"type": "follow_age_based", "c": "3/2", "p": 0.5}},
         ]
     }
-    eleven_tenths = build_schedule(Fraction(11, 10), 0)
-    three_halves = build_schedule(Fraction(3, 2), 0)
+    eleven_tenths = Schedule(Fraction(11, 10), 0)
+    three_halves = Schedule(Fraction(3, 2), 0)
     assert profile_from_json(data) == [
         AgeBased(schedule=eleven_tenths, p=0.75),
         ConstantProb(q=0.125),
@@ -119,9 +119,9 @@ def test_unknown_protocol_type_rejected():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: AgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=1.5),
-        lambda: AgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=float("nan")),
-        lambda: Deadline(t0=3, pre=AgeBased(schedule=build_schedule(Fraction(11, 10), 8), p=-0.25)),
+        lambda: AgeBased(schedule=Schedule(Fraction(11, 10), 8), p=1.5),
+        lambda: AgeBased(schedule=Schedule(Fraction(11, 10), 8), p=float("nan")),
+        lambda: Deadline(t0=3, pre=AgeBased(schedule=Schedule(Fraction(11, 10), 8), p=-0.25)),
         lambda: Deadline(t0=3, pre=ConstantProb(q=float("inf"))),
         lambda: ConstantProb(q=-1.0),
         lambda: ConstantProb(q=float("nan")),
