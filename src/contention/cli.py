@@ -37,17 +37,17 @@ def _add_output(parser, formats: bool = False):
 
 
 def _emit(path, text: str) -> None:
-    """Write text and a newline to the file at path, or to stdout when
-    path is None; the file gets the same bytes as stdout would."""
+    """Write text to the file at path, or to stdout when path is None;
+    the file gets the same bytes as stdout would."""
     if path:
         with open(path, "w", newline="") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _csv(rows, header) -> str:
@@ -55,7 +55,7 @@ def _csv(rows, header) -> str:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+    return buf.getvalue()
 
 
 def cmd_schedule(args) -> str:
