@@ -432,25 +432,20 @@ class PersistentDistribution:
         }
 
 
-def _persistent_law(support: list, p: Fraction, zs) -> tuple:
-    """Exact pmf (1-p)^2 gamma^z of the persistent deviator's latency and
-    its partial expectations sum_{j <= z} s_j (1-p)^2 gamma^j, each a list
-    over the indices z in zs, given the support points s_0, s_1, ..."""
+def _partial_numerators(support: list, p: Fraction):
+    """Yield, for z = 0, 1, ..., the integer numerator over pd^(2(z+1))
+    of the persistent deviator's partial expectation
+    sum_{j <= z} s_j (1-p)^2 gamma^j, given the support points s_0,
+    s_1, ... and with pd the denominator of p."""
     pn, pd = p.numerator, p.denominator
     pd2 = pd * pd
     qn2 = (pd - pn) ** 2
-    # pmf(j) = qn^2 (pd^2 - qn^2)^j / pd^(2(j+1)) is in lowest terms, as
-    # qn and pd^2 - qn^2 = pn (2 pd - pn) are prime to pd.  So each partial
-    # sum is an integer numerator over pmf(z)'s denominator, made a
-    # Fraction only where it is reported.
-    term, gamma = Fraction(qn2, pd2), Fraction(pd2 - qn2, pd2)
-    total, walk = 0, []
+    # (1-p)^2 gamma^j = qn^2 (pd^2 - qn^2)^j / pd^(2(j+1))
+    weight, total = qn2, 0
     for s_z in support:
-        total = total * pd2 + s_z * term.numerator
-        walk.append((term, total))
-        term *= gamma
-    pmf = [walk[z][0] for z in zs]
-    return pmf, [Fraction(walk[z][1], walk[z][0].denominator) for z in zs]
+        total = total * pd2 + s_z * weight
+        yield total
+        weight *= pd2 - qn2
 
 
 def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
@@ -468,10 +463,17 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         raise ValueError("z_max must be >= 0")
     support = Schedule(c, z_max).s
     gamma = derive_constants(p).gamma
-    pmf, partials = _persistent_law(support, p, range(z_max + 1))
-    ratios = [
-        float(Fraction(support[z + 1], support[z]) * gamma) for z in range(z_max)
-    ]
+    # pmf(z) = (1-p)^2 gamma^z is in lowest terms over pd^(2(z+1)), as qn
+    # and pd^2 - qn^2 = pn (2 pd - pn) are prime to pd; so each partial sum
+    # is its numerator over pmf(z)'s denominator.
+    pmf, partials, term = [], [], (1 - p) ** 2
+    for total in _partial_numerators(support, p):
+        pmf.append(term)
+        partials.append(Fraction(total, term.denominator))
+        term *= gamma
+    # int / int rounds correctly, as float(Fraction) does
+    gn, gd = gamma.numerator, gamma.denominator
+    ratios = [support[z + 1] * gn / (support[z] * gd) for z in range(z_max)]
     expected_rounds = 1 / pmf[0]
     jensen_k = int(expected_rounds - 1)  # floor of E[Z]
     return PersistentDistribution(
@@ -538,7 +540,8 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     sched.ensure_covers_time(t0)
     xi = sum(1 for s in sched.s if s < t0)
     pr_lower = consts.delta**xi
-    _, partials = _persistent_law(sched.s[: z_max + 1], p, z_grid)
+    totals = list(_partial_numerators(sched.s[: z_max + 1], p))
+    partials = [Fraction(totals[z], p.denominator ** (2 * (z + 1))) for z in z_grid]
     factor = pr_lower * c ** (xi - 1) * (c - 1)
     bounds = [(z, float(factor * part - t0**2)) for z, part in zip(z_grid, partials)]
     return DeadlineComparison(

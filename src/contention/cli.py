@@ -12,9 +12,10 @@ the command line.
 from __future__ import annotations
 
 import argparse
+import bisect
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import sys
 
@@ -36,32 +37,35 @@ def _add_output(parser, formats: bool = False):
     parser.add_argument("--output-path", default=None, help="write the report here instead of stdout")
 
 
-def _emit(path, text: str) -> None:
-    """Write text to the file at path, or to stdout when path is None;
-    the file gets the same bytes as stdout would."""
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(path, report) -> None:
+    """Write a report to the file at path, or to stdout when path is
+    None; the file gets the same bytes as stdout would.  A report is a
+    text, or the (header, rows) of a CSV table, whose rows are written as
+    they come."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+        if isinstance(report, str):
+            out.write(report)
+        else:
+            writer = csv.writer(out)
+            writer.writerow(report[0])
+            writer.writerows(report[1])
 
 
 def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv(rows, header) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def cmd_schedule(args) -> str:
+def cmd_schedule(args):
     sched = Schedule(parse_rational(args.c), args.k)
+    # CPython refuses to print integers longer than this (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and sched.s[-1] >= 10**limit:
+        k = bisect.bisect_left(sched.s, 10**limit)
+        raise ValueError(
+            f"schedule entry s_{k} has more than {limit} digits, Python's limit for printing an integer"
+        )
     if args.output_format == "csv":
-        return _csv([(k, sched.x[k], sched.s[k]) for k in range(len(sched.s))], ("k", "x", "s"))
+        return ("k", "x", "s"), [(k, sched.x[k], sched.s[k]) for k in range(len(sched.s))]
     return _json(sched.to_json())
 
 
@@ -74,7 +78,7 @@ def cmd_bounds(args) -> str:
     return _json(report.to_json())
 
 
-def cmd_analyze(args) -> str:
+def cmd_analyze(args):
     c = parse_rational(args.c)
     if not args.persistent:
         if args.output_format == "csv":
@@ -87,7 +91,7 @@ def cmd_analyze(args) -> str:
             (z, dist.support[z], float(dist.pmf[z]), float(dist.partial_expectations[z]))
             for z in range(len(dist.support))
         ]
-        return _csv(rows, ("z", "support", "pmf", "partial_expectation"))
+        return ("z", "support", "pmf", "partial_expectation"), rows
     return _json(dist.to_json())
 
 
@@ -113,7 +117,7 @@ def _load_config(path: str) -> engine.GameConfig:
 SAMPLES_HEADER = ("trial_index", "player", "latency", "censored")
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args):
     config = _load_config(args.config)
     if args.seed is not None:
         config = engine.GameConfig(
@@ -124,9 +128,9 @@ def cmd_simulate(args) -> str:
     outcomes = engine.run_trials(config, args.trials)
     stats = engine.summarize(outcomes, args.player, config.slot_cap)
     if args.samples_path:
-        _emit(args.samples_path, _csv(engine.outcomes_to_csv_rows(outcomes), SAMPLES_HEADER))
+        _emit(args.samples_path, (SAMPLES_HEADER, engine.outcomes_to_csv_rows(outcomes)))
     if args.output_format == "csv":
-        return _csv(engine.outcomes_to_csv_rows(outcomes), SAMPLES_HEADER)
+        return SAMPLES_HEADER, engine.outcomes_to_csv_rows(outcomes)
     return _json(dataclasses.asdict(stats))
 
 

@@ -9,20 +9,23 @@ age-based protocol) have infinite expected latency.
 Every rule is a function of the slot alone, so `run_trials` shares one
 probability timeline among its trials: segments (start, end, probs) of
 slots over which every player's probability is constant.  The timeline
-is built on demand, only as far as the trials reach, and each trial
-walks its segments.  A segment whose outcome is forced for the pending
-players (all probabilities 0 or 1, or two players certain to transmit)
-resolves in one step; this is what makes slot caps of 10^6 affordable
-when the age-based protocol collides deterministically at every trivial
-slot.  Draws happen only for players whose probability is strictly
-between 0 and 1.
+is built on demand, only as far as the trials reach.  A trial carries
+its pending set as a bitmask, and each segment keeps a table of actions
+keyed by that mask, filled the first time a trial reaches the mask.  An
+action is None when the segment is a collision or silence to its end
+for those players, which then costs one lookup; otherwise it names the
+lone pending player certain to transmit (if any) and the players that
+draw.  A segment without draws resolves in one step; this is what makes
+slot caps of 10^6 affordable when the age-based protocol collides
+deterministically at every trivial slot.
 
 Randomness is counter-based: every attempt draw is a pure hash of
 (seed, trial_index, player, slot), so results are bit-identical for a
-fixed (config, trials) regardless of the order in which trials run.  The
-hash is split into a per-(trial, player) key (`draw_key`) and a per-slot
-finish (`keyed_uniform`), so a trial mixes the seed, trial and player in
-once and pays one mix per draw.
+fixed (config, trials) regardless of the order in which trials run.
+`run_trials` mixes the seed in once per call and the trial once per
+trial, keeps one key per player, and pays one inlined mix per draw.  A
+draw compares the final hash value with an integer threshold,
+ceil(p * 2^53) << 11, which is exact for every float or rational p.
 
 `run_trial` plays one trial straight from the rules, querying them anew
 at every slot it visits; it is kept as the independent oracle that
@@ -35,6 +38,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .protocols import ProtocolSpec, decision_probability, next_prob_change
 
@@ -50,22 +54,12 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def draw_key(seed: int, trial_index: int, player: int) -> int:
-    """Hash key of one player's attempt draws in one trial."""
-    z = _mix64(seed)
-    z = _mix64(z ^ ((trial_index * _GOLDEN) & _MASK64))
-    return _mix64(z ^ ((player * _GOLDEN) & _MASK64))
-
-
-def keyed_uniform(key: int, slot: int) -> float:
-    """Uniform in [0, 1) for the attempt draw at `slot` under a `draw_key`."""
-    z = _mix64(key ^ ((slot * _GOLDEN) & _MASK64))
-    return (z >> 11) * (1.0 / (1 << 53))
-
-
 def attempt_uniform(seed: int, trial_index: int, player: int, slot: int) -> float:
     """Deterministic uniform in [0, 1) for one attempt draw."""
-    return keyed_uniform(draw_key(seed, trial_index, player), slot)
+    z = _mix64(seed)
+    for part in (trial_index, player, slot):
+        z = _mix64(z ^ ((part * _GOLDEN) & _MASK64))
+    return (z >> 11) * (1.0 / (1 << 53))
 
 
 @dataclass(frozen=True)
@@ -180,51 +174,28 @@ def _replay(built: list, rest):
         yield segment
 
 
-def _first_success(keys, probs, forced, drawn, t, end):
-    """(slot, winner) of the first slot in t..end with exactly one
-    transmitter, or None.  forced are the pending players certain to
-    transmit (at most one), drawn those that draw."""
-    if not drawn:
-        return t, forced[0]
-    lone = forced[0] if forced else None
-    for slot in range(t, end + 1):
-        winner = lone
-        for i in drawn:
-            if keyed_uniform(keys[i], slot) < probs[i]:
-                if winner is not None:
-                    break  # collision: the other draws cannot matter
-                winner = i
-        else:
-            if winner is not None:
-                return slot, winner
-    return None
+def _threshold(p) -> int:
+    """The integer b with z < b exactly when the draw (z >> 11) / 2^53
+    made from a final hash value z is below p, for any float or
+    rational p."""
+    return math.ceil(Fraction(p) * (1 << 53)) << 11
 
 
-def _play(segments, keys: list, cap: int) -> TrialOutcome:
-    """One trial walked over the segments of a probability timeline,
-    with the players' draw keys."""
-    latency: list = [None] * len(keys)
-    pending = list(range(len(keys)))
-    for start, end, probs in segments:
-        t = start
-        while pending and t <= end:
-            forced = [i for i in pending if probs[i] == 1.0]
-            drawn = [i for i in pending if 0.0 < probs[i] < 1.0]
-            if len(forced) > 1 or not (forced or drawn):
-                break  # collision or silence until the segment ends
-            success = _first_success(keys, probs, forced, drawn, t, end)
-            if success is None:
-                break
-            t, winner = success
-            latency[winner] = t
-            pending.remove(winner)
-            t += 1
-        if not pending:
-            break
-    return TrialOutcome(
-        latency=tuple(latency),
-        slots_run=t - 1 if not pending else cap,
-    )
+def _action(probs: tuple, mask: int):
+    """What a segment does for the pending players in mask: None when it
+    is a collision or silence to its end, else (lone, draws) with lone
+    the one pending player certain to transmit (or None) and draws the
+    (player, threshold) pairs of those that draw."""
+    forced, draws = [], []
+    for i, pr in enumerate(probs):
+        if mask >> i & 1:
+            if pr == 1.0:
+                forced.append(i)
+            elif pr > 0.0:
+                draws.append((i, _threshold(pr)))
+    if len(forced) > 1 or not (forced or draws):
+        return None
+    return (forced[0] if forced else None), tuple(draws)
 
 
 def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
@@ -233,12 +204,53 @@ def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # Trials that end early never make the timeline reach the slot cap.
-    built, rest = [], _segments(config)
-    seed, players, cap = config.seed, range(config.n), config.slot_cap
-    return [
-        _play(_replay(built, rest), [draw_key(seed, idx, i) for i in players], cap)
-        for idx in range(trials)
-    ]
+    built = []
+    rest = ((start, end, probs, {}) for start, end, probs in _segments(config))
+    n, cap = config.n, config.slot_cap
+    seed_key = _mix64(config.seed)
+    outcomes = []
+    for idx in range(trials):
+        trial_key = _mix64(seed_key ^ ((idx * _GOLDEN) & _MASK64))
+        keys = [_mix64(trial_key ^ ((i * _GOLDEN) & _MASK64)) for i in range(n)]
+        latency = [None] * n
+        mask = (1 << n) - 1
+        for start, end, probs, actions in _replay(built, rest):
+            t = start
+            while t <= end:
+                try:
+                    action = actions[mask]
+                except KeyError:
+                    action = actions[mask] = _action(probs, mask)
+                if action is None:
+                    break  # collision or silence until the segment ends
+                lone, draws = action
+                winner = lone
+                if draws:
+                    for t in range(t, end + 1):
+                        step = (t * _GOLDEN) & _MASK64
+                        winner = lone
+                        for i, threshold in draws:
+                            z = keys[i] ^ step  # _mix64, inlined
+                            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                            if z ^ (z >> 31) < threshold:
+                                if winner is not None:
+                                    break  # collision: the other draws cannot matter
+                                winner = i
+                        else:
+                            if winner is not None:
+                                break
+                    else:
+                        break  # no success before the segment ends
+                latency[winner] = t
+                mask ^= 1 << winner
+                t += 1
+                if not mask:
+                    break
+            if not mask:
+                break
+        outcomes.append(TrialOutcome(latency=tuple(latency), slots_run=t - 1 if not mask else cap))
+    return outcomes
 
 
 def _quantile(sorted_values: list, q: float) -> float:

@@ -202,6 +202,16 @@ def test_negative_kmax_is_one_line_error(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_schedule_past_the_integer_print_limit_is_one_line_error(tmp_path, capsys, output_format):
+    path = tmp_path / "schedule.out"
+    argv = ["schedule", "--c", "2", "--k", "15000", "--output-format", output_format, "--output-path", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and not path.exists()
+    assert err.startswith("error: schedule entry s_14283 has more than 4300 digits")
+    assert err.count("\n") == 1
+
+
 def test_parse_failure_exit_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # --config required

@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contention.analysis import persistent_distribution, solve_expectations
+from contention import engine
 from contention.engine import (
     GameConfig,
     attempt_uniform,
-    draw_key,
     empirical_distribution,
-    keyed_uniform,
     monte_carlo,
     outcomes_to_csv_rows,
     run_trial,
@@ -156,6 +155,18 @@ DIFFERENTIAL = {
     "age-based-p1": ((_age(C, 1.0), AB, AB), 3000),
     "single-player": ((AB,), 100),
     "censoring-cap": ((AB, AB, AB), 5),  # at most two successes by slot 5
+    "non-dyadic": ((_age(C, 0.3), _age(C, 0.3), ConstantProb(q=1 / 3)), 10**5),
+    "six-player-mixed": (
+        (
+            _age("6/5", 0.75),
+            _age(C, 0.3),
+            _age("3/2", 0.5),
+            ConstantProb(q=1 / 3),
+            Deadline(t0=40, pre=ConstantProb(q=0.3)),
+            Deadline(t0=120, pre=_age(C, 0.75)),
+        ),
+        300,  # most trials lock in collisions; the oracle draws slot by slot to the cap
+    ),
 }
 
 
@@ -181,7 +192,7 @@ _SPEC = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    profile=st.lists(_SPEC, min_size=1, max_size=4),
+    profile=st.lists(_SPEC, min_size=1, max_size=6),
     seed=st.integers(min_value=0, max_value=2**64),
     slot_cap=st.integers(min_value=1, max_value=400),
     trials=st.integers(min_value=1, max_value=12),
@@ -192,7 +203,7 @@ def test_run_trials_matches_run_trial_on_random_profiles(profile, seed, slot_cap
 
 
 def _four_mix_uniform(seed, trial_index, player, slot):
-    # the unsplit hash: seed, trial, player and slot mixed in one after another
+    # the hash written out: seed, trial, player and slot mixed in one after another
     mask, golden = (1 << 64) - 1, 0x9E3779B97F4A7C15
 
     def mix(z):
@@ -211,10 +222,40 @@ def test_split_key_reproduces_attempt_uniform():
     cases = [(7, 0, 0, 2), (7, 3999, 2, 13), (2**64 + 5, 10**6, 1, 10**6), (-1, 1, 2, 3)]
     cases += [(s, t, p, slot) for s in (0, 31) for t in (0, 5) for p in range(3) for slot in (1, 2, 77)]
     for seed, trial, player, slot in cases:
-        expected = _four_mix_uniform(seed, trial, player, slot)
-        assert keyed_uniform(draw_key(seed, trial, player), slot) == expected
-        assert attempt_uniform(seed, trial, player, slot) == expected
-    # values recorded before the split
+        assert attempt_uniform(seed, trial, player, slot) == _four_mix_uniform(seed, trial, player, slot)
+    # values recorded before the hash was split into per-player keys
     assert [attempt_uniform(*case) for case in cases[:4]] == [
         0.5297901411194159, 0.5632193649605226, 0.3435247918539034, 0.2884533026485421,
     ]
+
+
+@pytest.mark.parametrize("p", [0.0, 2.0**-1074, 0.3, 0.5, 0.75, 1 - 2.0**-53, 1.0])
+def test_threshold_matches_float_draw(p):
+    threshold = engine._threshold(p)
+    for z in (threshold - 1, threshold, threshold + 1):
+        if 0 <= z < 2**64:
+            assert (z < threshold) == ((z >> 11) * 2.0**-53 < p)
+
+
+def test_twenty_players_fill_only_the_masks_they_visit(monkeypatch):
+    config = GameConfig(n=20, profile=(ConstantProb(q=0.05),) * 20, seed=3, slot_cap=10**4)
+    filled = []
+
+    def counted(probs, mask):
+        filled.append(mask)
+        return action(probs, mask)
+
+    action = engine._action
+    monkeypatch.setattr(engine, "_action", counted)
+    outcomes = run_trials(config, 4)
+    assert outcomes == [run_trial(config, idx) for idx in range(4)]
+    # one constant segment: the masks visited are the pending sets between successes
+    visited = set()
+    for out in outcomes:
+        mask = (1 << 20) - 1
+        visited.add(mask)
+        for _, player in sorted((lat, i) for i, lat in enumerate(out.latency) if lat is not None):
+            mask ^= 1 << player
+            visited.add(mask)
+    assert len(filled) == len(set(filled))
+    assert set(filled) <= visited
