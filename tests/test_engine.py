@@ -239,13 +239,12 @@ def test_threshold_matches_float_draw(p):
 
 def test_twenty_players_fill_only_the_masks_they_visit(monkeypatch):
     config = GameConfig(n=20, profile=(ConstantProb(q=0.05),) * 20, seed=3, slot_cap=10**4)
-    filled = []
+    action, filled = engine._action, []
 
     def counted(probs, mask):
         filled.append(mask)
         return action(probs, mask)
 
-    action = engine._action
     monkeypatch.setattr(engine, "_action", counted)
     outcomes = run_trials(config, 4)
     assert outcomes == [run_trial(config, idx) for idx in range(4)]
