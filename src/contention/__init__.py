@@ -13,8 +13,6 @@ from .engine import (
     GameConfig,
     LatencyStats,
     TrialOutcome,
-    empirical_distribution,
-    monte_carlo,
     run_trial,
     run_trials,
 )

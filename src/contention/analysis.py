@@ -18,7 +18,7 @@ Notation used throughout (per-round non-departure probabilities when
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .schedule import Schedule, format_rational
@@ -33,6 +33,22 @@ def _check_cp(c, p) -> tuple:
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
     return c, p
+
+
+def _log2(x: Fraction) -> float:
+    return math.log2(x.numerator) - math.log2(x.denominator)  # no float overflow
+
+
+def _bound_float(name: str, index: int, log2_lower: float, exact) -> float:
+    """float(exact()), or a ValueError naming the bound when it overflows.
+    exact() and its powers are not built when log2_lower, a lower bound on
+    log2 of the value up to rounding, already puts it past the float range."""
+    if log2_lower <= 1025:
+        try:
+            return float(exact())
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} at index {index} is too large for a float")
 
 
 def _geom_sum(r: Fraction, n: int) -> Fraction:
@@ -143,8 +159,8 @@ def y1_upper(c, p, k: int) -> float:
     c, p = _series_params(c, p)
     if k < 0:
         raise ValueError("k must be >= 0")
-    value = 2 * c * p / ((c - 1) * (1 - c * (1 - p))) * (c / (1 - p)) ** k
-    return float(value)
+    head, ratio = 2 * c * p / ((c - 1) * (1 - c * (1 - p))), c / (1 - p)
+    return _bound_float("y1_upper", k, _log2(head) + k * _log2(ratio), lambda: head * ratio**k)
 
 
 def min_truncation_k1(c, p) -> int:
@@ -170,13 +186,18 @@ def delta_bound(c, p, k1_prime: int) -> float:
     if k1_prime < 1:
         raise ValueError("truncation index must be >= 1")
     delta = derive_constants(p).delta
-    denom = 1 - delta**k1_prime * c ** (k1_prime - 1) * (c + 1)
-    if denom <= 0:
-        raise ValueError(f"truncation {k1_prime} too small: contraction factor {1 - denom} >= 1")
-    numer = 2 * _geom_sum(delta * c, k1_prime) + (
-        2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p)))
-    ) * _geom_sum(delta * c / (1 - p), k1_prime)
-    return float(numer / denom)
+    head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), delta * c / (1 - p)
+
+    def exact():
+        denom = 1 - delta**k1_prime * c ** (k1_prime - 1) * (c + 1)
+        if denom <= 0:
+            raise ValueError(f"truncation {k1_prime} too small: contraction factor {1 - denom} >= 1")
+        return (2 * _geom_sum(delta * c, k1_prime) + head * _geom_sum(ratio, k1_prime)) / denom
+
+    # a factor below 1/2 puts denom in (1/2, 1): the value is >= head * ratio^(k1'-1)
+    log2_factor = k1_prime * _log2(delta) + (k1_prime - 1) * _log2(c) + _log2(c + 1)
+    lower = _log2(head) + (k1_prime - 1) * _log2(ratio) if log2_factor < -1 else 0.0
+    return _bound_float("delta_bound", k1_prime, lower, exact)
 
 
 def y30_upper(c, p, k1_prime: int) -> float:
@@ -191,7 +212,7 @@ def y30_upper(c, p, k1_prime: int) -> float:
         raise ValueError(f"beta*c = {beta * c} >= 1: bound diverges")
     bound2 = Fraction(delta_bound(c, p, k1_prime))
     value = (2 + 2 * p * (1 - p) ** 2 * (c + 1) * bound2) / (1 - beta * c)
-    return float(value)
+    return _bound_float("y30_upper", k1_prime, 0.0, lambda: value)
 
 
 @dataclass(frozen=True)
@@ -243,8 +264,6 @@ SEMANTICS = ("literal", "paper-series")
 class ExpectationInterval:
     lower: float
     upper: float
-    truncation_K: int
-    semantics: str
 
     @property
     def width(self) -> float:
@@ -270,10 +289,14 @@ class ExpectationTable:
             "p": float(self.p),
             "semantics": self.semantics,
             "truncation_K": self.truncation_K,
-            "y1": [asdict(iv) for iv in self.y1],
-            "y2": [asdict(iv) for iv in self.y2],
-            "y3": [asdict(iv) for iv in self.y3],
+            "y1": self._rows(self.y1),
+            "y2": self._rows(self.y2),
+            "y3": self._rows(self.y3),
         }
+
+    def _rows(self, intervals: list) -> list:
+        table = {"truncation_K": self.truncation_K, "semantics": self.semantics}
+        return [{"lower": iv.lower, "upper": iv.upper, **table} for iv in intervals]
 
 
 def _lone_series_numerators(sched: Schedule, c: Fraction, p: Fraction, K: int, terms: int = 80) -> tuple:
@@ -371,8 +394,8 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     a3, beta = 2 * pn * qn**2, pd3 - 3 * pn * qn**2
     e2: list = [None] * (K + 1)
     e3: list = [None] * (K + 1)
-    e2[K] = (n2[0] / d2, n2[1] / d2)
-    e3[K] = (n3[0] / d3, n3[1] / d3)
+    e2[K] = ExpectationInterval(n2[0] / d2, n2[1] / d2)
+    e3[K] = ExpectationInterval(n3[0] / d3, n3[1] / d3)
     for i in range(K - 1, -1, -1):
         # over the new denominators pd^2 d2 and pd^3 d3, reading
         # E[Y_1,i+1] and E[Y_2,i+1] before E[Y_2,i] replaces the latter
@@ -386,20 +409,11 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         )
         scale21 *= pd2
         scale32 *= pd
-        e2[i] = (n2[0] / d2, n2[1] / d2)
-        e3[i] = (n3[0] / d3, n3[1] / d3)
+        e2[i] = ExpectationInterval(n2[0] / d2, n2[1] / d2)
+        e3[i] = ExpectationInterval(n3[0] / d3, n3[1] / d3)
 
-    def pack(rows):
-        return [
-            ExpectationInterval(lower=lo, upper=hi, truncation_K=K, semantics=semantics)
-            for lo, hi in rows
-        ]
-
-    e1 = [(lo / d1, hi / d1) for lo, hi in n1]
-    return ExpectationTable(
-        c=c, p=p, semantics=semantics, truncation_K=K,
-        y1=pack(e1), y2=pack(e2), y3=pack(e3),
-    )
+    e1 = [ExpectationInterval(lo / d1, hi / d1) for lo, hi in n1]
+    return ExpectationTable(c=c, p=p, semantics=semantics, truncation_K=K, y1=e1, y2=e2, y3=e3)
 
 
 # --- persistent deviator ------------------------------------------------------

@@ -29,14 +29,17 @@ ceil(p * 2^53) << 11, which is exact for every float or rational p.
 
 `run_trial` plays one trial straight from the rules, querying them anew
 at every slot it visits; it is kept as the independent oracle that
-`run_trials` is tested against.
+`run_trials` is tested against.  While two pending players transmit with
+probability 1, or none can transmit, no draw can change the outcome, so
+it skips to the next slot where a pending player's rule can change.  The
+library simulates through `run_trials` alone; `summarize` and
+`outcomes_to_csv_rows` read its outcomes.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,16 +111,8 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
     t = 1
     while pending and t <= cap:
         probs = [decision_probability(profile[i], t) for i in pending]
-        if all(pr == 0.0 or pr == 1.0 for pr in probs):
-            ones = sum(1 for pr in probs if pr == 1.0)
-            if ones == 1:
-                # forced success, no draws needed
-                winner = pending[probs.index(1.0)]
-                latency[winner] = t
-                pending.remove(winner)
-                t += 1
-                continue
-            # forced collision or idle: repeat until some rule can change
+        if probs.count(1.0) > 1 or not any(probs):
+            # a collision or silence whatever is drawn: skip until some rule can change
             nxt = cap + 1
             for i in pending:
                 change = next_prob_change(profile[i], t)
@@ -125,25 +120,17 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
                     nxt = change
             t = nxt
             continue
-        transmitters = []
-        for i, pr in zip(pending, probs):
-            if pr == 1.0:
-                hit = True
-            elif pr == 0.0:
-                hit = False
-            else:
-                hit = attempt_uniform(seed, trial_index, i, t) < pr
-            if hit:
-                transmitters.append(i)
+        transmitters = [
+            i
+            for i, pr in zip(pending, probs)
+            if pr == 1.0 or (pr > 0.0 and attempt_uniform(seed, trial_index, i, t) < pr)
+        ]
         if len(transmitters) == 1:
             winner = transmitters[0]
             latency[winner] = t
             pending.remove(winner)
         t += 1
-    return TrialOutcome(
-        latency=tuple(latency),
-        slots_run=min(t - 1, cap),
-    )
+    return TrialOutcome(latency=tuple(latency), slots_run=min(t - 1, cap))
 
 
 def _segments(config: GameConfig):
@@ -284,29 +271,6 @@ def summarize(outcomes: list[TrialOutcome], focus_player: int, slot_cap: int) ->
         censored_count=censored_count,
         ci95_halfwidth=1.96 * sd / math.sqrt(trials),
     )
-
-
-def monte_carlo(config: GameConfig, trials: int, focus_player: int = 0) -> LatencyStats:
-    """Monte Carlo latency estimate for one player.
-
-    Bit-identical for fixed (config, trials, focus_player): outcomes are
-    aggregated in trial-index order.
-    """
-    outcomes = run_trials(config, trials)
-    return summarize(outcomes, focus_player, config.slot_cap)
-
-
-def empirical_distribution(config: GameConfig, trials: int, focus_player: int = 0) -> dict[int, float]:
-    """Empirical latency pmf for one player, normalized by total trials.
-
-    Censored trials contribute no support point, so the frequencies sum
-    to (trials - censored) / trials.
-    """
-    outcomes = run_trials(config, trials)
-    counts = Counter(
-        out.latency[focus_player] for out in outcomes if out.latency[focus_player] is not None
-    )
-    return {lat: cnt / trials for lat, cnt in sorted(counts.items())}
 
 
 def outcomes_to_csv_rows(outcomes: list[TrialOutcome]):

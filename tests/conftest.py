@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from contention import AgeBased, Deadline, GameConfig, Schedule, monte_carlo, run_trials
+from contention import AgeBased, Deadline, GameConfig, Schedule, run_trials
+from contention.engine import summarize
 
 C = Fraction(11, 10)
 P = 0.75
@@ -30,7 +31,7 @@ def deviator_config(age_based):
 def all_p_run(all_p_config):
     """10^5-trial all-protocol run: (stats, elapsed seconds)."""
     start = time.perf_counter()
-    stats = monte_carlo(all_p_config, 100_000, focus_player=0)
+    stats = summarize(run_trials(all_p_config, 100_000), 0, all_p_config.slot_cap)
     return stats, time.perf_counter() - start
 
 

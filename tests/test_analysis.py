@@ -118,6 +118,26 @@ def test_delta_bound_too_small_truncation():
         delta_bound(C, P, 1)
 
 
+@pytest.mark.parametrize("k1", [700, 100_000])
+def test_delta_bound_past_the_float_range_is_named(k1):
+    with pytest.raises(ValueError, match=f"delta_bound at index {k1} is too large for a float"):
+        delta_bound(C, P, k1)
+
+
+def test_y1_and_y30_upper_past_the_float_range_are_named():
+    with pytest.raises(ValueError, match="y1_upper at index 2000 is too large for a float"):
+        y1_upper(C, P, 2000)
+    # delta_bound still fits at k1' = 699; the bound built on it does not
+    with pytest.raises(ValueError, match="y30_upper at index 699 is too large for a float"):
+        y30_upper(C, P, 699)
+
+
+def test_bounds_near_the_float_range_keep_their_exact_value():
+    assert delta_bound(C, P, 600) == 4.26754525888928e264
+    assert y30_upper(C, P, 698) == 1.7421463357065432e308
+    assert y1_upper(C, P, 476) == float(Fraction(660, 29) * Fraction(22, 5) ** 476)  # the last k that fits
+
+
 def test_delta_bound_larger_truncation_regression():
     # larger truncation tightens the bound; value frozen from exact evaluation
     assert delta_bound(C, P, 3) == pytest.approx(570.8645304357467, rel=1e-12)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,14 @@ from contention.analysis import persistent_distribution, solve_expectations
 from contention import engine
 from contention.engine import (
     GameConfig,
+    TrialOutcome,
     attempt_uniform,
-    empirical_distribution,
-    monte_carlo,
     outcomes_to_csv_rows,
     run_trial,
     run_trials,
     summarize,
 )
-from contention.protocols import AgeBased, ConstantProb, Deadline
+from contention.protocols import AgeBased, ConstantProb, Deadline, decision_probability
 from contention.schedule import Schedule
 
 C = Fraction(11, 10)
@@ -54,7 +54,7 @@ def test_parallel_runs_bit_identical(age_based):
     config = GameConfig(n=3, profile=(age_based,) * 3, seed=31, slot_cap=10**5)
     backwards = [run_trial(config, idx) for idx in reversed(range(2000))]
     reordered = summarize(backwards[::-1], 1, config.slot_cap)
-    assert reordered == monte_carlo(config, 2000, focus_player=1)
+    assert reordered == summarize(run_trials(config, 2000), 1, config.slot_cap)
 
 
 def test_attempt_uniform_range_and_determinism():
@@ -67,24 +67,25 @@ def test_attempt_uniform_range_and_determinism():
 
 def test_deviator_only_succeeds_at_scheduled_slots(age_based):
     config = GameConfig(n=3, profile=(age_based, age_based, Deadline(t0=1)), seed=2, slot_cap=10**5)
-    emp = empirical_distribution(config, 5000, focus_player=2)
+    counts = Counter(out.latency[2] for out in run_trials(config, 5000))
+    counts.pop(None, None)  # a censored trial has no support point
     support = set(Schedule(C, 200).s)
-    assert set(emp) <= support
+    assert set(counts) <= support
     # first-slot success requires both others quiet: (1-p)^2 = 0.0625
-    assert emp[2] == pytest.approx(0.0625, abs=0.01)
+    assert counts[2] / 5000 == pytest.approx(0.0625, abs=0.01)
 
 
 def test_deviator_matches_exact_pmf_roughly(age_based):
     config = GameConfig(n=3, profile=(age_based, age_based, Deadline(t0=1)), seed=8, slot_cap=10**5)
-    emp = empirical_distribution(config, 20_000, focus_player=2)
+    counts = Counter(out.latency[2] for out in run_trials(config, 20_000))
     dist = persistent_distribution(C, 0.75, 9)
     for s_z, q in zip(dist.support, dist.pmf):
-        assert emp.get(s_z, 0.0) == pytest.approx(float(q), abs=0.012)
+        assert counts[s_z] / 20_000 == pytest.approx(float(q), abs=0.012)
 
 
 def test_all_p_mean_within_recurrence_enclosure(age_based):
     config = GameConfig(n=3, profile=(age_based,) * 3, seed=97, slot_cap=10**6)
-    stats = monte_carlo(config, 20_000)
+    stats = summarize(run_trials(config, 20_000), 0, config.slot_cap)
     interval = solve_expectations(C, 0.75, "literal", truncation_K=60).y3[0]
     se = stats.ci95_halfwidth / 1.96
     assert interval.contains(stats.mean, slack=3 * se)
@@ -99,7 +100,7 @@ def test_quiet_deadline_waits_then_wins_alone():
 
 def test_constant_prob_profile_runs():
     config = GameConfig(n=3, profile=(ConstantProb(q=1 / 3),) * 3, seed=17, slot_cap=10**5)
-    stats = monte_carlo(config, 5000)
+    stats = summarize(run_trials(config, 5000), 0, config.slot_cap)
     assert stats.censored_count == 0
     assert 1 < stats.mean < 50
 
@@ -116,7 +117,7 @@ def test_censoring_is_reported(age_based):
 
 def test_quantiles_monotone(age_based):
     config = GameConfig(n=3, profile=(age_based,) * 3, seed=64, slot_cap=10**5)
-    stats = monte_carlo(config, 2000)
+    stats = summarize(run_trials(config, 2000), 0, config.slot_cap)
     assert stats.median <= stats.q90 <= stats.q99
 
 
@@ -165,7 +166,7 @@ DIFFERENTIAL = {
             Deadline(t0=40, pre=ConstantProb(q=0.3)),
             Deadline(t0=120, pre=_age(C, 0.75)),
         ),
-        300,  # most trials lock in collisions; the oracle draws slot by slot to the cap
+        10**6,
     ),
 }
 
@@ -201,6 +202,38 @@ def test_run_trials_matches_run_trial_on_random_profiles(profile, seed, slot_cap
     config = GameConfig(n=len(profile), profile=tuple(profile), seed=seed, slot_cap=slot_cap)
     assert run_trials(config, trials) == [run_trial(config, idx) for idx in range(trials)]
 
+
+
+def _slot_by_slot(config, trial_index):
+    # run_trial without its skip rule: every slot from 1 to the cap, and a
+    # draw for every probability strictly between 0 and 1
+    pending, latency = list(range(config.n)), [None] * config.n
+    for t in range(1, config.slot_cap + 1):
+        transmitters = []
+        for i in pending:
+            pr = decision_probability(config.profile[i], t)
+            if pr == 1.0 or (0.0 < pr < 1.0 and attempt_uniform(config.seed, trial_index, i, t) < pr):
+                transmitters.append(i)
+        if len(transmitters) == 1:
+            latency[transmitters[0]] = t
+            pending.remove(transmitters[0])
+            if not pending:
+                return TrialOutcome(latency=tuple(latency), slots_run=t)
+    return TrialOutcome(latency=tuple(latency), slots_run=config.slot_cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    profile=st.lists(_SPEC, min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**64),
+    slot_cap=st.integers(min_value=1, max_value=400),
+    trials=st.integers(min_value=1, max_value=12),
+)
+def test_run_trial_matches_slot_by_slot_loop(profile, seed, slot_cap, trials):
+    config = GameConfig(n=len(profile), profile=tuple(profile), seed=seed, slot_cap=slot_cap)
+    assert [run_trial(config, idx) for idx in range(trials)] == [
+        _slot_by_slot(config, idx) for idx in range(trials)
+    ]
 
 def _four_mix_uniform(seed, trial_index, player, slot):
     # the hash written out: seed, trial, player and slot mixed in one after another
