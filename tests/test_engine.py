@@ -203,7 +203,6 @@ def test_run_trials_matches_run_trial_on_random_profiles(profile, seed, slot_cap
     assert run_trials(config, trials) == [run_trial(config, idx) for idx in range(trials)]
 
 
-
 def _slot_by_slot(config, trial_index):
     # run_trial without its skip rule: every slot from 1 to the cap, and a
     # draw for every probability strictly between 0 and 1
@@ -234,6 +233,7 @@ def test_run_trial_matches_slot_by_slot_loop(profile, seed, slot_cap, trials):
     assert [run_trial(config, idx) for idx in range(trials)] == [
         _slot_by_slot(config, idx) for idx in range(trials)
     ]
+
 
 def _four_mix_uniform(seed, trial_index, player, slot):
     # the hash written out: seed, trial, player and slot mixed in one after another
