@@ -83,14 +83,14 @@ def derive_constants(p) -> DerivedConstants:
 class FeasibilityReport:
     c: Fraction
     p: Fraction
-    thresholds: dict  # name -> Fraction (None when undefined)
+    thresholds: dict  # name -> Fraction
     finite_all_P: bool
     persistent_diverges: bool
     feasible: bool
 
     def to_json(self) -> dict:
         thr = {
-            name: None if val is None else {"exact": format_rational(val), "value": float(val)}
+            name: {"exact": format_rational(val), "value": float(val)}
             for name, val in self.thresholds.items()
         }
         return {
@@ -119,7 +119,6 @@ def feasibility(c, p) -> FeasibilityReport:
     inv_1mp = 1 / (1 - p)
     inv_delta = 1 / consts.delta
     inv_beta = 1 / consts.beta
-    persist_lb = None if consts.gamma == 0 else 1 / consts.gamma
     finite_all_P = 1 < c < min(inv_1mp, inv_delta, inv_beta, Fraction(2))
     persistent_diverges = consts.gamma * c > 1 and c <= 2
     return FeasibilityReport(
@@ -129,7 +128,7 @@ def feasibility(c, p) -> FeasibilityReport:
             "inv_1mp": inv_1mp,
             "inv_delta": inv_delta,
             "inv_beta": inv_beta,
-            "persist_lb": persist_lb,
+            "persist_lb": 1 / consts.gamma,
         },
         finite_all_P=finite_all_P,
         persistent_diverges=persistent_diverges,
@@ -186,12 +185,14 @@ def delta_bound(c, p, k1_prime: int) -> float:
     if k1_prime < 1:
         raise ValueError("truncation index must be >= 1")
     delta = derive_constants(p).delta
+    if delta * c >= 1:
+        raise ValueError(f"contraction rate {delta * c} >= 1: no finite truncation exists")
     head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), delta * c / (1 - p)
 
     def exact():
         denom = 1 - delta**k1_prime * c ** (k1_prime - 1) * (c + 1)
         if denom <= 0:
-            raise ValueError(f"truncation {k1_prime} too small: contraction factor {1 - denom} >= 1")
+            raise ValueError(f"truncation {k1_prime} too small: delta^k1' c^(k1'-1) (c+1) >= 1")
         return (2 * _geom_sum(delta * c, k1_prime) + head * _geom_sum(ratio, k1_prime)) / denom
 
     # a factor below 1/2 puts denom in (1/2, 1): the value is >= head * ratio^(k1'-1)
@@ -258,6 +259,7 @@ def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundRep
 # --- recurrence interval solver ----------------------------------------------
 
 SEMANTICS = ("literal", "paper-series")
+_LONE_TERMS = 80  # terms of the lone player's series that are summed exactly
 
 
 @dataclass(frozen=True)
@@ -299,14 +301,15 @@ class ExpectationTable:
         return [{"lower": iv.lower, "upper": iv.upper, **table} for iv in intervals]
 
 
-def _lone_series_numerators(sched: Schedule, c: Fraction, p: Fraction, K: int, terms: int = 80) -> tuple:
+def _lone_series_numerators(sched: Schedule, c: Fraction, p: Fraction, K: int) -> tuple:
     """Enclosures of the lone player's expected extra latency after the
     (k-1)-th scheduled slot, k = 0..K, under the reading where she departs
     only at scheduled slots: sum over ell >= k of (s_ell - s_{k-1}) p (1-p)^(ell-k),
-    truncated after `terms` terms with a geometric tail bound T c^k.
+    truncated after terms = _LONE_TERMS terms with a tail bound T c^k.
 
     Returns ([(lo_k, hi_k)], V): integer numerators over the one common
     denominator V = pd^(terms+1) * T.den * cd^K."""
+    terms = _LONE_TERMS
     sched.extend_to(K + terms)
     pn, pd = p.numerator, p.denominator
     cn, cd = c.numerator, c.denominator
@@ -485,9 +488,15 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         pmf.append(term)
         partials.append(Fraction(total, term.denominator))
         term *= gamma
-    # int / int rounds correctly, as float(Fraction) does
     gn, gd = gamma.numerator, gamma.denominator
-    ratios = [support[z + 1] * gn / (support[z] * gd) for z in range(z_max)]
+    ratios = []
+    try:
+        for z in range(z_max):
+            ratios.append(support[z + 1] * gn / (support[z] * gd))  # rounds as float(Fraction) does
+        growth_rate = float(c * gamma)
+    except OverflowError:
+        what = f"term ratio at z = {len(ratios)}" if len(ratios) < z_max else "growth rate c*gamma"
+        raise ValueError(f"{what} is too large for a float") from None
     expected_rounds = 1 / pmf[0]
     jensen_k = int(expected_rounds - 1)  # floor of E[Z]
     return PersistentDistribution(
@@ -498,7 +507,7 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         partial_expectations=partials,
         term_ratios=ratios,
         divergent=c * gamma > 1,
-        growth_rate=float(c * gamma),
+        growth_rate=growth_rate,
         expected_rounds=float(expected_rounds),
         jensen_lower=support[jensen_k] if jensen_k <= z_max else None,
     )

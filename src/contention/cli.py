@@ -120,13 +120,11 @@ SAMPLES_HEADER = ("trial_index", "player", "latency", "censored")
 def cmd_simulate(args):
     config = _load_config(args.config)
     if args.seed is not None:
-        config = engine.GameConfig(
-            n=config.n, profile=config.profile, seed=args.seed, slot_cap=config.slot_cap
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     if not 0 <= args.player < config.n:
         raise ValueError(f"--player {args.player} is not a player of this {config.n}-player config")
     outcomes = engine.run_trials(config, args.trials)
-    stats = engine.summarize(outcomes, args.player, config.slot_cap)
+    stats = engine.summarize(outcomes, args.player)
     if args.samples_path:
         _emit(args.samples_path, (SAMPLES_HEADER, engine.outcomes_to_csv_rows(outcomes)))
     if args.output_format == "csv":

@@ -7,9 +7,10 @@ a slot cap because some profiles (a persistent deviator against the
 age-based protocol) have infinite expected latency.
 
 Every rule is a function of the slot alone, so `run_trials` shares one
-probability timeline among its trials: segments (start, end, probs) of
-slots over which every player's probability is constant.  The timeline
-is built on demand, only as far as the trials reach.  A trial carries
+probability timeline among its trials: a list of segments (end, probs,
+actions), each a run of slots over which every player's probability is
+constant.  The first trial to reach a segment's first slot builds it, so
+the timeline reaches only as far as the trials do.  A trial carries
 its pending set as a bitmask, and each segment keeps a table of actions
 keyed by that mask, filled the first time a trial reaches the mask.  An
 action is None when the segment is a collision or silence to its end
@@ -31,9 +32,12 @@ ceil(p * 2^53) << 11, which is exact for every float or rational p.
 at every slot it visits; it is kept as the independent oracle that
 `run_trials` is tested against.  While two pending players transmit with
 probability 1, or none can transmit, no draw can change the outcome, so
-it skips to the next slot where a pending player's rule can change.  The
-library simulates through `run_trials` alone; `summarize` and
-`outcomes_to_csv_rows` read its outcomes.
+it skips to the next slot where a pending player's rule can change.  Both
+leave a trial's slot counter one past its last slot, so slots_run is
+the slot cap for a censored trial.  The library simulates through
+`run_trials` alone; `summarize(outcomes, player)`, which counts a
+censored trial at its slots_run, and `outcomes_to_csv_rows` read its
+outcomes.
 """
 
 from __future__ import annotations
@@ -130,35 +134,20 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
             latency[winner] = t
             pending.remove(winner)
         t += 1
-    return TrialOutcome(latency=tuple(latency), slots_run=min(t - 1, cap))
+    return TrialOutcome(latency=tuple(latency), slots_run=t - 1)
 
 
-def _segments(config: GameConfig):
-    """Yield the config's probability timeline in slot order: segments
-    (start, end, probs) covering slots 1..slot_cap, where probs[i] is
-    player i's transmission probability at every slot from start to end."""
-    profile, cap = config.profile, config.slot_cap
-    t = 1
-    while t <= cap:
-        probs = tuple(decision_probability(spec, t) for spec in profile)
-        end = cap
-        for spec in profile:
-            change = next_prob_change(spec, t)
-            if change is not None and change <= end:
-                end = change - 1
-        yield t, end, probs
-        t = end + 1
-
-
-def _replay(built: list, rest):
-    """Iterate a timeline built on demand: the segments in built, then
-    those from rest, which are kept in built for the next trial.  rest
-    is read with a for loop, not `yield from`, so abandoning this walk
-    does not close it."""
-    yield from built
-    for segment in rest:
-        built.append(segment)
-        yield segment
+def _segment(profile: tuple, t: int, cap: int) -> tuple:
+    """The timeline segment that starts at slot t: (end, probs, actions),
+    where probs[i] is player i's transmission probability at every slot
+    from t to end, and actions starts as an empty table."""
+    probs = tuple(decision_probability(spec, t) for spec in profile)
+    end = cap
+    for spec in profile:
+        change = next_prob_change(spec, t)
+        if change is not None and change <= end:
+            end = change - 1
+    return end, probs, {}
 
 
 def _threshold(p) -> int:
@@ -190,10 +179,9 @@ def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
     `run_trial(config, trial_index)`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # Trials that end early never make the timeline reach the slot cap.
-    built = []
-    rest = ((start, end, probs, {}) for start, end, probs in _segments(config))
-    n, cap = config.n, config.slot_cap
+    n, profile, cap = config.n, config.profile, config.slot_cap
+    timeline = [_segment(profile, 1, cap)]  # every trial reaches slot 1
+    last_end = timeline[0][0]
     seed_key = _mix64(config.seed)
     outcomes = []
     for idx in range(trials):
@@ -201,15 +189,15 @@ def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
         keys = [_mix64(trial_key ^ ((i * _GOLDEN) & _MASK64)) for i in range(n)]
         latency = [None] * n
         mask = (1 << n) - 1
-        for start, end, probs, actions in _replay(built, rest):
-            t = start
+        t = 1
+        for end, probs, actions in timeline:  # also visits segments appended below
             while t <= end:
                 try:
                     action = actions[mask]
                 except KeyError:
                     action = actions[mask] = _action(probs, mask)
                 if action is None:
-                    break  # collision or silence until the segment ends
+                    break  # collision or silence (or nobody left) until the segment ends
                 lone, draws = action
                 winner = lone
                 if draws:
@@ -232,11 +220,13 @@ def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
                 latency[winner] = t
                 mask ^= 1 << winner
                 t += 1
-                if not mask:
-                    break
             if not mask:
                 break
-        outcomes.append(TrialOutcome(latency=tuple(latency), slots_run=t - 1 if not mask else cap))
+            t = end + 1
+            if end == last_end and t <= cap:  # the first trial to reach slot t builds its segment
+                timeline.append(_segment(profile, t, cap))
+                last_end = timeline[-1][0]
+        outcomes.append(TrialOutcome(latency=tuple(latency), slots_run=t - 1))
     return outcomes
 
 
@@ -245,17 +235,17 @@ def _quantile(sorted_values: list, q: float) -> float:
     return float(sorted_values[idx])
 
 
-def summarize(outcomes: list[TrialOutcome], focus_player: int, slot_cap: int) -> LatencyStats:
-    """Aggregate one player's latencies; censored trials count at the cap,
-    so the mean is a lower bound on the true mean whenever censoring
-    occurred."""
+def summarize(outcomes: list[TrialOutcome], focus_player: int) -> LatencyStats:
+    """Aggregate one player's latencies; a censored trial counts at its
+    slots_run, which is the slot cap, so the mean is a lower bound on the
+    true mean whenever censoring occurred."""
     values = []
     censored_count = 0
     for out in outcomes:
         lat = out.latency[focus_player]
         if lat is None:
             censored_count += 1
-            values.append(slot_cap)
+            values.append(out.slots_run)
         else:
             values.append(lat)
     trials = len(values)

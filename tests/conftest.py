@@ -31,7 +31,7 @@ def deviator_config(age_based):
 def all_p_run(all_p_config):
     """10^5-trial all-protocol run: (stats, elapsed seconds)."""
     start = time.perf_counter()
-    stats = summarize(run_trials(all_p_config, 100_000), 0, all_p_config.slot_cap)
+    stats = summarize(run_trials(all_p_config, 100_000), 0)
     return stats, time.perf_counter() - start
 
 

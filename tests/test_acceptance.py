@@ -153,6 +153,6 @@ def test_criterion_10_thread_count_determinism(all_p_config, all_p_run):
     outcomes = []
     for start in reversed(range(0, 100_000, chunk)):
         outcomes[:0] = [run_trial(all_p_config, idx) for idx in range(start, start + chunk)]
-    stats_reordered = summarize(outcomes, 0, all_p_config.slot_cap)
+    stats_reordered = summarize(outcomes, 0)
     assert stats_reordered == stats_in_order
     print("\nPASS criterion 10: LatencyStats bit-identical with chunks run last-to-first")

@@ -118,6 +118,14 @@ def test_delta_bound_too_small_truncation():
         delta_bound(C, P, 1)
 
 
+@pytest.mark.parametrize("k1", [2, 2700])
+def test_delta_bound_without_contraction_names_the_reason(k1):
+    # delta*c = 41/10 at (5, 9/10); at k1' = 2700 the exact factor once
+    # passed Python's limit for printing an integer
+    with pytest.raises(ValueError, match="no finite truncation"):
+        delta_bound(5, Fraction(9, 10), k1)
+
+
 @pytest.mark.parametrize("k1", [700, 100_000])
 def test_delta_bound_past_the_float_range_is_named(k1):
     with pytest.raises(ValueError, match=f"delta_bound at index {k1} is too large for a float"):

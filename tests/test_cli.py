@@ -179,6 +179,13 @@ def test_c_outside_the_protocol_domain_is_one_line_error(capsys, c, reason):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("zmax, what", [("3", "term ratio at z = 0"), ("0", "growth rate c*gamma")])
+def test_persistent_law_past_the_float_range_is_one_line_error(capsys, zmax, what):
+    code, out, err = run_cli(capsys, "analyze", "--persistent", "--c", "1e400", "--zmax", zmax)
+    assert code == 1 and out == ""
+    assert err == f"error: {what} is too large for a float\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["feasibility"], ["bounds"], ["compare-deadline", "--t0", "5"]]
 )

@@ -53,8 +53,8 @@ def test_parallel_runs_bit_identical(age_based):
     # draws depend on (seed, trial, player, slot) only, not on trial order
     config = GameConfig(n=3, profile=(age_based,) * 3, seed=31, slot_cap=10**5)
     backwards = [run_trial(config, idx) for idx in reversed(range(2000))]
-    reordered = summarize(backwards[::-1], 1, config.slot_cap)
-    assert reordered == summarize(run_trials(config, 2000), 1, config.slot_cap)
+    reordered = summarize(backwards[::-1], 1)
+    assert reordered == summarize(run_trials(config, 2000), 1)
 
 
 def test_attempt_uniform_range_and_determinism():
@@ -85,7 +85,7 @@ def test_deviator_matches_exact_pmf_roughly(age_based):
 
 def test_all_p_mean_within_recurrence_enclosure(age_based):
     config = GameConfig(n=3, profile=(age_based,) * 3, seed=97, slot_cap=10**6)
-    stats = summarize(run_trials(config, 20_000), 0, config.slot_cap)
+    stats = summarize(run_trials(config, 20_000), 0)
     interval = solve_expectations(C, 0.75, "literal", truncation_K=60).y3[0]
     se = stats.ci95_halfwidth / 1.96
     assert interval.contains(stats.mean, slack=3 * se)
@@ -100,7 +100,7 @@ def test_quiet_deadline_waits_then_wins_alone():
 
 def test_constant_prob_profile_runs():
     config = GameConfig(n=3, profile=(ConstantProb(q=1 / 3),) * 3, seed=17, slot_cap=10**5)
-    stats = summarize(run_trials(config, 5000), 0, config.slot_cap)
+    stats = summarize(run_trials(config, 5000), 0)
     assert stats.censored_count == 0
     assert 1 < stats.mean < 50
 
@@ -108,16 +108,20 @@ def test_constant_prob_profile_runs():
 def test_censoring_is_reported(age_based):
     config = GameConfig(n=3, profile=(age_based,) * 3, seed=4, slot_cap=3)
     outcomes = run_trials(config, 50)
-    stats = summarize(outcomes, 0, config.slot_cap)
+    stats = summarize(outcomes, 0)
     assert stats.censored_count > 0
     assert all(
         (out.latency[0] is None) == out.censored[0] and out.slots_run <= 3 for out in outcomes
     )
+    # summarize counts a censored trial at its slots_run, which must be the cap
+    for out in outcomes + [run_trial(config, idx) for idx in range(50)]:
+        if any(out.censored):
+            assert out.slots_run == config.slot_cap
 
 
 def test_quantiles_monotone(age_based):
     config = GameConfig(n=3, profile=(age_based,) * 3, seed=64, slot_cap=10**5)
-    stats = summarize(run_trials(config, 2000), 0, config.slot_cap)
+    stats = summarize(run_trials(config, 2000), 0)
     assert stats.median <= stats.q90 <= stats.q99
 
 
@@ -268,6 +272,20 @@ def test_threshold_matches_float_draw(p):
     for z in (threshold - 1, threshold, threshold + 1):
         if 0 <= z < 2**64:
             assert (z < threshold) == ((z >> 11) * 2.0**-53 < p)
+
+
+def test_timeline_reaches_only_as_far_as_the_trials(monkeypatch):
+    config = GameConfig(n=3, profile=(AB,) * 3, seed=5, slot_cap=10**6)
+    queried = []
+
+    def recorded(spec, t):
+        queried.append(t)
+        return decision_probability(spec, t)
+
+    monkeypatch.setattr(engine, "decision_probability", recorded)
+    outcomes = run_trials(config, 200)
+    assert not any(any(out.censored) for out in outcomes)
+    assert queried and max(queried) <= max(out.slots_run for out in outcomes)
 
 
 def test_twenty_players_fill_only_the_masks_they_visit(monkeypatch):
