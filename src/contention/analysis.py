@@ -177,6 +177,21 @@ def min_truncation_k1(c, p) -> int:
     return k
 
 
+def _delta_series(c: Fraction, p: Fraction) -> tuple:
+    """(delta, head, ratio) of delta_bound's series, for (c, p) already checked."""
+    delta = derive_constants(p).delta
+    return delta, 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), delta * c / (1 - p)
+
+
+def _delta_exact(c: Fraction, p: Fraction, k1_prime: int) -> Fraction:
+    """delta_bound's exact value, for (c, p) already checked."""
+    delta, head, ratio = _delta_series(c, p)
+    denom = 1 - delta**k1_prime * c ** (k1_prime - 1) * (c + 1)
+    if denom <= 0:
+        raise ValueError(f"truncation {k1_prime} too small: delta^k1' c^(k1'-1) (c+1) >= 1")
+    return (2 * _geom_sum(delta * c, k1_prime) + head * _geom_sum(ratio, k1_prime)) / denom
+
+
 def delta_bound(c, p, k1_prime: int) -> float:
     """Truncated-recurrence upper bound on the 2-pending expected extra
     latency (the quotient with denominator 1 - delta^k1' c^(k1'-1) (c+1)).
@@ -184,21 +199,20 @@ def delta_bound(c, p, k1_prime: int) -> float:
     c, p = _series_params(c, p)
     if k1_prime < 1:
         raise ValueError("truncation index must be >= 1")
-    delta = derive_constants(p).delta
+    delta, head, ratio = _delta_series(c, p)
     if delta * c >= 1:
         raise ValueError(f"contraction rate {delta * c} >= 1: no finite truncation exists")
-    head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), delta * c / (1 - p)
-
-    def exact():
-        denom = 1 - delta**k1_prime * c ** (k1_prime - 1) * (c + 1)
-        if denom <= 0:
-            raise ValueError(f"truncation {k1_prime} too small: delta^k1' c^(k1'-1) (c+1) >= 1")
-        return (2 * _geom_sum(delta * c, k1_prime) + head * _geom_sum(ratio, k1_prime)) / denom
-
     # a factor below 1/2 puts denom in (1/2, 1): the value is >= head * ratio^(k1'-1)
     log2_factor = k1_prime * _log2(delta) + (k1_prime - 1) * _log2(c) + _log2(c + 1)
     lower = _log2(head) + (k1_prime - 1) * _log2(ratio) if log2_factor < -1 else 0.0
-    return _bound_float("delta_bound", k1_prime, lower, exact)
+    return _bound_float("delta_bound", k1_prime, lower, lambda: _delta_exact(c, p, k1_prime))
+
+
+def _y30_value(c: Fraction, p: Fraction, bound2: Fraction) -> Fraction:
+    """y30_upper's expression on a bound2 of the 2-pending latency, for
+    (c, p) already checked."""
+    beta = derive_constants(p).beta
+    return (2 + 2 * p * (1 - p) ** 2 * (c + 1) * bound2) / (1 - beta * c)
 
 
 def y30_upper(c, p, k1_prime: int) -> float:
@@ -211,8 +225,7 @@ def y30_upper(c, p, k1_prime: int) -> float:
     beta = derive_constants(p).beta
     if beta * c >= 1:
         raise ValueError(f"beta*c = {beta * c} >= 1: bound diverges")
-    bound2 = Fraction(delta_bound(c, p, k1_prime))
-    value = (2 + 2 * p * (1 - p) ** 2 * (c + 1) * bound2) / (1 - beta * c)
+    value = _y30_value(c, p, Fraction(delta_bound(c, p, k1_prime)))
     return _bound_float("y30_upper", k1_prime, 0.0, lambda: value)
 
 
@@ -259,7 +272,8 @@ def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundRep
 # --- recurrence interval solver ----------------------------------------------
 
 SEMANTICS = ("literal", "paper-series")
-_LONE_TERMS = 80  # terms of the lone player's series that are summed exactly
+_LONE_TERMS = 80  # steps of the lone player's recurrence run above K
+_BITS = 128  # the enclosures' fixed-point scale: units of 2^-_BITS
 
 
 @dataclass(frozen=True)
@@ -301,69 +315,70 @@ class ExpectationTable:
         return [{"lower": iv.lower, "upper": iv.upper, **table} for iv in intervals]
 
 
-def _lone_series_numerators(sched: Schedule, c: Fraction, p: Fraction, K: int) -> tuple:
-    """Enclosures of the lone player's expected extra latency after the
-    (k-1)-th scheduled slot, k = 0..K, under the reading where she departs
-    only at scheduled slots: sum over ell >= k of (s_ell - s_{k-1}) p (1-p)^(ell-k),
-    truncated after terms = _LONE_TERMS terms with a tail bound T c^k.
+def _fixed_up(value: Fraction) -> int:
+    """value in units of 2^-_BITS, rounded up."""
+    return -(-(value.numerator << _BITS) // value.denominator)
 
-    Returns ([(lo_k, hi_k)], V): integer numerators over the one common
-    denominator V = pd^(terms+1) * T.den * cd^K."""
-    terms = _LONE_TERMS
-    sched.extend_to(K + terms)
+
+def _step(x: int, den: int, *terms) -> tuple:
+    """The interval x + sum(w [lo, hi]) / den over the (w, (lo, hi)) terms,
+    all w >= 0, with the lower end rounded down and the upper end up."""
+    lo = sum(w * iv[0] for w, iv in terms)
+    hi = sum(w * iv[1] for w, iv in terms)
+    return x + lo // den, x - (-hi // den)
+
+
+def _float_outward(n: int, up: bool) -> float:
+    """n / 2^_BITS as a float rounded up or down: the nearest float,
+    stepped once when it lies on the wrong side."""
+    f = n / (1 << _BITS)
+    num, den = f.as_integer_ratio()
+    if (num << _BITS < n * den) if up else (num << _BITS > n * den):
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
+
+
+def _lone_series(sched: Schedule, c: Fraction, p: Fraction, K: int) -> list:
+    """Fixed-point enclosures of the lone player's expected extra latency
+    after the (k-1)-th scheduled slot, k = 0..K, when she departs only at
+    scheduled slots: E[Y_1,k] = sum over ell >= k of (s_ell - s_{k-1})
+    p (1-p)^(ell-k) = x_k + (1-p) E[Y_1,k+1].  The recurrence runs down
+    from k = K + _LONE_TERMS, seeded with [0, 2c^k / (1 - c(1-p))], which
+    holds because x_j <= 2c^j."""
+    top = K + _LONE_TERMS
+    sched.extend_to(top)
     pn, pd = p.numerator, p.denominator
-    cn, cd = c.numerator, c.denominator
-    qn = pd - pn
-    r = c * (1 - p)
-    # terms beyond the cutoff: (s_ell - s_prev) <= 2 c^(ell+1) / (c-1)
-    tail = (2 * p * c / (c - 1)) * r ** (terms + 1) / (1 - r)
-    # p (1-p)^i = pn qn^i pd^(terms-i) / pd^(terms+1), and
-    # c^k = cn^k cd^(K-k) / cd^K
-    common = tail.denominator * cd**K
-    partial_scale = pn * common
-    tail_scale = tail.numerator * pd ** (terms + 1)
-    weights = [qn**i * pd ** (terms - i) for i in range(terms + 1)]
-    weight_sum = sum(weights)
-    s = sched.s
-    power = cd**K  # cn^k cd^(K-k)
-    nums = []
-    for k in range(K + 1):
-        s_prev = s[k - 1] if k >= 1 else 0
-        dot = sum(s_ell * w for s_ell, w in zip(s[k : k + terms + 1], weights)) - s_prev * weight_sum
-        lo = dot * partial_scale
-        nums.append((lo, lo + tail_scale * power))
-        power = power // cd * cn
-    return nums, pd ** (terms + 1) * common
+    iv = (0, _fixed_up(2 * c**top / (1 - c * (1 - p))))
+    rows = []
+    for k in range(top - 1, -1, -1):
+        iv = _step(sched.x[k] << _BITS, pd, (pd - pn, iv))
+        rows.append(iv)
+    return rows[::-1][: K + 1]
 
 
 def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60) -> ExpectationTable:
     """Certified enclosures of the expected extra latencies E[Y_{n,k}]
     for n = 1, 2, 3 pending players and k = 0..truncation_K.
 
-    The tail at k = truncation_K is seeded with [0, closed-form bound
-    scaled by the geometric domination factor c^(K-1)(c+1)] and the
+    The tail at k = truncation_K is seeded with [0, exact closed-form
+    bound times the geometric domination factor c^(K-1)(c+1)], and the
     linear recurrences
 
         E[Y_2,i] = x_i + p(1-p)   E[Y_1,i+1] + delta E[Y_2,i+1]
         E[Y_3,i] = x_i + 2p(1-p)^2 E[Y_2,i+1] + beta  E[Y_3,i+1]
 
-    are propagated down to k = 0 in interval arithmetic (all
-    coefficients are nonnegative, so endpoints map to endpoints).
-
-    The recurrence runs in exact integers with no gcd reduction.  With
-    p = pn/pd and qn = pd - pn, the coefficients are a2 = pn qn / pd^2,
-    delta = (pd^2 - 2 pn qn) / pd^2, a3 = 2 pn qn^2 / pd^3 and
-    beta = (pd^3 - 3 pn qn^2) / pd^3, so every endpoint is an integer
-    numerator over a known denominator that each step multiplies by pd^2
-    (for E[Y_2]) or pd^3 (for E[Y_3]).  The seed denominators are chosen
-    so that E[Y_1]'s divides E[Y_2]'s, which divides E[Y_3]'s.  Each
-    endpoint is reported as num / den, which Python rounds correctly,
-    i.e. to the float nearest the exact value.
+    run down to k = 0 in interval arithmetic (all coefficients are
+    nonnegative, so endpoints map to endpoints).  Every endpoint is an
+    integer in units of 2^-128.  Each step applies the exact
+    coefficients, integers over pd^2 or pd^3 for p = pn/pd, and rounds
+    the lower endpoint down and the upper one up.  Endpoints are
+    reported as floats rounded outward, so each interval encloses the
+    exact recurrence.
 
     semantics "literal": a lone player succeeds at the next slot, where
     the protocol transmits with probability 1, so E[Y_1,k] = 1.
     semantics "paper-series": the lone player departs only at scheduled
-    slots, giving the dominating series enclosed by _lone_series_numerators.
+    slots, giving the dominating series enclosed by _lone_series.
     """
     c, p = _check_cp(c, p)
     if semantics not in SEMANTICS:
@@ -374,49 +389,28 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         raise ValueError("parameters outside the finite-latency region: the expectations diverge")
     K = truncation_K
     sched = Schedule(c, K)
-
-    if semantics == "literal":
-        n1, d1 = [(1, 1)] * (K + 1), 1
-    else:
-        n1, d1 = _lone_series_numerators(sched, c, p, K)
-
-    k1 = min_truncation_k1(c, p)
+    y1 = [(1 << _BITS,) * 2] * (K + 1) if semantics == "literal" else _lone_series(sched, c, p, K)
     grow = c ** (K - 1) * (c + 1)
-    seed2 = Fraction(delta_bound(c, p, k1)) * grow
-    seed3 = Fraction(y30_upper(c, p, k1)) * grow
-    d2 = math.lcm(d1, seed2.denominator)
-    d3 = math.lcm(d2, seed3.denominator)
-    n2 = (0, seed2.numerator * (d2 // seed2.denominator))
-    n3 = (0, seed3.numerator * (d3 // seed3.denominator))
-    scale21, scale32 = d2 // d1, d3 // d2
-
+    bound2 = _delta_exact(c, p, min_truncation_k1(c, p))
+    y2 = [(0, _fixed_up(bound2 * grow))]
+    y3 = [(0, _fixed_up(_y30_value(c, p, bound2) * grow))]
     pn, pd = p.numerator, p.denominator
     qn = pd - pn
     pd2, pd3 = pd**2, pd**3
     a2, delta = pn * qn, pd2 - 2 * pn * qn
     a3, beta = 2 * pn * qn**2, pd3 - 3 * pn * qn**2
-    e2: list = [None] * (K + 1)
-    e3: list = [None] * (K + 1)
-    e2[K] = ExpectationInterval(n2[0] / d2, n2[1] / d2)
-    e3[K] = ExpectationInterval(n3[0] / d3, n3[1] / d3)
     for i in range(K - 1, -1, -1):
-        # over the new denominators pd^2 d2 and pd^3 d3, reading
-        # E[Y_1,i+1] and E[Y_2,i+1] before E[Y_2,i] replaces the latter
-        d2 *= pd2
-        d3 *= pd3
-        x2, x3 = sched.x[i] * d2, sched.x[i] * d3
-        w1, w2 = a2 * scale21, a3 * scale32
-        n2, n3 = (
-            tuple(x2 + w1 * u + delta * v for u, v in zip(n1[i + 1], n2)),
-            tuple(x3 + w2 * u + beta * v for u, v in zip(n2, n3)),
-        )
-        scale21 *= pd2
-        scale32 *= pd
-        e2[i] = ExpectationInterval(n2[0] / d2, n2[1] / d2)
-        e3[i] = ExpectationInterval(n3[0] / d3, n3[1] / d3)
+        x = sched.x[i] << _BITS
+        y3.append(_step(x, pd3, (a3, y2[-1]), (beta, y3[-1])))
+        y2.append(_step(x, pd2, (a2, y1[i + 1]), (delta, y2[-1])))
 
-    e1 = [ExpectationInterval(lo / d1, hi / d1) for lo, hi in n1]
-    return ExpectationTable(c=c, p=p, semantics=semantics, truncation_K=K, y1=e1, y2=e2, y3=e3)
+    def intervals(rows):
+        return [ExpectationInterval(_float_outward(lo, False), _float_outward(hi, True)) for lo, hi in rows]
+
+    return ExpectationTable(
+        c=c, p=p, semantics=semantics, truncation_K=K,
+        y1=intervals(y1), y2=intervals(y2[::-1]), y3=intervals(y3[::-1]),
+    )
 
 
 # --- persistent deviator ------------------------------------------------------
@@ -489,16 +483,17 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         partials.append(Fraction(total, term.denominator))
         term *= gamma
     gn, gd = gamma.numerator, gamma.denominator
-    ratios = []
+    ratios, what = [], "term ratio at z = {}"
     try:
         for z in range(z_max):
             ratios.append(support[z + 1] * gn / (support[z] * gd))  # rounds as float(Fraction) does
+        what = "growth rate c*gamma"
         growth_rate = float(c * gamma)
+        what = "expected rounds 1/(1-p)^2"
+        expected_rounds = float(1 / pmf[0])
     except OverflowError:
-        what = f"term ratio at z = {len(ratios)}" if len(ratios) < z_max else "growth rate c*gamma"
-        raise ValueError(f"{what} is too large for a float") from None
-    expected_rounds = 1 / pmf[0]
-    jensen_k = int(expected_rounds - 1)  # floor of E[Z]
+        raise ValueError(f"{what.format(len(ratios))} is too large for a float") from None
+    jensen_k = int(1 / pmf[0] - 1)  # floor of E[Z]
     return PersistentDistribution(
         c=c,
         p=p,
@@ -508,7 +503,7 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         term_ratios=ratios,
         divergent=c * gamma > 1,
         growth_rate=growth_rate,
-        expected_rounds=float(expected_rounds),
+        expected_rounds=expected_rounds,
         jensen_lower=support[jensen_k] if jensen_k <= z_max else None,
     )
 

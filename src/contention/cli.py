@@ -16,6 +16,7 @@ import bisect
 import contextlib
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -24,7 +25,9 @@ from .schedule import Schedule, parse_rational
 
 
 def _add_cp(parser):
-    parser.add_argument("--c", default="11/10", help="growth factor as a rational, e.g. 11/10")
+    parser.add_argument(
+        "--c", type=parse_rational, default="11/10", help="growth factor as a rational, e.g. 11/10"
+    )
     parser.add_argument(
         "--p", type=parse_rational, default="3/4",
         help="scheduled-slot transmission probability as a rational, e.g. 3/4 or 0.75",
@@ -40,15 +43,17 @@ def _add_output(parser, formats: bool = False):
 def _emit(path, report) -> None:
     """Write a report to the file at path, or to stdout when path is
     None; the file gets the same bytes as stdout would.  A report is a
-    text, or the (header, rows) of a CSV table, whose rows are written as
-    they come."""
+    text, an iterator of text chunks, or the (header, rows) of a CSV
+    table; chunks and rows are written as they come."""
     with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
         if isinstance(report, str):
             out.write(report)
-        else:
+        elif isinstance(report, tuple):
             writer = csv.writer(out)
             writer.writerow(report[0])
             writer.writerows(report[1])
+        else:
+            out.writelines(report)
 
 
 def _json(payload) -> str:
@@ -56,7 +61,7 @@ def _json(payload) -> str:
 
 
 def cmd_schedule(args):
-    sched = Schedule(parse_rational(args.c), args.k)
+    sched = Schedule(args.c, args.k)
     # CPython refuses to print integers longer than this (0: no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and sched.s[-1] >= 10**limit:
@@ -66,26 +71,26 @@ def cmd_schedule(args):
         )
     if args.output_format == "csv":
         return ("k", "x", "s"), [(k, sched.x[k], sched.s[k]) for k in range(len(sched.s))]
-    return _json(sched.to_json())
+    # the report can pass 60 MB: it is written as the encoder yields it
+    return itertools.chain(json.JSONEncoder(indent=2).iterencode(sched.to_json()), ["\n"])
 
 
 def cmd_feasibility(args) -> str:
-    return _json(analysis.feasibility(parse_rational(args.c), args.p).to_json())
+    return _json(analysis.feasibility(args.c, args.p).to_json())
 
 
 def cmd_bounds(args) -> str:
-    report = analysis.bound_report(parse_rational(args.c), args.p, k1_prime=args.k1, k_max=args.kmax)
+    report = analysis.bound_report(args.c, args.p, k1_prime=args.k1, k_max=args.kmax)
     return _json(report.to_json())
 
 
 def cmd_analyze(args):
-    c = parse_rational(args.c)
     if not args.persistent:
         if args.output_format == "csv":
             raise ValueError("--output-format csv needs --persistent")
-        table = analysis.solve_expectations(c, args.p, semantics=args.semantics, truncation_K=args.K)
+        table = analysis.solve_expectations(args.c, args.p, semantics=args.semantics, truncation_K=args.K)
         return _json(table.to_json())
-    dist = analysis.persistent_distribution(c, args.p, args.zmax)
+    dist = analysis.persistent_distribution(args.c, args.p, args.zmax)
     if args.output_format == "csv":
         rows = [
             (z, dist.support[z], float(dist.pmf[z]), float(dist.partial_expectations[z]))
@@ -133,9 +138,7 @@ def cmd_simulate(args):
 
 
 def cmd_compare_deadline(args) -> str:
-    report = analysis.deadline_comparison(
-        parse_rational(args.c), args.p, args.t0, z_grid=tuple(args.zmax_grid)
-    )
+    report = analysis.deadline_comparison(args.c, args.p, args.t0, z_grid=tuple(args.zmax_grid))
     return _json(report.to_json())
 
 
@@ -147,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("schedule", help="print the exact non-trivial slot schedule")
-    sp.add_argument("--c", default="11/10")
+    sp.add_argument("--c", type=parse_rational, default="11/10")
     sp.add_argument("--k", type=int, default=8, help="schedule horizon index")
     _add_output(sp, formats=True)
     sp.set_defaults(handler=cmd_schedule)

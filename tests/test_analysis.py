@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import strategies as st
 
 from contention import analysis
 from contention.analysis import (
-    _lone_series_numerators,
+    _BITS,
+    _delta_exact,
+    _lone_series,
+    _y30_value,
     bound_report,
     deadline_comparison,
     delta_bound,
@@ -193,21 +197,26 @@ def test_paper_series_lone_player_expectation():
     assert table.y1[0].width < 1e-9
     for k in (1, 2, 5):
         assert table.y1[k].contains(lone_player_series_oracle(C, Fraction(3, 4), k), slack=1e-9)
+    # at (21/20, 1/10) the series converges slowly, c(1-p) = 0.945: 600
+    # terms leave a remainder below 1e-12
+    c, p = Fraction(21, 20), Fraction(1, 10)
+    table = solve_expectations(c, p, "paper-series", truncation_K=400)
+    for k in (0, 1, 2, 5):
+        assert table.y1[k].width < 1e-9
+        assert table.y1[k].contains(lone_player_series_oracle(c, p, k, terms=600), slack=1e-9)
 
 
-def _lone_series_interval_fraction_loop(sched, c, p, k, terms=80):
-    # the term-by-term Fraction sum the integer dot product replaced
-    sched.extend_to(k + terms)
-    s_prev = sched.s[k - 1] if k >= 1 else 0
-    q = 1 - p
-    partial = Fraction(0)
-    weight = p
-    for ell in range(k, k + terms + 1):
-        partial += (sched.s[ell] - s_prev) * weight
-        weight *= q
-    r = c * q
-    tail = (2 * p * c ** (k + 1) / (c - 1)) * r ** (terms + 1) / (1 - r)
-    return partial, partial + tail
+def _lone_series_fraction_loop(sched, c, p, K, terms=80):
+    # E[Y_1,k] = x_k + (1-p) E[Y_1,k+1] in exact Fractions, run down from
+    # k = K + terms with the seed [0, 2c^k / (1 - c(1-p))]
+    top = K + terms
+    sched.extend_to(top)
+    iv = (Fraction(0), 2 * c**top / (1 - c * (1 - p)))
+    rows = []
+    for k in range(top - 1, -1, -1):
+        iv = tuple(sched.x[k] + (1 - p) * e for e in iv)
+        rows.append(iv)
+    return rows[::-1][: K + 1]
 
 
 @pytest.mark.parametrize(
@@ -216,38 +225,48 @@ def _lone_series_interval_fraction_loop(sched, c, p, k, terms=80):
      (Fraction(11, 10), Fraction(1, 10))],
 )
 def test_lone_series_interval_matches_fraction_loop(c, p):
-    sched = Schedule(c, 8)
-    nums, den = _lone_series_numerators(sched, c, p, 400)
+    # each floor or ceiling moves an endpoint by less than one unit, and
+    # each step scales what earlier steps moved by 1-p: less than 1/p units
+    rows = _lone_series(Schedule(c, 8), c, p, 400)
+    exact = _lone_series_fraction_loop(Schedule(c, 8), c, p, 400)
     for k in (0, 1, 7, 60, 400):
-        lo, hi = nums[k]
-        assert (Fraction(lo, den), Fraction(hi, den)) == _lone_series_interval_fraction_loop(sched, c, p, k)
+        (lo, hi), (exact_lo, exact_hi) = rows[k], exact[k]
+        assert 0 <= exact_lo * 2**_BITS - lo < 1 / p
+        assert 0 <= hi - exact_hi * 2**_BITS < 1 / p
 
 
 def _solve_expectations_fraction_loop(c, p, semantics, K):
-    # the Fraction interval recurrence the integer numerators replaced
+    # the interval recurrence in exact Fractions, seeded with the exact bounds
     sched = Schedule(c, K)
     if semantics == "literal":
         e1 = [(Fraction(1), Fraction(1))] * (K + 1)
     else:
-        e1 = [_lone_series_interval_fraction_loop(sched, c, p, k) for k in range(K + 1)]
+        e1 = _lone_series_fraction_loop(sched, c, p, K)
     consts = derive_constants(p)
-    k1 = min_truncation_k1(c, p)
     grow = c ** (K - 1) * (c + 1)
+    bound2 = _delta_exact(c, p, min_truncation_k1(c, p))
     e2 = [None] * (K + 1)
     e3 = [None] * (K + 1)
-    e2[K] = (Fraction(0), Fraction(delta_bound(c, p, k1)) * grow)
-    e3[K] = (Fraction(0), Fraction(y30_upper(c, p, k1)) * grow)
+    e2[K] = (Fraction(0), bound2 * grow)
+    e3[K] = (Fraction(0), _y30_value(c, p, bound2) * grow)
     a2 = p * (1 - p)
     a3 = 2 * p * (1 - p) ** 2
     for i in range(K - 1, -1, -1):
         x_i = sched.x[i]
         e2[i] = tuple(x_i + a2 * u + consts.delta * v for u, v in zip(e1[i + 1], e2[i + 1]))
         e3[i] = tuple(x_i + a3 * u + consts.beta * v for u, v in zip(e2[i + 1], e3[i + 1]))
-    return [[(float(lo), float(hi)) for lo, hi in rows] for rows in (e1, e2, e3)]
+    return e1, e2, e3
 
 
-def _endpoints(table):
-    return [[(iv.lower, iv.upper) for iv in rows] for rows in (table.y1, table.y2, table.y3)]
+def _assert_encloses(table, exact):
+    """lower <= exact <= upper for every endpoint, each within 1 ulp of
+    the float nearest its exact value."""
+    for rows, exact_rows in zip((table.y1, table.y2, table.y3), exact):
+        assert len(rows) == len(exact_rows)
+        for iv, (lo, hi) in zip(rows, exact_rows):
+            assert iv.lower <= lo and hi <= iv.upper
+            for end, value in ((iv.lower, lo), (iv.upper, hi)):
+                assert abs(end - float(value)) <= math.ulp(float(value))
 
 
 @pytest.mark.parametrize("semantics", ["literal", "paper-series"])
@@ -256,10 +275,16 @@ def _endpoints(table):
     [(Fraction(11, 10), Fraction(3, 4)), (Fraction(10001, 10000), Fraction(127, 128)),
      (Fraction(21, 20), Fraction(1, 10))],
 )
-@pytest.mark.parametrize("K", [1, 2, 60, 400])
+@pytest.mark.parametrize("K", [1, 2, 60, 400, 800])
 def test_solve_expectations_matches_fraction_recurrence(c, p, semantics, K):
     table = solve_expectations(c, p, semantics, truncation_K=K)
-    assert _endpoints(table) == _solve_expectations_fraction_loop(c, p, semantics, K)
+    _assert_encloses(table, _solve_expectations_fraction_loop(c, p, semantics, K))
+
+
+def test_enclosure_at_k800_keeps_its_width():
+    # rounded to nearest, both endpoints once became 45.03982003659102
+    iv = solve_expectations(C, P, "literal", truncation_K=800).y3[0]
+    assert iv.lower < iv.upper
 
 
 @st.composite
@@ -278,7 +303,7 @@ def feasible_points(draw):
 def test_solve_expectations_matches_fraction_recurrence_property(point, semantics, K):
     c, p = point
     table = solve_expectations(c, p, semantics, truncation_K=K)
-    assert _endpoints(table) == _solve_expectations_fraction_loop(c, p, semantics, K)
+    _assert_encloses(table, _solve_expectations_fraction_loop(c, p, semantics, K))
 
 
 def test_literal_lone_player_is_one():

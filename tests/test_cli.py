@@ -141,22 +141,23 @@ def test_missing_config_file_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["feasibility", "analyze", "bounds"])
-def test_zero_denominator_c_is_one_line_error(capsys, command):
-    code, out, err = run_cli(capsys, command, "--c", "1/0")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "'1/0'" in err
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("command", ["feasibility", "analyze", "bounds"])
 @pytest.mark.parametrize("value", ["1/0", "nan"])
 def test_malformed_p_is_usage_error(capsys, command, value):
+    # --c is parsed as --p is; each option keeps the other at its default
+    for option in ("--p", "--c"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: invalid parse_rational value: '{value}'" in err
+        assert "Traceback" not in err
+
+
+def test_malformed_schedule_c_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--p", value])
+        main(["schedule", "--c", "1/0"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument --p: invalid parse_rational value: '{value}'" in err
-    assert "Traceback" not in err
+    assert "argument --c: invalid parse_rational value: '1/0'" in capsys.readouterr().err
 
 
 def test_negative_zmax_grid_is_one_line_error(capsys):
@@ -179,9 +180,17 @@ def test_c_outside_the_protocol_domain_is_one_line_error(capsys, c, reason):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("zmax, what", [("3", "term ratio at z = 0"), ("0", "growth rate c*gamma")])
-def test_persistent_law_past_the_float_range_is_one_line_error(capsys, zmax, what):
-    code, out, err = run_cli(capsys, "analyze", "--persistent", "--c", "1e400", "--zmax", zmax)
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["--c", "1e400", "--zmax", "3"], "term ratio at z = 0"),
+        (["--c", "1e400", "--zmax", "0"], "growth rate c*gamma"),
+        (["--p", "0." + "9" * 200, "--zmax", "1"], "expected rounds 1/(1-p)^2"),
+    ],
+    ids=["3-term ratio at z = 0", "0-growth rate c*gamma", "1-expected rounds 1/(1-p)^2"],
+)
+def test_persistent_law_past_the_float_range_is_one_line_error(capsys, argv, what):
+    code, out, err = run_cli(capsys, "analyze", "--persistent", *argv)
     assert code == 1 and out == ""
     assert err == f"error: {what} is too large for a float\n"
 
