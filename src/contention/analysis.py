@@ -400,7 +400,7 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     a2, delta = pn * qn, pd2 - 2 * pn * qn
     a3, beta = 2 * pn * qn**2, pd3 - 3 * pn * qn**2
     for i in range(K - 1, -1, -1):
-        x = sched.x[i] << _BITS
+        x = sched.x[i] << _BITS  # E[Y_3,i] goes first: it reads E[Y_2,i+1]
         y3.append(_step(x, pd3, (a3, y2[-1]), (beta, y3[-1])))
         y2.append(_step(x, pd2, (a2, y1[i + 1]), (delta, y2[-1])))
 
