@@ -209,8 +209,7 @@ def delta_bound(c, p, k1_prime: int) -> float:
 
 
 def _y30_value(c: Fraction, p: Fraction, bound2: Fraction) -> Fraction:
-    """y30_upper's expression on a bound2 of the 2-pending latency, for
-    (c, p) already checked."""
+    """y30_upper's expression on a 2-pending bound, for (c, p) already checked."""
     beta = derive_constants(p).beta
     return (2 + 2 * p * (1 - p) ** 2 * (c + 1) * bound2) / (1 - beta * c)
 
@@ -369,11 +368,10 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
 
     run down to k = 0 in interval arithmetic (all coefficients are
     nonnegative, so endpoints map to endpoints).  Every endpoint is an
-    integer in units of 2^-128.  Each step applies the exact
-    coefficients, integers over pd^2 or pd^3 for p = pn/pd, and rounds
-    the lower endpoint down and the upper one up.  Endpoints are
-    reported as floats rounded outward, so each interval encloses the
-    exact recurrence.
+    integer in units of 2^-128.  Each step applies the exact coefficients,
+    integers over pd^2 or pd^3 for p = pn/pd, and rounds the lower endpoint
+    down and the upper one up.  Endpoints are reported as floats rounded
+    outward, so each interval encloses the exact recurrence.
 
     semantics "literal": a lone player succeeds at the next slot, where
     the protocol transmits with probability 1, so E[Y_1,k] = 1.
@@ -404,12 +402,15 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         y3.append(_step(x, pd3, (a3, y2[-1]), (beta, y3[-1])))
         y2.append(_step(x, pd2, (a2, y1[i + 1]), (delta, y2[-1])))
 
-    def intervals(rows):
-        return [ExpectationInterval(_float_outward(lo, False), _float_outward(hi, True)) for lo, hi in rows]
+    def intervals(n, rows):
+        try:
+            return [ExpectationInterval(_float_outward(lo, False), _float_outward(hi, True)) for lo, hi in rows]
+        except OverflowError:
+            raise ValueError(f"an enclosure of E[Y_{n},k] is too large for a float") from None
 
     return ExpectationTable(
         c=c, p=p, semantics=semantics, truncation_K=K,
-        y1=intervals(y1), y2=intervals(y2[::-1]), y3=intervals(y3[::-1]),
+        y1=intervals(1, y1), y2=intervals(2, y2[::-1]), y3=intervals(3, y3[::-1]),
     )
 
 

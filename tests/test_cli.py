@@ -195,6 +195,13 @@ def test_persistent_law_past_the_float_range_is_one_line_error(capsys, argv, wha
     assert err == f"error: {what} is too large for a float\n"
 
 
+def test_enclosure_past_the_float_range_is_one_line_error(capsys):
+    # the exact seed, delta_bound at k1' = 347 times c^4 (c+1), passes 2^1024
+    code, out, err = run_cli(capsys, "analyze", "--c", "1000001/1000000", "--p", "0.999", "--K", "5")
+    assert code == 1 and out == ""
+    assert err == "error: an enclosure of E[Y_2,k] is too large for a float\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["feasibility"], ["bounds"], ["compare-deadline", "--t0", "5"]]
 )
