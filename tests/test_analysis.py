@@ -9,6 +9,7 @@ from contention import analysis
 from contention.analysis import (
     _BITS,
     _delta_exact,
+    _fixed_up,
     _lone_series,
     _y30_value,
     bound_report,
@@ -233,6 +234,14 @@ def test_lone_series_interval_matches_fraction_loop(c, p):
         (lo, hi), (exact_lo, exact_hi) = rows[k], exact[k]
         assert 0 <= exact_lo * 2**_BITS - lo < 1 / p
         assert 0 <= hi - exact_hi * 2**_BITS < 1 / p
+
+
+def test_fixed_point_seeds_round_up():
+    # a seed rounded down can sit below its exact value by less than a
+    # float's ulp, which no float endpoint shows
+    for value in (Fraction(1, 3), Fraction(10**40 + 1, 7), _delta_exact(C, Fraction(3, 4), 2)):
+        assert 0 < _fixed_up(value) - value * 2**_BITS < 1
+    assert _fixed_up(Fraction(5, 4)) == 5 << (_BITS - 2)
 
 
 def _solve_expectations_fraction_loop(c, p, semantics, K):
