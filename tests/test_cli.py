@@ -141,6 +141,19 @@ def test_missing_config_file_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["feasibility", "analyze", "bounds"])
+def test_zero_denominator_c_is_one_line_error(capsys, command):
+    # a usage error: the usage text, then one error line naming the value
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--c", "1/0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: contention {command} ")
+    *usage, error = err.splitlines()
+    assert not any("error" in line for line in usage)
+    assert error == f"contention {command}: error: argument --c: invalid parse_rational value: '1/0'"
+
+
+@pytest.mark.parametrize("command", ["feasibility", "analyze", "bounds"])
 @pytest.mark.parametrize("value", ["1/0", "nan"])
 def test_malformed_p_is_usage_error(capsys, command, value):
     # --c is parsed as --p is; each option keeps the other at its default
