@@ -39,16 +39,30 @@ def _log2(x: Fraction) -> float:
     return math.log2(x.numerator) - math.log2(x.denominator)  # no float overflow
 
 
+def _to_float(name: str, num: int, den: int, up: bool | None = None) -> float:
+    """num/den (den > 0) as the nearest float or, when up is True (False),
+    rounded up (down): the nearest float, stepped once if an exact check
+    finds it on the wrong side.  A value past the float range is named."""
+    try:
+        f = num / den
+        if up is not None:
+            fn, fd = f.as_integer_ratio()
+            if (fn * den < num * fd) if up else (fn * den > num * fd):
+                f = math.nextafter(f, math.inf if up else -math.inf)
+                if math.isinf(f):  # stepped past the largest float
+                    raise OverflowError
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    return f
+
+
 def _bound_float(name: str, index: int, log2_lower: float, exact) -> float:
-    """float(exact()), or a ValueError naming the bound when it overflows.
-    exact() and its powers are not built when log2_lower, a lower bound on
-    log2 of the value up to rounding, already puts it past the float range."""
-    if log2_lower <= 1025:
-        try:
-            return float(exact())
-        except OverflowError:
-            pass
-    raise ValueError(f"{name} at index {index} is too large for a float")
+    """exact() rounded up to a float.  exact() and its powers are not built
+    when log2_lower, a lower bound on log2 of the value up to rounding,
+    already puts it past the float range: the bound is named at once."""
+    if log2_lower > 1025:
+        raise ValueError(f"{name} at index {index} is too large for a float")
+    return _to_float(f"{name} at index {index}", *exact().as_integer_ratio(), up=True)
 
 
 def _geom_sum(r: Fraction, n: int) -> Fraction:
@@ -90,7 +104,7 @@ class FeasibilityReport:
 
     def to_json(self) -> dict:
         thr = {
-            name: {"exact": format_rational(val), "value": float(val)}
+            name: {"exact": format_rational(val), "value": _to_float(name, *val.as_integer_ratio())}
             for name, val in self.thresholds.items()
         }
         return {
@@ -224,8 +238,8 @@ def y30_upper(c, p, k1_prime: int) -> float:
     beta = derive_constants(p).beta
     if beta * c >= 1:
         raise ValueError(f"beta*c = {beta * c} >= 1: bound diverges")
-    value = _y30_value(c, p, Fraction(delta_bound(c, p, k1_prime)))
-    return _bound_float("y30_upper", k1_prime, 0.0, lambda: value)
+    delta_bound(c, p, k1_prime)  # its named errors, before the exact value is built
+    return _bound_float("y30_upper", k1_prime, 0.0, lambda: _y30_value(c, p, _delta_exact(c, p, k1_prime)))
 
 
 @dataclass(frozen=True)
@@ -327,16 +341,6 @@ def _step(x: int, den: int, *terms) -> tuple:
     return x + lo // den, x - (-hi // den)
 
 
-def _float_outward(n: int, up: bool) -> float:
-    """n / 2^_BITS as a float rounded up or down: the nearest float,
-    stepped once when it lies on the wrong side."""
-    f = n / (1 << _BITS)
-    num, den = f.as_integer_ratio()
-    if (num << _BITS < n * den) if up else (num << _BITS > n * den):
-        f = math.nextafter(f, math.inf if up else -math.inf)
-    return f
-
-
 def _lone_series(sched: Schedule, c: Fraction, p: Fraction, K: int) -> list:
     """Fixed-point enclosures of the lone player's expected extra latency
     after the (k-1)-th scheduled slot, k = 0..K, when she departs only at
@@ -403,10 +407,9 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         y2.append(_step(x, pd2, (a2, y1[i + 1]), (delta, y2[-1])))
 
     def intervals(n, rows):
-        try:
-            return [ExpectationInterval(_float_outward(lo, False), _float_outward(hi, True)) for lo, hi in rows]
-        except OverflowError:
-            raise ValueError(f"an enclosure of E[Y_{n},k] is too large for a float") from None
+        name, unit = f"an enclosure of E[Y_{n},k]", 1 << _BITS
+        return [ExpectationInterval(_to_float(name, lo, unit, up=False), _to_float(name, hi, unit, up=True))
+                for lo, hi in rows]
 
     return ExpectationTable(
         c=c, p=p, semantics=semantics, truncation_K=K,
@@ -484,16 +487,10 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         partials.append(Fraction(total, term.denominator))
         term *= gamma
     gn, gd = gamma.numerator, gamma.denominator
-    ratios, what = [], "term ratio at z = {}"
-    try:
-        for z in range(z_max):
-            ratios.append(support[z + 1] * gn / (support[z] * gd))  # rounds as float(Fraction) does
-        what = "growth rate c*gamma"
-        growth_rate = float(c * gamma)
-        what = "expected rounds 1/(1-p)^2"
-        expected_rounds = float(1 / pmf[0])
-    except OverflowError:
-        raise ValueError(f"{what.format(len(ratios))} is too large for a float") from None
+    ratios = [_to_float(f"term ratio at z = {z}", support[z + 1] * gn, support[z] * gd) for z in range(z_max)]
+    growth_rate = _to_float("growth rate c*gamma", *(c * gamma).as_integer_ratio())
+    expected_rounds = _to_float("expected rounds 1/(1-p)^2", pmf[0].denominator, pmf[0].numerator)
+    _to_float(f"partial expectation at z = {z_max}", *partials[-1].as_integer_ratio())  # the largest
     jensen_k = int(1 / pmf[0] - 1)  # floor of E[Z]
     return PersistentDistribution(
         c=c,
@@ -562,13 +559,16 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     totals = list(_partial_numerators(sched.s[: z_max + 1], p))
     partials = [Fraction(totals[z], p.denominator ** (2 * (z + 1))) for z in z_grid]
     factor = pr_lower * c ** (xi - 1) * (c - 1)
-    bounds = [(z, float(factor * part - t0**2)) for z, part in zip(z_grid, partials)]
+    bounds = [
+        (z, _to_float(f"truncated lower bound at z_max = {z}", *(factor * part - t0**2).as_integer_ratio(), up=False))
+        for z, part in zip(z_grid, partials)
+    ]
     return DeadlineComparison(
         c=c,
         p=p,
         t0=t0,
         xi=xi,
-        prE_lower=float(pr_lower),
+        prE_lower=_to_float("prE_lower", *pr_lower.as_integer_ratio(), up=False),
         diverges=c * consts.gamma > 1,
         truncated_lower_bounds=bounds,
     )

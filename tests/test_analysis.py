@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -146,9 +147,20 @@ def test_y1_and_y30_upper_past_the_float_range_are_named():
 
 
 def test_bounds_near_the_float_range_keep_their_exact_value():
-    assert delta_bound(C, P, 600) == 4.26754525888928e264
-    assert y30_upper(C, P, 698) == 1.7421463357065432e308
-    assert y1_upper(C, P, 476) == float(Fraction(660, 29) * Fraction(22, 5) ** 476)  # the last k that fits
+    # each is the least float at or above its exact value
+    assert delta_bound(C, P, 600) == 4.267545258889281e264
+    assert y30_upper(C, P, 698) == 1.7421463357065434e308
+    assert y1_upper(C, P, 476) == 4.3713939318653676e307  # the last k that fits
+
+
+def test_rounding_up_past_the_largest_float_is_named():
+    # just above the largest float: the nearest float is below, and one step up is infinite
+    num, den = sys.float_info.max.as_integer_ratio()
+    assert analysis._to_float("v", 4 * num + 1, 4 * den, up=False) == sys.float_info.max
+    with pytest.raises(ValueError, match="v is too large for a float"):
+        analysis._to_float("v", 4 * num + 1, 4 * den, up=True)
+    with pytest.raises(ValueError, match="v is too large for a float"):
+        analysis._to_float("v", -4 * num - 1, 4 * den, up=False)
 
 
 def test_delta_bound_larger_truncation_regression():
@@ -207,16 +219,40 @@ def test_paper_series_lone_player_expectation():
         assert table.y1[k].contains(lone_player_series_oracle(c, p, k, terms=600), slack=1e-9)
 
 
-def _lone_series_fraction_loop(sched, c, p, K, terms=80):
-    # E[Y_1,k] = x_k + (1-p) E[Y_1,k+1] in exact Fractions, run down from
-    # k = K + terms with the seed [0, 2c^k / (1 - c(1-p))]
+# The exact oracles below hold each endpoint of E[Y_n,k] as an integer
+# numerator over base * pd^e, with base a common denominator of the seeds
+# and pd the denominator of p: a (lo, hi, e) row.  They add no Fractions,
+# whose every sum would reduce numbers of tens of thousands of bits.
+
+
+def _affine(x, base, pd, *terms):
+    """The row of x + sum(w / pd^m * row) over the (w, m, row) terms."""
+    e = max(row[2] + m for _, m, row in terms)
+    x = x * base * pd**e
+    scaled = [(w * pd ** (e - row[2] - m), row) for w, m, row in terms]
+    return tuple(x + sum(v * row[end] for v, row in scaled) for end in (0, 1)) + (e,)
+
+
+def _over(value: Fraction, base: int) -> int:
+    """The numerator of value over base, which value's denominator divides."""
+    return value.numerator * (base // value.denominator)
+
+
+def _lone_seed(c, p, k):
+    """The upper seed 2c^k / (1 - c(1-p)) of E[Y_1,k]."""
+    return 2 * c**k / (1 - c * (1 - p))
+
+
+def _lone_series_rows(sched, c, p, K, base, terms=80):
+    # E[Y_1,k] = x_k + (1-p) E[Y_1,k+1], run down from k = K + terms with
+    # the seed [0, _lone_seed]
     top = K + terms
     sched.extend_to(top)
-    iv = (Fraction(0), 2 * c**top / (1 - c * (1 - p)))
+    row = (0, _over(_lone_seed(c, p, top), base), 0)
     rows = []
     for k in range(top - 1, -1, -1):
-        iv = tuple(sched.x[k] + (1 - p) * e for e in iv)
-        rows.append(iv)
+        row = _affine(sched.x[k], base, p.denominator, (p.denominator - p.numerator, 1, row))
+        rows.append(row)
     return rows[::-1][: K + 1]
 
 
@@ -229,9 +265,11 @@ def test_lone_series_interval_matches_fraction_loop(c, p):
     # each floor or ceiling moves an endpoint by less than one unit, and
     # each step scales what earlier steps moved by 1-p: less than 1/p units
     rows = _lone_series(Schedule(c, 8), c, p, 400)
-    exact = _lone_series_fraction_loop(Schedule(c, 8), c, p, 400)
+    base = _lone_seed(c, p, 480).denominator
+    exact = _lone_series_rows(Schedule(c, 8), c, p, 400, base)
     for k in (0, 1, 7, 60, 400):
-        (lo, hi), (exact_lo, exact_hi) = rows[k], exact[k]
+        (lo, hi), (*ends, e) = rows[k], exact[k]
+        exact_lo, exact_hi = (Fraction(end, base * p.denominator**e) for end in ends)
         assert 0 <= exact_lo * 2**_BITS - lo < 1 / p
         assert 0 <= hi - exact_hi * 2**_BITS < 1 / p
 
@@ -244,38 +282,41 @@ def test_fixed_point_seeds_round_up():
     assert _fixed_up(Fraction(5, 4)) == 5 << (_BITS - 2)
 
 
-def _solve_expectations_fraction_loop(c, p, semantics, K):
-    # the interval recurrence in exact Fractions, seeded with the exact bounds
+def _solve_expectations_exact(c, p, semantics, K):
+    # the interval recurrence run exactly, seeded with the exact bounds;
+    # each table a list of (lo, hi, den), integer numerators over den
     sched = Schedule(c, K)
-    if semantics == "literal":
-        e1 = [(Fraction(1), Fraction(1))] * (K + 1)
-    else:
-        e1 = _lone_series_fraction_loop(sched, c, p, K)
-    consts = derive_constants(p)
     grow = c ** (K - 1) * (c + 1)
     bound2 = _delta_exact(c, p, min_truncation_k1(c, p))
-    e2 = [None] * (K + 1)
-    e3 = [None] * (K + 1)
-    e2[K] = (Fraction(0), bound2 * grow)
-    e3[K] = (Fraction(0), _y30_value(c, p, bound2) * grow)
-    a2 = p * (1 - p)
-    a3 = 2 * p * (1 - p) ** 2
+    seeds = [bound2 * grow, _y30_value(c, p, bound2) * grow]
+    if semantics == "paper-series":
+        seeds.append(_lone_seed(c, p, K + 80))
+    base = math.lcm(*(seed.denominator for seed in seeds))
+    if semantics == "literal":
+        e1 = [(base, base, 0)] * (K + 1)
+    else:
+        e1 = _lone_series_rows(sched, c, p, K, base)
+    pn, pd = p.numerator, p.denominator
+    qn = pd - pn
+    e2 = [(0, _over(seeds[0], base), 0)]
+    e3 = [(0, _over(seeds[1], base), 0)]
     for i in range(K - 1, -1, -1):
-        x_i = sched.x[i]
-        e2[i] = tuple(x_i + a2 * u + consts.delta * v for u, v in zip(e1[i + 1], e2[i + 1]))
-        e3[i] = tuple(x_i + a3 * u + consts.beta * v for u, v in zip(e2[i + 1], e3[i + 1]))
-    return e1, e2, e3
+        e2_next = e2[-1]
+        e2.append(_affine(sched.x[i], base, pd, (pn * qn, 2, e1[i + 1]), (pd**2 - 2 * pn * qn, 2, e2_next)))
+        e3.append(_affine(sched.x[i], base, pd, (2 * pn * qn**2, 3, e2_next), (pd**3 - 3 * pn * qn**2, 3, e3[-1])))
+    return [[(lo, hi, base * pd**e) for lo, hi, e in rows] for rows in (e1, e2[::-1], e3[::-1])]
 
 
 def _assert_encloses(table, exact):
     """lower <= exact <= upper for every endpoint, each within 1 ulp of
-    the float nearest its exact value."""
+    the float nearest its exact value, compared without Fractions."""
     for rows, exact_rows in zip((table.y1, table.y2, table.y3), exact):
         assert len(rows) == len(exact_rows)
-        for iv, (lo, hi) in zip(rows, exact_rows):
-            assert iv.lower <= lo and hi <= iv.upper
-            for end, value in ((iv.lower, lo), (iv.upper, hi)):
-                assert abs(end - float(value)) <= math.ulp(float(value))
+        for iv, (lo, hi, den) in zip(rows, exact_rows):
+            (ln, ld), (hn, hd) = iv.lower.as_integer_ratio(), iv.upper.as_integer_ratio()
+            assert ln * den <= lo * ld and hi * hd <= hn * den
+            for end, num in ((iv.lower, lo), (iv.upper, hi)):
+                assert abs(end - num / den) <= math.ulp(num / den)
 
 
 @pytest.mark.parametrize("semantics", ["literal", "paper-series"])
@@ -287,7 +328,7 @@ def _assert_encloses(table, exact):
 @pytest.mark.parametrize("K", [1, 2, 60, 400, 800])
 def test_solve_expectations_matches_fraction_recurrence(c, p, semantics, K):
     table = solve_expectations(c, p, semantics, truncation_K=K)
-    _assert_encloses(table, _solve_expectations_fraction_loop(c, p, semantics, K))
+    _assert_encloses(table, _solve_expectations_exact(c, p, semantics, K))
 
 
 def test_enclosure_at_k800_keeps_its_width():
@@ -312,7 +353,34 @@ def feasible_points(draw):
 def test_solve_expectations_matches_fraction_recurrence_property(point, semantics, K):
     c, p = point
     table = solve_expectations(c, p, semantics, truncation_K=K)
-    _assert_encloses(table, _solve_expectations_fraction_loop(c, p, semantics, K))
+    _assert_encloses(table, _solve_expectations_exact(c, p, semantics, K))
+
+
+def _assert_outward(value: float, exact: Fraction, up: bool):
+    """value is on the side of exact that up names, within 1 ulp of the
+    float nearest exact."""
+    assert value >= exact if up else value <= exact
+    assert abs(value - float(exact)) <= math.ulp(float(exact))
+
+
+@settings(max_examples=100, deadline=None)
+@given(feasible_points(), st.integers(0, 12), st.integers(0, 3), st.integers(1, 40))
+def test_public_bounds_round_outward(point, k, extra, t0):
+    # upper bounds round up and lower bounds down
+    c, p = point
+    head = 2 * c * p / ((c - 1) * (1 - c * (1 - p)))
+    _assert_outward(y1_upper(c, p, k), head * (c / (1 - p)) ** k, up=True)
+    k1 = min_truncation_k1(c, p) + extra
+    bound2 = _delta_exact(c, p, k1)
+    _assert_outward(delta_bound(c, p, k1), bound2, up=True)
+    _assert_outward(y30_upper(c, p, k1), _y30_value(c, p, bound2), up=True)
+    report = deadline_comparison(c, p, t0, z_grid=(0, 7, 25))
+    delta = derive_constants(p).delta
+    _assert_outward(report.prE_lower, delta**report.xi, up=False)
+    partials = persistent_distribution(c, p, 25).partial_expectations
+    factor = delta**report.xi * c ** (report.xi - 1) * (c - 1)
+    for z, bound in report.truncated_lower_bounds:
+        _assert_outward(bound, factor * partials[z] - t0**2, up=False)
 
 
 def test_literal_lone_player_is_one():
@@ -411,6 +479,12 @@ def test_persistent_convergent_case():
     assert not dist.divergent
 
 
+def _float_down(value: Fraction) -> float:
+    """The greatest float at or below value."""
+    nearest = float(value)
+    return math.nextafter(nearest, -math.inf) if nearest > value else nearest
+
+
 @pytest.mark.parametrize(
     "c, p",
     [(Fraction(11, 10), Fraction(3, 4)), (Fraction(10001, 10000), Fraction(127, 128)),
@@ -429,7 +503,7 @@ def test_partial_expectations_match_fraction_loop(c, p):
     report = deadline_comparison(c, p, 5, z_grid=z_grid)
     factor = derive_constants(p).delta ** report.xi * c ** (report.xi - 1) * (c - 1)
     assert report.truncated_lower_bounds == [
-        (z, float(factor * dist.partial_expectations[z] - 25)) for z in z_grid
+        (z, _float_down(factor * dist.partial_expectations[z] - 25)) for z in z_grid
     ]
 
 

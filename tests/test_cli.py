@@ -215,6 +215,33 @@ def test_enclosure_past_the_float_range_is_one_line_error(capsys):
     assert err == "error: an enclosure of E[Y_2,k] is too large for a float\n"
 
 
+# valid calls whose reports hold a value past the float range
+_PAST_THE_FLOAT_RANGE = [
+    (["compare-deadline", "--c", "1e400", "--p", "3/4", "--t0", "5"], "truncated lower bound at z_max = 25"),
+    (["feasibility", "--p", "0." + "9" * 400], "inv_1mp"),
+    (["analyze", "--persistent", "--c", "2", "--p", "3/4", "--zmax", "1200"], "partial expectation at z = 1200"),
+    (
+        ["analyze", "--persistent", "--c", "2", "--p", "3/4", "--zmax", "1200", "--output-format", "csv"],
+        "partial expectation at z = 1200",
+    ),
+    (
+        ["compare-deadline", "--c", "2", "--p", "3/4", "--t0", "5", "--zmax-grid", "1200"],
+        "truncated lower bound at z_max = 1200",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    _PAST_THE_FLOAT_RANGE,
+    ids=["deadline-huge-c", "feasibility-p-near-1", "persistent-json", "persistent-csv", "deadline-zmax-1200"],
+)
+def test_values_past_the_float_range_are_named(capsys, argv, what):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {what} is too large for a float\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["feasibility"], ["bounds"], ["compare-deadline", "--t0", "5"]]
 )
@@ -465,6 +492,11 @@ def fuzz_config_path(tmp_path_factory):
     argv=["simulate", "--config", CONFIG, "--trials", "2"],
     config={"players": [{"type": "deadline", "t0": 1}], "seed": 1e400},
 )
+@example(argv=_PAST_THE_FLOAT_RANGE[0][0], config={})
+@example(argv=_PAST_THE_FLOAT_RANGE[1][0], config={})
+@example(argv=_PAST_THE_FLOAT_RANGE[2][0], config={})
+@example(argv=_PAST_THE_FLOAT_RANGE[3][0], config={})
+@example(argv=_PAST_THE_FLOAT_RANGE[4][0], config={})
 def test_cli_never_shows_a_traceback(fuzz_config_path, argv, config):
     fuzz_config_path.write_text(json.dumps(config))
     argv = [str(fuzz_config_path) if token == CONFIG else token for token in argv]
@@ -479,3 +511,4 @@ def test_cli_never_shows_a_traceback(fuzz_config_path, argv, config):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "integer division result too large for a float" not in err  # CPython's, naming nothing
