@@ -225,17 +225,18 @@ def test_paper_series_lone_player_expectation():
 # whose every sum would reduce numbers of tens of thousands of bits.
 
 
-def _affine(x, base, pd, *terms):
-    """The row of x + sum(w / pd^m * row) over the (w, m, row) terms."""
-    e = max(row[2] + m for _, m, row in terms)
-    x = x * base * pd**e
-    scaled = [(w * pd ** (e - row[2] - m), row) for w, m, row in terms]
-    return tuple(x + sum(v * row[end] for v, row in scaled) for end in (0, 1)) + (e,)
-
-
 def _over(value: Fraction, base: int) -> int:
     """The numerator of value over base, which value's denominator divides."""
     return value.numerator * (base // value.denominator)
+
+
+def _affine(x, base, pd, *terms):
+    """The row of x + sum(coef * row) over the (coef, m, row) terms, each
+    coef a Fraction whose denominator divides pd^m."""
+    e = max(row[2] + m for _, m, row in terms)
+    x = x * base * pd**e
+    scaled = [(_over(coef, pd**m) * pd ** (e - row[2] - m), row) for coef, m, row in terms]
+    return tuple(x + sum(w * row[end] for w, row in scaled) for end in (0, 1)) + (e,)
 
 
 def _lone_seed(c, p, k):
@@ -251,7 +252,7 @@ def _lone_series_rows(sched, c, p, K, base, terms=80):
     row = (0, _over(_lone_seed(c, p, top), base), 0)
     rows = []
     for k in range(top - 1, -1, -1):
-        row = _affine(sched.x[k], base, p.denominator, (p.denominator - p.numerator, 1, row))
+        row = _affine(sched.x[k], base, p.denominator, (1 - p, 1, row))
         rows.append(row)
     return rows[::-1][: K + 1]
 
@@ -296,14 +297,14 @@ def _solve_expectations_exact(c, p, semantics, K):
         e1 = [(base, base, 0)] * (K + 1)
     else:
         e1 = _lone_series_rows(sched, c, p, K, base)
-    pn, pd = p.numerator, p.denominator
-    qn = pd - pn
+    consts, pd = derive_constants(p), p.denominator
+    a2, a3 = p * (1 - p), 2 * p * (1 - p) ** 2
     e2 = [(0, _over(seeds[0], base), 0)]
     e3 = [(0, _over(seeds[1], base), 0)]
     for i in range(K - 1, -1, -1):
         e2_next = e2[-1]
-        e2.append(_affine(sched.x[i], base, pd, (pn * qn, 2, e1[i + 1]), (pd**2 - 2 * pn * qn, 2, e2_next)))
-        e3.append(_affine(sched.x[i], base, pd, (2 * pn * qn**2, 3, e2_next), (pd**3 - 3 * pn * qn**2, 3, e3[-1])))
+        e2.append(_affine(sched.x[i], base, pd, (a2, 2, e1[i + 1]), (consts.delta, 2, e2_next)))
+        e3.append(_affine(sched.x[i], base, pd, (a3, 3, e2_next), (consts.beta, 3, e3[-1])))
     return [[(lo, hi, base * pd**e) for lo, hi, e in rows] for rows in (e1, e2[::-1], e3[::-1])]
 
 
