@@ -490,7 +490,7 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
     ratios = [_to_float(f"term ratio at z = {z}", support[z + 1] * gn, support[z] * gd) for z in range(z_max)]
     growth_rate = _to_float("growth rate c*gamma", *(c * gamma).as_integer_ratio())
     expected_rounds = _to_float("expected rounds 1/(1-p)^2", pmf[0].denominator, pmf[0].numerator)
-    _to_float(f"partial expectation at z = {z_max}", *partials[-1].as_integer_ratio())  # the largest
+    _to_float(f"partial expectation at z = {z_max}", *partials[-1].as_integer_ratio())  # the largest: all fit
     jensen_k = int(1 / pmf[0] - 1)  # floor of E[Z]
     return PersistentDistribution(
         c=c,
@@ -557,12 +557,10 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     xi = sum(1 for s in sched.s if s < t0)
     pr_lower = consts.delta**xi
     totals = list(_partial_numerators(sched.s[: z_max + 1], p))
-    partials = [Fraction(totals[z], p.denominator ** (2 * (z + 1))) for z in z_grid]
     factor = pr_lower * c ** (xi - 1) * (c - 1)
-    bounds = [
-        (z, _to_float(f"truncated lower bound at z_max = {z}", *(factor * part - t0**2).as_integer_ratio(), up=False))
-        for z, part in zip(z_grid, partials)
-    ]
+    lows = [factor * Fraction(totals[z], p.denominator ** (2 * (z + 1))) - t0**2 for z in z_grid]
+    bounds = [(z, _to_float(f"truncated lower bound at z_max = {z}", *low.as_integer_ratio(), up=False))
+              for z, low in zip(z_grid, lows)]
     return DeadlineComparison(
         c=c,
         p=p,
