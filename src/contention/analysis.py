@@ -56,15 +56,6 @@ def _to_float(name: str, num: int, den: int, up: bool | None = None) -> float:
     return f
 
 
-def _bound_float(name: str, index: int, log2_lower: float, exact) -> float:
-    """exact() rounded up to a float.  exact() and its powers are not built
-    when log2_lower, a lower bound on log2 of the value up to rounding,
-    already puts it past the float range: the bound is named at once."""
-    if log2_lower > 1025:
-        raise ValueError(f"{name} at index {index} is too large for a float")
-    return _to_float(f"{name} at index {index}", *exact().as_integer_ratio(), up=True)
-
-
 def _geom_sum(r: Fraction, n: int) -> Fraction:
     """sum_{i=0}^{n-1} r^i, exact, valid for r == 1 too."""
     if r == 1:
@@ -173,53 +164,59 @@ def y1_upper(c, p, k: int) -> float:
     if k < 0:
         raise ValueError("k must be >= 0")
     head, ratio = 2 * c * p / ((c - 1) * (1 - c * (1 - p))), c / (1 - p)
-    return _bound_float("y1_upper", k, _log2(head) + k * _log2(ratio), lambda: head * ratio**k)
+    if _log2(head) + k * _log2(ratio) > 1025:  # named before the power is built
+        raise ValueError(f"y1_upper at index {k} is too large for a float")
+    return _to_float(f"y1_upper at index {k}", *(head * ratio**k).as_integer_ratio(), up=True)
+
+
+def _contraction(c: Fraction, p: Fraction) -> tuple:
+    """(rate, grow) = (delta c, (c+1)/c) for (c, p) already checked: the
+    truncation factor delta^k c^(k-1) (c+1) is grow * rate^k."""
+    rate = derive_constants(p).delta * c
+    if rate >= 1:
+        raise ValueError(f"contraction rate {rate} >= 1: no finite truncation exists")
+    return rate, (c + 1) / c
 
 
 def min_truncation_k1(c, p) -> int:
-    """Smallest truncation making the 2-pending recurrence contract:
-    the least k >= 1 with delta^k c^(k-1) (c+1) < 1."""
+    """Smallest truncation making the 2-pending recurrence contract: the
+    least k >= 1 with delta^k c^(k-1) (c+1) < 1, estimated from
+    logarithms and settled exactly."""
     c, p = _check_cp(c, p)
-    delta = derive_constants(p).delta
-    if delta * c >= 1:
-        raise ValueError(f"contraction rate {delta * c} >= 1: no finite truncation exists")
-    k = 1
-    term = delta * (c + 1)
-    while term >= 1:
+    rate, grow = _contraction(c, p)
+    # k ln(1/rate) > ln(grow); ln(1/rate) is about gap = 1 - rate where gap underflows a float
+    gap = 1 - rate
+    log2_k = math.log2(math.log(grow)) - (math.log2(-math.log1p(-float(gap))) if gap > 2**-1000 else _log2(gap))
+    k = max(1, math.ceil(2**log2_k) - 1)  # the estimate is off by far less than 1
+    while grow * rate**k >= 1:
         k += 1
-        term *= delta * c
     return k
 
 
-def _delta_series(c: Fraction, p: Fraction) -> tuple:
-    """(delta, head, ratio) of delta_bound's series, for (c, p) already checked."""
-    delta = derive_constants(p).delta
-    return delta, 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), delta * c / (1 - p)
-
-
-def _delta_exact(c: Fraction, p: Fraction, k1_prime: int) -> Fraction:
-    """delta_bound's exact value, for (c, p) already checked."""
-    delta, head, ratio = _delta_series(c, p)
-    denom = 1 - delta**k1_prime * c ** (k1_prime - 1) * (c + 1)
-    if denom <= 0:
+def _delta_exact(c, p, k1_prime: int, name: str, log2_scale: float = 0.0) -> Fraction:
+    """delta_bound's exact value, with its checks; name is raised, before the
+    value is built, when 2^log2_scale times the value is past the float range."""
+    c, p = _series_params(c, p)
+    if k1_prime < 1:
+        raise ValueError("truncation index must be >= 1")
+    rate, grow = _contraction(c, p)
+    # the factor grow * rate^k1' is built exactly only where its logarithm leaves it near 1
+    if _log2(grow) + k1_prime * _log2(rate) > -1 and grow * rate**k1_prime >= 1:
         raise ValueError(f"truncation {k1_prime} too small: delta^k1' c^(k1'-1) (c+1) >= 1")
-    return (2 * _geom_sum(delta * c, k1_prime) + head * _geom_sum(ratio, k1_prime)) / denom
+    head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), rate / (1 - p)
+    # 1 - factor is in (0, 1]: the value is >= head * ratio^(k1'-1)
+    if log2_scale + _log2(head) + (k1_prime - 1) * _log2(ratio) > 1025:
+        raise ValueError(f"{name} is too large for a float")
+    power = rate**k1_prime
+    return (2 * (1 - power) / (1 - rate) + head * _geom_sum(ratio, k1_prime)) / (1 - grow * power)
 
 
 def delta_bound(c, p, k1_prime: int) -> float:
     """Truncated-recurrence upper bound on the 2-pending expected extra
     latency (the quotient with denominator 1 - delta^k1' c^(k1'-1) (c+1)).
     """
-    c, p = _series_params(c, p)
-    if k1_prime < 1:
-        raise ValueError("truncation index must be >= 1")
-    delta, head, ratio = _delta_series(c, p)
-    if delta * c >= 1:
-        raise ValueError(f"contraction rate {delta * c} >= 1: no finite truncation exists")
-    # a factor below 1/2 puts denom in (1/2, 1): the value is >= head * ratio^(k1'-1)
-    log2_factor = k1_prime * _log2(delta) + (k1_prime - 1) * _log2(c) + _log2(c + 1)
-    lower = _log2(head) + (k1_prime - 1) * _log2(ratio) if log2_factor < -1 else 0.0
-    return _bound_float("delta_bound", k1_prime, lower, lambda: _delta_exact(c, p, k1_prime))
+    name = f"delta_bound at index {k1_prime}"
+    return _to_float(name, *_delta_exact(c, p, k1_prime, name).as_integer_ratio(), up=True)
 
 
 def _y30_value(c: Fraction, p: Fraction, bound2: Fraction) -> Fraction:
@@ -238,8 +235,9 @@ def y30_upper(c, p, k1_prime: int) -> float:
     beta = derive_constants(p).beta
     if beta * c >= 1:
         raise ValueError(f"beta*c = {beta * c} >= 1: bound diverges")
-    delta_bound(c, p, k1_prime)  # its named errors, before the exact value is built
-    return _bound_float("y30_upper", k1_prime, 0.0, lambda: _y30_value(c, p, _delta_exact(c, p, k1_prime)))
+    # the bound is >= (4/3) Delta: a Delta past the float range is named as this bound
+    name = f"y30_upper at index {k1_prime}"
+    return _to_float(name, *_y30_value(c, p, _delta_exact(c, p, k1_prime, name)).as_integer_ratio(), up=True)
 
 
 @dataclass(frozen=True)
@@ -393,7 +391,9 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     sched = Schedule(c, K)
     y1 = [(1 << _BITS,) * 2] * (K + 1) if semantics == "literal" else _lone_series(sched, c, p, K)
     grow = c ** (K - 1) * (c + 1)
-    bound2 = _delta_exact(c, p, min_truncation_k1(c, p))
+    # the upper end of E[Y_2,0] is at least delta^K times its seed, bound2 * grow
+    bound2 = _delta_exact(c, p, min_truncation_k1(c, p), "an enclosure of E[Y_2,k]",
+                          K * _log2(derive_constants(p).delta) + _log2(grow))
     y2 = [(0, _fixed_up(bound2 * grow))]
     y3 = [(0, _fixed_up(_y30_value(c, p, bound2) * grow))]
     pn, pd = p.numerator, p.denominator

@@ -278,7 +278,7 @@ def test_lone_series_interval_matches_fraction_loop(c, p):
 def test_fixed_point_seeds_round_up():
     # a seed rounded down can sit below its exact value by less than a
     # float's ulp, which no float endpoint shows
-    for value in (Fraction(1, 3), Fraction(10**40 + 1, 7), _delta_exact(C, Fraction(3, 4), 2)):
+    for value in (Fraction(1, 3), Fraction(10**40 + 1, 7), _delta_exact(C, Fraction(3, 4), 2, "Delta")):
         assert 0 < _fixed_up(value) - value * 2**_BITS < 1
     assert _fixed_up(Fraction(5, 4)) == 5 << (_BITS - 2)
 
@@ -288,7 +288,7 @@ def _solve_expectations_exact(c, p, semantics, K):
     # each table a list of (lo, hi, den), integer numerators over den
     sched = Schedule(c, K)
     grow = c ** (K - 1) * (c + 1)
-    bound2 = _delta_exact(c, p, min_truncation_k1(c, p))
+    bound2 = _delta_exact(c, p, min_truncation_k1(c, p), "Delta")
     seeds = [bound2 * grow, _y30_value(c, p, bound2) * grow]
     if semantics == "paper-series":
         seeds.append(_lone_seed(c, p, K + 80))
@@ -372,7 +372,7 @@ def test_public_bounds_round_outward(point, k, extra, t0):
     head = 2 * c * p / ((c - 1) * (1 - c * (1 - p)))
     _assert_outward(y1_upper(c, p, k), head * (c / (1 - p)) ** k, up=True)
     k1 = min_truncation_k1(c, p) + extra
-    bound2 = _delta_exact(c, p, k1)
+    bound2 = _delta_exact(c, p, k1, "Delta")
     _assert_outward(delta_bound(c, p, k1), bound2, up=True)
     _assert_outward(y30_upper(c, p, k1), _y30_value(c, p, bound2), up=True)
     report = deadline_comparison(c, p, t0, z_grid=(0, 7, 25))
