@@ -170,8 +170,7 @@ def y1_upper(c, p, k: int) -> float:
 
 
 def _contraction(c: Fraction, p: Fraction) -> tuple:
-    """(rate, grow) = (delta c, (c+1)/c) for (c, p) already checked: the
-    truncation factor delta^k c^(k-1) (c+1) is grow * rate^k."""
+    """(rate, grow) = (delta c, (c+1)/c) for (c, p) already checked: delta^k c^(k-1) (c+1) = grow rate^k."""
     rate = derive_constants(p).delta * c
     if rate >= 1:
         raise ValueError(f"contraction rate {rate} >= 1: no finite truncation exists")
@@ -181,12 +180,15 @@ def _contraction(c: Fraction, p: Fraction) -> tuple:
 def min_truncation_k1(c, p) -> int:
     """Smallest truncation making the 2-pending recurrence contract: the
     least k >= 1 with delta^k c^(k-1) (c+1) < 1, estimated from
-    logarithms and settled exactly."""
+    logarithms and settled exactly up to _K1_LIMIT."""
     c, p = _check_cp(c, p)
     rate, grow = _contraction(c, p)
     # k ln(1/rate) > ln(grow); ln(1/rate) is about gap = 1 - rate where gap underflows a float
     gap = 1 - rate
     log2_k = math.log2(math.log(grow)) - (math.log2(-math.log1p(-float(gap))) if gap > 2**-1000 else _log2(gap))
+    if log2_k > math.log2(_K1_LIMIT):  # before any exact power is built
+        e = log2_k * math.log10(2)
+        raise ValueError(f"least truncation k1' ~ {10 ** (e % 1):.3g}e{int(e)} is past the limit {_K1_LIMIT}")
     k = max(1, math.ceil(2**log2_k) - 1)  # the estimate is off by far less than 1
     while grow * rate**k >= 1:
         k += 1
@@ -285,6 +287,7 @@ def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundRep
 SEMANTICS = ("literal", "paper-series")
 _LONE_TERMS = 80  # steps of the lone player's recurrence run above K
 _BITS = 128  # the enclosures' fixed-point scale: units of 2^-_BITS
+_K1_LIMIT = 50_000  # the largest least truncation settled exactly: under 2 s on a 2-core box
 
 
 @dataclass(frozen=True)
@@ -387,9 +390,15 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         raise ValueError("truncation_K must be >= 1")
     if not feasibility(c, p).finite_all_P:
         raise ValueError("parameters outside the finite-latency region: the expectations diverge")
+    def intervals(n, rows):
+        name, unit = f"an enclosure of E[Y_{n},k]", 1 << _BITS
+        return [ExpectationInterval(_to_float(name, lo, unit, up=False), _to_float(name, hi, unit, up=True))
+                for lo, hi in rows]
+
     K = truncation_K
     sched = Schedule(c, K)
     y1 = [(1 << _BITS,) * 2] * (K + 1) if semantics == "literal" else _lone_series(sched, c, p, K)
+    e1 = intervals(1, y1)  # first: its errors come before those of E[Y_2,k]
     grow = c ** (K - 1) * (c + 1)
     # the upper end of E[Y_2,0] is at least delta^K times its seed, bound2 * grow
     bound2 = _delta_exact(c, p, min_truncation_k1(c, p), "an enclosure of E[Y_2,k]",
@@ -406,14 +415,9 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         y3.append(_step(x, pd3, (a3, y2[-1]), (beta, y3[-1])))
         y2.append(_step(x, pd2, (a2, y1[i + 1]), (delta, y2[-1])))
 
-    def intervals(n, rows):
-        name, unit = f"an enclosure of E[Y_{n},k]", 1 << _BITS
-        return [ExpectationInterval(_to_float(name, lo, unit, up=False), _to_float(name, hi, unit, up=True))
-                for lo, hi in rows]
-
     return ExpectationTable(
         c=c, p=p, semantics=semantics, truncation_K=K,
-        y1=intervals(1, y1), y2=intervals(2, y2[::-1]), y3=intervals(3, y3[::-1]),
+        y1=e1, y2=intervals(2, y2[::-1]), y3=intervals(3, y3[::-1]),
     )
 
 
