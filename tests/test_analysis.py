@@ -96,6 +96,53 @@ def test_min_truncation_k1():
     assert delta * (C + 1) >= 1
 
 
+def _min_truncation_loop(c, p) -> int:
+    # the oracle: multiply delta^k c^(k-1) (c+1) term by term until it drops below 1
+    delta = derive_constants(p).delta
+    k, term = 1, delta * (c + 1)
+    while term >= 1:
+        k += 1
+        term *= delta * c
+    return k
+
+
+@pytest.mark.parametrize(
+    "c, p, k1",
+    [
+        (Fraction(1), Fraction(1, 2), 2),  # the factor at k = 1 is exactly 1
+        (C, Fraction(3, 4), 2),
+        (Fraction(21, 20), Fraction(1, 10), 5),
+        (Fraction(10001, 10000), Fraction(127, 128), 45),
+        (Fraction(10001, 10000), Fraction(999, 1000), 365),
+        (Fraction(1000001, 1000000), Fraction(9999, 10000), 3484),
+    ],
+)
+def test_min_truncation_k1_matches_the_loop(c, p, k1):
+    assert min_truncation_k1(c, p) == _min_truncation_loop(c, p) == k1
+
+
+def test_min_truncation_k1_far_from_the_reference_point():
+    # the least k with delta^k c^(k-1) (c+1) < 1, checked from that definition
+    # in integers, as Fraction products here reduce numbers of millions of bits
+    c, p = Fraction(10000000001, 10000000000), Fraction(99999, 100000)
+    (dn, dd), (cn, cd) = derive_constants(p).delta.as_integer_ratio(), c.as_integer_ratio()
+
+    def below_1(j):  # delta^j c^(j-1) (c+1) < 1
+        return dn**j * cn ** (j - 1) * (cn + cd) < dd**j * cd**j
+
+    k = min_truncation_k1(c, p)
+    assert k == 34658 and below_1(k) and not below_1(k - 1)
+
+
+@pytest.mark.parametrize(
+    "c, p, estimate",
+    [(Fraction(1000000001, 1000000000), Fraction(999999, 1000000), "3.47e5"), (1, Fraction("1e-400"), "3.47e399")],
+)
+def test_min_truncation_k1_past_the_limit_is_named(c, p, estimate):
+    with pytest.raises(ValueError, match=f"least truncation k1' ~ {estimate} is past the limit 50000"):
+        min_truncation_k1(c, p)
+
+
 def test_bound_report_rejects_negative_table_horizon():
     with pytest.raises(ValueError, match="k_max must be >= 0"):
         bound_report(C, P, k_max=-1)
@@ -141,9 +188,11 @@ def test_delta_bound_past_the_float_range_is_named(k1):
 def test_y1_and_y30_upper_past_the_float_range_are_named():
     with pytest.raises(ValueError, match="y1_upper at index 2000 is too large for a float"):
         y1_upper(C, P, 2000)
-    # delta_bound still fits at k1' = 699; the bound built on it does not
-    with pytest.raises(ValueError, match="y30_upper at index 699 is too large for a float"):
-        y30_upper(C, P, 699)
+    # delta_bound still fits at k1' = 699; the bound built on it does not.  Past
+    # that, delta_bound does not fit either, and y30_upper names itself
+    for k1 in (699, 700, 100_000):
+        with pytest.raises(ValueError, match=f"y30_upper at index {k1} is too large for a float"):
+            y30_upper(C, P, k1)
 
 
 def test_bounds_near_the_float_range_keep_their_exact_value():
@@ -355,6 +404,12 @@ def test_solve_expectations_matches_fraction_recurrence_property(point, semantic
     c, p = point
     table = solve_expectations(c, p, semantics, truncation_K=K)
     _assert_encloses(table, _solve_expectations_exact(c, p, semantics, K))
+
+
+@settings(max_examples=100, deadline=None)
+@given(feasible_points())
+def test_min_truncation_k1_matches_the_loop_property(point):
+    assert min_truncation_k1(*point) == _min_truncation_loop(*point)
 
 
 def _assert_outward(value: float, exact: Fraction, up: bool):

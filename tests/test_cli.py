@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -213,6 +214,36 @@ def test_enclosure_past_the_float_range_is_one_line_error(capsys):
     code, out, err = run_cli(capsys, "analyze", "--c", "1000001/1000000", "--p", "0.999", "--K", "5")
     assert code == 1 and out == ""
     assert err == "error: an enclosure of E[Y_2,k] is too large for a float\n"
+
+
+# (c, p) whose least truncation k1' is 34,658, or past the limit of 50,000:
+# each of these once ran for minutes or did not end
+_LONG_TRUNCATIONS = [
+    (
+        ["bounds", "--c", "10000000001/10000000000", "--p", "0.99999"],
+        "delta_bound at index 34658 is too large for a float",
+    ),
+    (
+        ["analyze", "--c", "10000000001/10000000000", "--p", "0.99999", "--K", "5"],
+        "an enclosure of E[Y_2,k] is too large for a float",
+    ),
+    (
+        ["bounds", "--c", "1000000001/1000000000", "--p", "0.999999"],
+        "least truncation k1' ~ 3.47e5 is past the limit 50000",
+    ),
+    (["bounds", "--c", "1", "--p", "1e-400"], "least truncation k1' ~ 3.47e399 is past the limit 50000"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, what", _LONG_TRUNCATIONS, ids=["bounds-k1-34658", "analyze-k1-34658", "bounds-k1-346747", "bounds-p-1e-400"]
+)
+def test_long_truncations_are_one_line_errors(capsys, argv, what):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 1 and out == ""
+    assert err == f"error: {what}\n"
 
 
 # valid calls whose reports hold a value past the float range
@@ -497,6 +528,10 @@ def fuzz_config_path(tmp_path_factory):
 @example(argv=_PAST_THE_FLOAT_RANGE[2][0], config={})
 @example(argv=_PAST_THE_FLOAT_RANGE[3][0], config={})
 @example(argv=_PAST_THE_FLOAT_RANGE[4][0], config={})
+@example(argv=_LONG_TRUNCATIONS[0][0], config={})
+@example(argv=_LONG_TRUNCATIONS[1][0], config={})
+@example(argv=_LONG_TRUNCATIONS[2][0], config={})
+@example(argv=_LONG_TRUNCATIONS[3][0], config={})
 def test_cli_never_shows_a_traceback(fuzz_config_path, argv, config):
     fuzz_config_path.write_text(json.dumps(config))
     argv = [str(fuzz_config_path) if token == CONFIG else token for token in argv]
