@@ -178,14 +178,13 @@ def _contraction(c: Fraction, p: Fraction) -> tuple:
 
 
 def min_truncation_k1(c, p) -> int:
-    """Smallest truncation making the 2-pending recurrence contract: the
-    least k >= 1 with delta^k c^(k-1) (c+1) < 1, estimated from
-    logarithms and settled exactly up to _K1_LIMIT."""
+    """Smallest truncation making the 2-pending recurrence contract, the least k >= 1
+    with delta^k c^(k-1) (c+1) < 1: estimated from logarithms, settled exactly up to _K1_LIMIT."""
     c, p = _check_cp(c, p)
     rate, grow = _contraction(c, p)
-    # k ln(1/rate) > ln(grow); ln(1/rate) is about gap = 1 - rate where gap underflows a float
+    # k ln(1/rate) > ln(grow), and ln(1/rate) = gap (1 + gap/2 + ...): just gap once float(gap) underflows
     gap = 1 - rate
-    log2_k = math.log2(math.log(grow)) - (math.log2(-math.log1p(-float(gap))) if gap > 2**-1000 else _log2(gap))
+    log2_k = math.log2(math.log(grow)) - (math.log2(-math.log1p(-float(gap))) if gap > 1e-300 else _log2(gap))
     if log2_k > math.log2(_K1_LIMIT):  # before any exact power is built
         e = log2_k * math.log10(2)
         raise ValueError(f"least truncation k1' ~ {10 ** (e % 1):.3g}e{int(e)} is past the limit {_K1_LIMIT}")
@@ -390,6 +389,7 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         raise ValueError("truncation_K must be >= 1")
     if not feasibility(c, p).finite_all_P:
         raise ValueError("parameters outside the finite-latency region: the expectations diverge")
+
     def intervals(n, rows):
         name, unit = f"an enclosure of E[Y_{n},k]", 1 << _BITS
         return [ExpectationInterval(_to_float(name, lo, unit, up=False), _to_float(name, hi, unit, up=True))
