@@ -188,7 +188,7 @@ def min_truncation_k1(c, p) -> int:
     if log2_k > math.log2(_K1_LIMIT):  # before any exact power is built
         e = log2_k * math.log10(2)
         raise ValueError(f"least truncation k1' ~ {10 ** (e % 1):.3g}e{int(e)} is past the limit {_K1_LIMIT}")
-    k = max(1, math.ceil(2**log2_k) - 1)  # the estimate is off by far less than 1
+    k = math.ceil(2**log2_k) - 1  # the estimate is off by far less than 1, and is >= 1
     while grow * rate**k >= 1:
         k += 1
     return k
