@@ -195,8 +195,8 @@ def min_truncation_k1(c, p) -> int:
 
 
 def _delta_exact(c, p, k1_prime: int, name: str, log2_scale: float = 0.0) -> Fraction:
-    """delta_bound's exact value, with its checks; name is raised, before the
-    value is built, when 2^log2_scale times the value is past the float range."""
+    """delta_bound's exact value, with its checks.  Raises "<name> is too large for a float",
+    before building the value, when 2^log2_scale times it is past the float range."""
     c, p = _series_params(c, p)
     if k1_prime < 1:
         raise ValueError("truncation index must be >= 1")
