@@ -56,13 +56,6 @@ def _to_float(name: str, num: int, den: int, up: bool | None = None) -> float:
     return f
 
 
-def _geom_sum(r: Fraction, n: int) -> Fraction:
-    """sum_{i=0}^{n-1} r^i, exact, valid for r == 1 too."""
-    if r == 1:
-        return Fraction(n)
-    return (1 - r**n) / (1 - r)
-
-
 # --- derived constants and feasibility --------------------------------------
 
 @dataclass(frozen=True)
@@ -194,22 +187,25 @@ def min_truncation_k1(c, p) -> int:
     return k
 
 
-def _delta_exact(c, p, k1_prime: int, name: str, log2_scale: float = 0.0) -> Fraction:
-    """delta_bound's exact value, with its checks.  Raises "<name> is too large for a float",
-    before building the value, when 2^log2_scale times it is past the float range."""
+def _delta_exact(c, p, k1_prime: int, name: str, log2_scale: float = 0.0) -> tuple:
+    """delta_bound's exact value as an unreduced (num, den), with its checks.  Raises "<name> is
+    too large for a float", before building the value, when 2^log2_scale times it is past the float range."""
     c, p = _series_params(c, p)
     if k1_prime < 1:
         raise ValueError("truncation index must be >= 1")
-    rate, grow = _contraction(c, p)
-    # the factor grow * rate^k1' is built exactly only where its logarithm leaves it near 1
-    if _log2(grow) + k1_prime * _log2(rate) > -1 and grow * rate**k1_prime >= 1:
+    if k1_prime < min_truncation_k1(c, p):
         raise ValueError(f"truncation {k1_prime} too small: delta^k1' c^(k1'-1) (c+1) >= 1")
+    rate, grow = _contraction(c, p)
     head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), rate / (1 - p)
     # 1 - factor is in (0, 1]: the value is >= head * ratio^(k1'-1)
     if log2_scale + _log2(head) + (k1_prime - 1) * _log2(ratio) > 1025:
         raise ValueError(f"{name} is too large for a float")
     power = rate**k1_prime
-    return (2 * (1 - power) / (1 - rate) + head * _geom_sum(ratio, k1_prime)) / (1 - grow * power)
+    # (a + b) / f: three Fractions, each reduced only against small integers, combined unreduced
+    an, ad = (2 * (1 - power) / (1 - rate)).as_integer_ratio()
+    bn, bd = (head * (k1_prime if ratio == 1 else (1 - ratio**k1_prime) / (1 - ratio))).as_integer_ratio()
+    fn, fd = (1 - grow * power).as_integer_ratio()
+    return (an * bd + bn * ad) * fd, ad * bd * fn
 
 
 def delta_bound(c, p, k1_prime: int) -> float:
@@ -217,13 +213,14 @@ def delta_bound(c, p, k1_prime: int) -> float:
     latency (the quotient with denominator 1 - delta^k1' c^(k1'-1) (c+1)).
     """
     name = f"delta_bound at index {k1_prime}"
-    return _to_float(name, *_delta_exact(c, p, k1_prime, name).as_integer_ratio(), up=True)
+    return _to_float(name, *_delta_exact(c, p, k1_prime, name), up=True)
 
 
-def _y30_value(c: Fraction, p: Fraction, bound2: Fraction) -> Fraction:
-    """y30_upper's expression on a 2-pending bound, for (c, p) already checked."""
-    beta = derive_constants(p).beta
-    return (2 + 2 * p * (1 - p) ** 2 * (c + 1) * bound2) / (1 - beta * c)
+def _y30_value(c: Fraction, p: Fraction, bound2: tuple) -> tuple:
+    """y30_upper's expression on a 2-pending bound (num, den), unreduced, for (c, p) already checked."""
+    wn, wd = (2 * p * (1 - p) ** 2 * (c + 1)).as_integer_ratio()
+    sn, sd = (1 - derive_constants(p).beta * c).as_integer_ratio()
+    return (2 * wd * bound2[1] + wn * bound2[0]) * sd, wd * bound2[1] * sn
 
 
 def y30_upper(c, p, k1_prime: int) -> float:
@@ -238,7 +235,7 @@ def y30_upper(c, p, k1_prime: int) -> float:
         raise ValueError(f"beta*c = {beta * c} >= 1: bound diverges")
     # the bound is >= (4/3) Delta: a Delta past the float range is named as this bound
     name = f"y30_upper at index {k1_prime}"
-    return _to_float(name, *_y30_value(c, p, _delta_exact(c, p, k1_prime, name)).as_integer_ratio(), up=True)
+    return _to_float(name, *_y30_value(c, p, _delta_exact(c, p, k1_prime, name)), up=True)
 
 
 @dataclass(frozen=True)
@@ -328,9 +325,9 @@ class ExpectationTable:
         return [{"lower": iv.lower, "upper": iv.upper, **table} for iv in intervals]
 
 
-def _fixed_up(value: Fraction) -> int:
-    """value in units of 2^-_BITS, rounded up."""
-    return -(-(value.numerator << _BITS) // value.denominator)
+def _fixed_up(num: int, den: int) -> int:
+    """num/den (den > 0) in units of 2^-_BITS, rounded up."""
+    return -(-(num << _BITS) // den)
 
 
 def _step(x: int, den: int, *terms) -> tuple:
@@ -351,7 +348,7 @@ def _lone_series(sched: Schedule, c: Fraction, p: Fraction, K: int) -> list:
     top = K + _LONE_TERMS
     sched.extend_to(top)
     pn, pd = p.numerator, p.denominator
-    iv = (0, _fixed_up(2 * c**top / (1 - c * (1 - p))))
+    iv = (0, _fixed_up(*(2 * c**top / (1 - c * (1 - p))).as_integer_ratio()))
     rows = []
     for k in range(top - 1, -1, -1):
         iv = _step(sched.x[k] << _BITS, pd, (pd - pn, iv))
@@ -403,8 +400,8 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     # the upper end of E[Y_2,0] is at least delta^K times its seed, bound2 * grow
     bound2 = _delta_exact(c, p, min_truncation_k1(c, p), "an enclosure of E[Y_2,k]",
                           K * _log2(derive_constants(p).delta) + _log2(grow))
-    y2 = [(0, _fixed_up(bound2 * grow))]
-    y3 = [(0, _fixed_up(_y30_value(c, p, bound2) * grow))]
+    gn, gd = grow.as_integer_ratio()
+    y2, y3 = [[(0, _fixed_up(num * gn, den * gd))] for num, den in (bound2, _y30_value(c, p, bound2))]
     pn, pd = p.numerator, p.denominator
     qn = pd - pn
     pd2, pd3 = pd**2, pd**3

@@ -230,6 +230,44 @@ def test_bound_report_consistency():
     assert all(r == pytest.approx(4.4, rel=1e-9) for r in ratios)
 
 
+def _geom_sum(r: Fraction, n: int) -> Fraction:
+    """sum_{i=0}^{n-1} r^i, exact, valid for r == 1 too."""
+    return Fraction(n) if r == 1 else (1 - r**n) / (1 - r)
+
+
+def _delta_fraction(c, p, k1):
+    # the oracle: Delta from the reduced Fraction formula that the unreduced (num, den) replaced
+    rate, grow = derive_constants(p).delta * c, (c + 1) / c
+    head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), rate / (1 - p)
+    power = rate**k1
+    return (2 * (1 - power) / (1 - rate) + head * _geom_sum(ratio, k1)) / (1 - grow * power)
+
+
+def _y30_fraction(c, p, bound2):
+    return (2 + 2 * p * (1 - p) ** 2 * (c + 1) * bound2) / (1 - derive_constants(p).beta * c)
+
+
+def _assert_matches_fraction_formula(c, p, k1):
+    pair = _delta_exact(c, p, k1, "Delta")
+    y30 = _y30_value(c, p, pair)
+    assert pair[1] > 0 and y30[1] > 0  # as _to_float and _fixed_up need
+    bound2 = _delta_fraction(c, p, k1)
+    assert Fraction(*pair) == bound2
+    assert Fraction(*y30) == _y30_fraction(c, p, bound2)
+
+
+@pytest.mark.parametrize(
+    "c, p, k1",
+    [
+        *((Fraction(6, 5), Fraction(1, 4), k1) for k1 in (3, 4, 10)),  # ratio delta c / (1-p) is 1
+        *((C, Fraction(3, 4), k1) for k1 in (2, 3, 10)),
+        (Fraction(10001, 10000), Fraction(127, 128), 45),
+    ],
+)
+def test_delta_and_y30_match_the_fraction_formula(c, p, k1):
+    _assert_matches_fraction_formula(c, p, k1)
+
+
 def lone_player_series_oracle(c: Fraction, p: Fraction, k: int, terms: int = 200) -> float:
     # independent direct summation: sum_{l>=k} (s_l - s_{k-1}) p (1-p)^(l-k)
     sched = Schedule(c, k + terms)
@@ -316,9 +354,9 @@ def test_lone_series_interval_matches_fraction_loop(c, p):
 def test_fixed_point_seeds_round_up():
     # a seed rounded down can sit below its exact value by less than a
     # float's ulp, which no float endpoint shows
-    for value in (Fraction(1, 3), Fraction(10**40 + 1, 7), _delta_exact(C, Fraction(3, 4), 2, "Delta")):
-        assert 0 < _fixed_up(value) - value * 2**_BITS < 1
-    assert _fixed_up(Fraction(5, 4)) == 5 << (_BITS - 2)
+    for value in (Fraction(1, 3), Fraction(10**40 + 1, 7), Fraction(*_delta_exact(C, Fraction(3, 4), 2, "Delta"))):
+        assert 0 < _fixed_up(*value.as_integer_ratio()) - value * 2**_BITS < 1
+    assert _fixed_up(5, 4) == _fixed_up(10, 8) == 5 << (_BITS - 2)
 
 
 def _solve_expectations_exact(c, p, semantics, K):
@@ -326,8 +364,8 @@ def _solve_expectations_exact(c, p, semantics, K):
     # each table a list of (lo, hi, den), integer numerators over den
     sched = Schedule(c, K)
     grow = c ** (K - 1) * (c + 1)
-    bound2 = _delta_exact(c, p, min_truncation_k1(c, p), "Delta")
-    seeds = [bound2 * grow, _y30_value(c, p, bound2) * grow]
+    pair = _delta_exact(c, p, min_truncation_k1(c, p), "Delta")
+    seeds = [Fraction(*pair) * grow, Fraction(*_y30_value(c, p, pair)) * grow]
     if semantics == "paper-series":
         seeds.append(_lone_seed(c, p, K + 80))
     base = math.lcm(*(seed.denominator for seed in seeds))
@@ -401,6 +439,13 @@ def test_min_truncation_k1_matches_the_loop_property(point):
     assert min_truncation_k1(*point) == _min_truncation_loop(*point)
 
 
+@settings(max_examples=100, deadline=None)
+@given(feasible_points(), st.integers(0, 3))
+def test_delta_and_y30_match_the_fraction_formula_property(point, extra):
+    c, p = point
+    _assert_matches_fraction_formula(c, p, min_truncation_k1(c, p) + extra)
+
+
 def _assert_outward(value: float, exact: Fraction, up: bool):
     """value is on the side of exact that up names, within 1 ulp of the
     float nearest exact."""
@@ -416,9 +461,9 @@ def test_public_bounds_round_outward(point, k, extra, t0):
     head = 2 * c * p / ((c - 1) * (1 - c * (1 - p)))
     _assert_outward(y1_upper(c, p, k), head * (c / (1 - p)) ** k, up=True)
     k1 = min_truncation_k1(c, p) + extra
-    bound2 = _delta_exact(c, p, k1, "Delta")
-    _assert_outward(delta_bound(c, p, k1), bound2, up=True)
-    _assert_outward(y30_upper(c, p, k1), _y30_value(c, p, bound2), up=True)
+    pair = _delta_exact(c, p, k1, "Delta")
+    _assert_outward(delta_bound(c, p, k1), Fraction(*pair), up=True)
+    _assert_outward(y30_upper(c, p, k1), Fraction(*_y30_value(c, p, pair)), up=True)
     report = deadline_comparison(c, p, t0, z_grid=(0, 7, 25))
     delta = derive_constants(p).delta
     _assert_outward(report.prE_lower, delta**report.xi, up=False)
@@ -559,6 +604,19 @@ def test_deadline_comparison_examples():
     assert r5.xi == 2 and r5.prE_lower == pytest.approx(0.390625)
     r14 = deadline_comparison(C, P, 14)
     assert r14.xi == 6 and r14.prE_lower == pytest.approx(0.625**6)
+
+
+@pytest.mark.parametrize(
+    "c, p, t0, xi", [(C, Fraction(3, 4), 1, 0), (Fraction(10001, 10000), Fraction(127, 128), 1000, 499)]
+)
+def test_deadline_comparison_matches_the_fraction_formula(c, p, t0, xi):
+    z_grid = (0, 25, 100)
+    report = deadline_comparison(c, p, t0, z_grid=z_grid)
+    partials = persistent_distribution(c, p, max(z_grid)).partial_expectations
+    delta = derive_constants(p).delta
+    factor = delta**xi * c ** (xi - 1) * (c - 1)
+    assert report.xi == xi and report.prE_lower == _float_down(delta**xi)
+    assert report.truncated_lower_bounds == [(z, _float_down(factor * partials[z] - t0**2)) for z in z_grid]
 
 
 def test_deadline_lower_bounds_unbounded_in_zmax():
