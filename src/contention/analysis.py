@@ -200,6 +200,8 @@ def _delta_exact(c, p, k1_prime: int, name: str, log2_scale: float = 0.0) -> tup
     # 1 - factor is in (0, 1]: the value is >= head * ratio^(k1'-1)
     if log2_scale + _log2(head) + (k1_prime - 1) * _log2(ratio) > 1025:
         raise ValueError(f"{name} is too large for a float")
+    if k1_prime > _K1_LIMIT:
+        raise ValueError(f"truncation {k1_prime} is past the limit {_K1_LIMIT}")
     power = rate**k1_prime
     # (a + b) / f: three Fractions, each reduced only against small integers, combined unreduced
     an, ad = (2 * (1 - power) / (1 - rate)).as_integer_ratio()
@@ -556,18 +558,23 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     sched = Schedule(c, z_max)
     sched.ensure_covers_time(t0)
     xi = sum(1 for s in sched.s if s < t0)
-    pr_lower = consts.delta**xi
     totals = list(_partial_numerators(sched.s[: z_max + 1], p))
-    factor = pr_lower * c ** (xi - 1) * (c - 1)
-    lows = [factor * Fraction(totals[z], p.denominator ** (2 * (z + 1))) - t0**2 for z in z_grid]
-    bounds = [(z, _to_float(f"truncated lower bound at z_max = {z}", *low.as_integer_ratio(), up=False))
-              for z, low in zip(z_grid, lows)]
+    # delta^xi and c^(xi-1) (c-1) stay Fractions (powers do not reduce; xi = 0 gives 1/c),
+    # and the factor, their product, is num/den unreduced
+    dn, dd = (consts.delta**xi).as_integer_ratio()
+    gn, gd = (c ** (xi - 1) * (c - 1)).as_integer_ratio()
+    num, den = dn * gn, dd * gd
+    bounds = []
+    for z in z_grid:  # factor * totals[z] / pd^(2(z+1)) - t0^2
+        zden = den * p.denominator ** (2 * (z + 1))
+        low = num * totals[z] - t0**2 * zden
+        bounds.append((z, _to_float(f"truncated lower bound at z_max = {z}", low, zden, up=False)))
     return DeadlineComparison(
         c=c,
         p=p,
         t0=t0,
         xi=xi,
-        prE_lower=_to_float("prE_lower", *pr_lower.as_integer_ratio(), up=False),
+        prE_lower=_to_float("prE_lower", dn, dd, up=False),
         diverges=c * consts.gamma > 1,
         truncated_lower_bounds=bounds,
     )

@@ -109,7 +109,7 @@ def _load_config(path: str) -> engine.GameConfig:
         profile = protocols.profile_from_json(data)
         seed = int(data["seed"])
         n = int(data.get("n", len(profile)))
-        slot_cap = int(data.get("slot_cap", 10**6))
+        slot_cap = int(data.get("slot_cap", engine.GameConfig.slot_cap))
     except KeyError as exc:
         raise ValueError(f"config {path} is missing key {exc}") from None
     except TypeError as exc:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from contention import analysis
 from contention.analysis import (
     _BITS,
+    _K1_LIMIT,
     _delta_exact,
     _fixed_up,
     _lone_series,
@@ -266,6 +267,15 @@ def _assert_matches_fraction_formula(c, p, k1):
 )
 def test_delta_and_y30_match_the_fraction_formula(c, p, k1):
     _assert_matches_fraction_formula(c, p, k1)
+
+
+def test_requested_truncation_past_the_limit_is_named(monkeypatch):
+    # named before any power of the requested size is built
+    exponents, real = [], Fraction.__pow__
+    monkeypatch.setattr(Fraction, "__pow__", lambda a, b: exponents.append(b) or real(a, b))
+    with pytest.raises(ValueError, match=f"truncation {_K1_LIMIT + 1} is past the limit {_K1_LIMIT}"):
+        delta_bound(Fraction(21, 20), Fraction(1, 10), _K1_LIMIT + 1)
+    assert exponents and max(exponents) <= min_truncation_k1(Fraction(21, 20), Fraction(1, 10))
 
 
 def lone_player_series_oracle(c: Fraction, p: Fraction, k: int, terms: int = 200) -> float:

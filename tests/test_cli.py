@@ -232,11 +232,14 @@ _LONG_TRUNCATIONS = [
         "least truncation k1' ~ 3.47e5 is past the limit 50000",
     ),
     (["bounds", "--c", "1", "--p", "1e-400"], "least truncation k1' ~ 3.47e399 is past the limit 50000"),
+    (["bounds", "--c", "21/20", "--p", "1/10", "--k1", "1000000"], "truncation 1000000 is past the limit 50000"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, what", _LONG_TRUNCATIONS, ids=["bounds-k1-34658", "analyze-k1-34658", "bounds-k1-346747", "bounds-p-1e-400"]
+    "argv, what",
+    _LONG_TRUNCATIONS,
+    ids=["bounds-k1-34658", "analyze-k1-34658", "bounds-k1-346747", "bounds-p-1e-400", "bounds-requested-k1-1000000"],
 )
 def test_long_truncations_are_one_line_errors(capsys, argv, what):
     start = time.perf_counter()
@@ -532,6 +535,7 @@ def fuzz_config_path(tmp_path_factory):
 @example(argv=_LONG_TRUNCATIONS[1][0], config={})
 @example(argv=_LONG_TRUNCATIONS[2][0], config={})
 @example(argv=_LONG_TRUNCATIONS[3][0], config={})
+@example(argv=_LONG_TRUNCATIONS[4][0], config={})
 def test_cli_never_shows_a_traceback(fuzz_config_path, argv, config):
     fuzz_config_path.write_text(json.dumps(config))
     argv = [str(fuzz_config_path) if token == CONFIG else token for token in argv]
