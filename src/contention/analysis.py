@@ -225,6 +225,12 @@ def _y30_value(c: Fraction, p: Fraction, bound2: tuple) -> tuple:
     return (2 * wd * bound2[1] + wn * bound2[0]) * sd, wd * bound2[1] * sn
 
 
+def _check_beta(c: Fraction, p: Fraction) -> None:
+    beta_c = derive_constants(p).beta * c
+    if beta_c >= 1:
+        raise ValueError(f"beta*c = {beta_c} >= 1: bound diverges")
+
+
 def y30_upper(c, p, k1_prime: int) -> float:
     """Closed-form upper bound on a fixed player's expected latency when
     everyone runs the protocol:
@@ -232,9 +238,7 @@ def y30_upper(c, p, k1_prime: int) -> float:
         (2 + 2p(1-p)^2 (c+1) Delta) / (1 - beta c).
     """
     c, p = _check_cp(c, p)
-    beta = derive_constants(p).beta
-    if beta * c >= 1:
-        raise ValueError(f"beta*c = {beta * c} >= 1: bound diverges")
+    _check_beta(c, p)
     # the bound is >= (4/3) Delta: a Delta past the float range is named as this bound
     name = f"y30_upper at index {k1_prime}"
     return _to_float(name, *_y30_value(c, p, _delta_exact(c, p, k1_prime, name)), up=True)
@@ -269,13 +273,17 @@ def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundRep
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     k1_min = min_truncation_k1(c, p)
     k1_used = k1_min if k1_prime is None else k1_prime
+    name = f"delta_bound at index {k1_used}"
+    bound2 = _delta_exact(c, p, k1_used, name)  # once for both bounds: delta_bound's checks, then y30_upper's
+    delta = _to_float(name, *bound2, up=True)
+    _check_beta(c, p)
     return BoundReport(
         c=c,
         p=p,
         k1_min=k1_min,
         k1_used=k1_used,
-        delta_bound=delta_bound(c, p, k1_used),
-        y30_upper=y30_upper(c, p, k1_used),
+        delta_bound=delta,
+        y30_upper=_to_float(f"y30_upper at index {k1_used}", *_y30_value(c, p, bound2), up=True),
         y1k_upper=[(k, y1_upper(c, p, k)) for k in range(k_max + 1)],
     )
 
@@ -427,21 +435,29 @@ class PersistentDistribution:
     c: Fraction
     p: Fraction
     support: list  # s_z, exact ints
-    pmf: list  # Fraction: gamma^z (1-p)^2
-    partial_expectations: list  # Fraction, cumulative sum of s_z * pmf(z)
+    exact: list  # integers (pmf(z), partial expectation at z, den): numerators over den = pd^(2(z+1))
     term_ratios: list  # float, growth of consecutive expectation terms
     divergent: bool
     growth_rate: float  # c * gamma, the ratio-test certificate
     expected_rounds: float  # E[Z+1] = 1/(1-p)^2
     jensen_lower: int | None  # s at floor(E[Z]), None when that exceeds z_max
 
+    @property
+    def pmf(self) -> list:  # Fraction: gamma^z (1-p)^2, made on demand
+        return [Fraction(num, den) for num, _, den in self.exact]
+
+    @property
+    def partial_expectations(self) -> list:  # Fraction: cumulative sum of s_z * pmf(z), made on demand
+        return [Fraction(num, den) for _, num, den in self.exact]
+
     def to_json(self) -> dict:
         return {
             "c": format_rational(self.c),
             "p": float(self.p),
             "support": list(self.support),
-            "pmf": [float(v) for v in self.pmf],
-            "partial_expectations": [float(v) for v in self.partial_expectations],
+            # the nearest floats: int / int rounds correctly, as float(Fraction) does
+            "pmf": [num / den for num, _, den in self.exact],
+            "partial_expectations": [num / den for _, num, den in self.exact],
             "term_ratios": list(self.term_ratios),
             "divergent": self.divergent,
             "growth_rate": self.growth_rate,
@@ -450,20 +466,21 @@ class PersistentDistribution:
         }
 
 
-def _partial_numerators(support: list, p: Fraction):
-    """Yield, for z = 0, 1, ..., the integer numerator over pd^(2(z+1))
-    of the persistent deviator's partial expectation
-    sum_{j <= z} s_j (1-p)^2 gamma^j, given the support points s_0,
-    s_1, ... and with pd the denominator of p."""
+def _exact_law(support: list, p: Fraction):
+    """Yield, for z = 0, 1, ..., the integers (a, b, d) with a/d the
+    persistent deviator's pmf(z) = (1-p)^2 gamma^z, b/d her partial
+    expectation sum_{j <= z} s_j pmf(j) and d = pd^(2(z+1)), given the
+    support points s_0, s_1, ... and with pd the denominator of p."""
     pn, pd = p.numerator, p.denominator
     pd2 = pd * pd
     qn2 = (pd - pn) ** 2
     # (1-p)^2 gamma^j = qn^2 (pd^2 - qn^2)^j / pd^(2(j+1))
-    weight, total = qn2, 0
+    weight, total, den = qn2, 0, pd2
     for s_z in support:
         total = total * pd2 + s_z * weight
-        yield total
+        yield weight, total, den
         weight *= pd2 - qn2
+        den *= pd2
 
 
 def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
@@ -481,26 +498,19 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
         raise ValueError("z_max must be >= 0")
     support = Schedule(c, z_max).s
     gamma = derive_constants(p).gamma
-    # pmf(z) = (1-p)^2 gamma^z is in lowest terms over pd^(2(z+1)), as qn
-    # and pd^2 - qn^2 = pn (2 pd - pn) are prime to pd; so each partial sum
-    # is its numerator over pmf(z)'s denominator.
-    pmf, partials, term = [], [], (1 - p) ** 2
-    for total in _partial_numerators(support, p):
-        pmf.append(term)
-        partials.append(Fraction(total, term.denominator))
-        term *= gamma
+    exact = list(_exact_law(support, p))
     gn, gd = gamma.numerator, gamma.denominator
     ratios = [_to_float(f"term ratio at z = {z}", support[z + 1] * gn, support[z] * gd) for z in range(z_max)]
     growth_rate = _to_float("growth rate c*gamma", *(c * gamma).as_integer_ratio())
-    expected_rounds = _to_float("expected rounds 1/(1-p)^2", pmf[0].denominator, pmf[0].numerator)
-    _to_float(f"partial expectation at z = {z_max}", *partials[-1].as_integer_ratio())  # the largest: all fit
-    jensen_k = int(1 / pmf[0] - 1)  # floor of E[Z]
+    pd2, qn2 = p.denominator**2, (p.denominator - p.numerator) ** 2
+    expected_rounds = _to_float("expected rounds 1/(1-p)^2", pd2, qn2)
+    _to_float(f"partial expectation at z = {z_max}", *exact[-1][1:])  # the largest: all fit
+    jensen_k = pd2 // qn2 - 1  # floor of E[Z] = 1/(1-p)^2 - 1
     return PersistentDistribution(
         c=c,
         p=p,
         support=support,
-        pmf=pmf,
-        partial_expectations=partials,
+        exact=exact,
         term_ratios=ratios,
         divergent=c * gamma > 1,
         growth_rate=growth_rate,
@@ -558,7 +568,7 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     sched = Schedule(c, z_max)
     sched.ensure_covers_time(t0)
     xi = sum(1 for s in sched.s if s < t0)
-    totals = list(_partial_numerators(sched.s[: z_max + 1], p))
+    totals = [total for _, total, _ in _exact_law(sched.s[: z_max + 1], p)]
     # delta^xi and c^(xi-1) (c-1) stay Fractions (powers do not reduce; xi = 0 gives 1/c),
     # and the factor, their product, is num/den unreduced
     dn, dd = (consts.delta**xi).as_integer_ratio()

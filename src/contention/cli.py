@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import sys
 
 from . import analysis, engine, protocols
@@ -56,8 +57,33 @@ def _emit(path, report) -> None:
             out.writelines(report)
 
 
+# json.dumps(payload, indent=2)'s encoding of each leaf, by exact type (bool is an int)
+_LEAVES = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f),
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _write(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2) writes it at this indent: str-keyed dicts, lists, tuples, leaves."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{_LEAVES[str](key)}: {_write(item, inner)}" for key, item in value.items()], "{}"
+    else:  # a list or a tuple
+        items, ends = [_write(item, inner) for item in value], "[]"
+    if not items:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
+
+
 def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _write(payload, "") + "\n"
 
 
 def cmd_schedule(args):
@@ -71,7 +97,7 @@ def cmd_schedule(args):
         )
     if args.output_format == "csv":
         return ("k", "x", "s"), [(k, sched.x[k], sched.s[k]) for k in range(len(sched.s))]
-    # the report can pass 60 MB: it is written as the encoder yields it
+    # streamed, not built by _json: the report can pass 60 MB, and chunks keep peak memory low
     return itertools.chain(json.JSONEncoder(indent=2).iterencode(sched.to_json()), ["\n"])
 
 
@@ -92,10 +118,8 @@ def cmd_analyze(args):
         return _json(table.to_json())
     dist = analysis.persistent_distribution(args.c, args.p, args.zmax)
     if args.output_format == "csv":
-        rows = [
-            (z, dist.support[z], float(dist.pmf[z]), float(dist.partial_expectations[z]))
-            for z in range(len(dist.support))
-        ]
+        data = dist.to_json()
+        rows = zip(range(len(dist.support)), dist.support, data["pmf"], data["partial_expectations"])
         return ("z", "support", "pmf", "partial_expectation"), rows
     return _json(dist.to_json())
 

@@ -545,6 +545,19 @@ def test_persistent_jensen_lower_only_within_zmax():
     assert persistent_distribution(C, P, 14).jensen_lower is None
 
 
+@pytest.mark.parametrize(
+    "c, p",
+    [(C, P), (Fraction(10001, 10000), Fraction(127, 128)), (C, Fraction(1, 2)), (C, Fraction(1, 10))],
+    ids=["reference", "corner", "p-1/2", "p-1/10"],
+)
+def test_persistent_jensen_lower_matches_the_fraction_floor(c, p):
+    # 1/(1-p)^2 is an integer at p = 1/2: floor(E[Z]) = 3 exactly
+    dist = persistent_distribution(c, p, 400)
+    jensen_k = int(1 / dist.pmf[0] - 1)
+    assert dist.jensen_lower == (dist.support[jensen_k] if jensen_k <= 400 else None)
+    assert dist.expected_rounds == float(1 / dist.pmf[0])
+
+
 def test_persistent_distribution_schedule_follows_zmax(monkeypatch):
     # floor(E[Z]) = 65535 at p = 255/256 must not size the schedule
     horizons = []

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contention
-from contention.cli import main
+from contention import analysis
+from contention.cli import _json, main
 from contention.engine import LatencyStats
 
 
@@ -75,6 +77,53 @@ def test_analyze_persistent_command(capsys):
     assert data["divergent"] is True
     assert data["support"][:5] == [2, 4, 6, 8, 10]
     assert data["partial_expectations"][-1] > 2759
+
+
+@pytest.mark.parametrize("c, p", [("11/10", "0.75"), ("10001/10000", "0.9921875")])
+def test_persistent_report_floats_are_the_fractions_floats(capsys, c, p):
+    dist = analysis.persistent_distribution(Fraction(c), Fraction(p), 400)
+    pmf = [float(v) for v in dist.pmf]
+    partials = [float(v) for v in dist.partial_expectations]
+    code, out, _ = run_cli(capsys, "analyze", "--persistent", "--zmax", "400", "--c", c, "--p", p)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["pmf"], data["partial_expectations"]) == (pmf, partials)
+    code, out, _ = run_cli(
+        capsys, "analyze", "--persistent", "--zmax", "400", "--c", c, "--p", p, "--output-format", "csv"
+    )
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [float(r["pmf"]) for r in rows] == pmf
+    assert [float(r["partial_expectation"]) for r in rows] == partials
+
+
+# report-shaped JSON: str-keyed dicts, lists, tuples and every kind of leaf
+_LEAVES = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf, 1e308]),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PAYLOADS)
+@example({"a": [], "b": {}, "c": [{}, [[]], ()], "d": {"e": {"f": None}}})
+@example([math.nan, math.inf, -math.inf, -0.0, 5e-324, True, False, 0, -(10**300)])
+def test_json_writer_matches_json_dumps(payload):
+    # json.dumps is the oracle for the CLI's own writer, as run_trial is for the engine
+    assert _json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_analyze_expectations_command(capsys):
