@@ -17,6 +17,7 @@ Notation used throughout (per-round non-departure probabilities when
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -442,12 +443,12 @@ class PersistentDistribution:
     expected_rounds: float  # E[Z+1] = 1/(1-p)^2
     jensen_lower: int | None  # s at floor(E[Z]), None when that exceeds z_max
 
-    @property
-    def pmf(self) -> list:  # Fraction: gamma^z (1-p)^2, made on demand
+    @functools.cached_property
+    def pmf(self) -> list:  # Fraction: gamma^z (1-p)^2, made on the first read
         return [Fraction(num, den) for num, _, den in self.exact]
 
-    @property
-    def partial_expectations(self) -> list:  # Fraction: cumulative sum of s_z * pmf(z), made on demand
+    @functools.cached_property
+    def partial_expectations(self) -> list:  # Fraction: cumulative sum of s_z * pmf(z), made on the first read
         return [Fraction(num, den) for _, num, den in self.exact]
 
     def to_json(self) -> dict:
@@ -502,7 +503,7 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
     gn, gd = gamma.numerator, gamma.denominator
     ratios = [_to_float(f"term ratio at z = {z}", support[z + 1] * gn, support[z] * gd) for z in range(z_max)]
     growth_rate = _to_float("growth rate c*gamma", *(c * gamma).as_integer_ratio())
-    pd2, qn2 = p.denominator**2, (p.denominator - p.numerator) ** 2
+    qn2, _, pd2 = exact[0]  # pmf(0) = (1-p)^2 = qn^2 / pd^2
     expected_rounds = _to_float("expected rounds 1/(1-p)^2", pd2, qn2)
     _to_float(f"partial expectation at z = {z_max}", *exact[-1][1:])  # the largest: all fit
     jensen_k = pd2 // qn2 - 1  # floor of E[Z] = 1/(1-p)^2 - 1

@@ -117,7 +117,7 @@ _PAYLOADS = st.recursive(
 )
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_PAYLOADS)
 @example({"a": [], "b": {}, "c": [{}, [[]], ()], "d": {"e": {"f": None}}})
 @example([math.nan, math.inf, -math.inf, -0.0, 5e-324, True, False, 0, -(10**300)])
