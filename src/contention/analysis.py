@@ -137,6 +137,9 @@ def feasibility(c, p) -> FeasibilityReport:
 
 # --- closed-form upper bounds ------------------------------------------------
 
+_K1_LIMIT = 50_000  # the largest least truncation settled exactly: under 2 s on a 2-core box
+
+
 def _series_params(c, p) -> tuple:
     """(c, p) as fractions, checked for the lone player's series."""
     c, p = _check_cp(c, p)
@@ -188,9 +191,9 @@ def min_truncation_k1(c, p) -> int:
     return k
 
 
-def _delta_exact(c, p, k1_prime: int, name: str, log2_scale: float = 0.0) -> tuple:
+def _delta_exact(c, p, k1_prime: int, name: str) -> tuple:
     """delta_bound's exact value as an unreduced (num, den), with its checks.  Raises "<name> is
-    too large for a float", before building the value, when 2^log2_scale times it is past the float range."""
+    too large for a float", before building the value, when it is past the float range."""
     c, p = _series_params(c, p)
     if k1_prime < 1:
         raise ValueError("truncation index must be >= 1")
@@ -199,7 +202,7 @@ def _delta_exact(c, p, k1_prime: int, name: str, log2_scale: float = 0.0) -> tup
     rate, grow = _contraction(c, p)
     head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), rate / (1 - p)
     # 1 - factor is in (0, 1]: the value is >= head * ratio^(k1'-1)
-    if log2_scale + _log2(head) + (k1_prime - 1) * _log2(ratio) > 1025:
+    if _log2(head) + (k1_prime - 1) * _log2(ratio) > 1025:
         raise ValueError(f"{name} is too large for a float")
     if k1_prime > _K1_LIMIT:
         raise ValueError(f"truncation {k1_prime} is past the limit {_K1_LIMIT}")
@@ -294,7 +297,6 @@ def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundRep
 SEMANTICS = ("literal", "paper-series")
 _LONE_TERMS = 80  # steps of the lone player's recurrence run above K
 _BITS = 128  # the enclosures' fixed-point scale: units of 2^-_BITS
-_K1_LIMIT = 50_000  # the largest least truncation settled exactly: under 2 s on a 2-core box
 
 
 @dataclass(frozen=True)
@@ -371,14 +373,15 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     """Certified enclosures of the expected extra latencies E[Y_{n,k}]
     for n = 1, 2, 3 pending players and k = 0..truncation_K.
 
-    The tail at k = truncation_K is seeded with [0, exact closed-form
-    bound times the geometric domination factor c^(K-1)(c+1)], and the
-    linear recurrences
+    The tails at k = truncation_K are seeded with [0, A c^K] and [0, B c^K]:
+    as x_k <= 2c^k and E[Y_1,k] <= e1 c^k, A c^k and B c^k are a supersolution
+    (T(u) <= u) of the linear recurrences T, so they lie above the expectations,
+    T's least nonnegative solution (Norris, Markov Chains, 1997, Thm 1.3.5).  T,
 
         E[Y_2,i] = x_i + p(1-p)   E[Y_1,i+1] + delta E[Y_2,i+1]
-        E[Y_3,i] = x_i + 2p(1-p)^2 E[Y_2,i+1] + beta  E[Y_3,i+1]
+        E[Y_3,i] = x_i + 2p(1-p)^2 E[Y_2,i+1] + beta  E[Y_3,i+1],
 
-    run down to k = 0 in interval arithmetic (all coefficients are
+    runs down to k = 0 in interval arithmetic (all coefficients are
     nonnegative, so endpoints map to endpoints).  Every endpoint is an
     integer in units of 2^-128.  Each step applies the exact coefficients,
     integers over pd^2 or pd^3 for p = pn/pd, and rounds the lower endpoint
@@ -386,7 +389,7 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     outward, so each interval encloses the exact recurrence.
 
     semantics "literal": a lone player succeeds at the next slot, where
-    the protocol transmits with probability 1, so E[Y_1,k] = 1.
+    the protocol transmits with probability 1, so E[Y_1,k] = 1 = e1.
     semantics "paper-series": the lone player departs only at scheduled
     slots, giving the dominating series enclosed by _lone_series.
     """
@@ -406,18 +409,15 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     K = truncation_K
     sched = Schedule(c, K)
     y1 = [(1 << _BITS,) * 2] * (K + 1) if semantics == "literal" else _lone_series(sched, c, p, K)
-    e1 = intervals(1, y1)  # first: its errors come before those of E[Y_2,k]
-    grow = c ** (K - 1) * (c + 1)
-    # the upper end of E[Y_2,0] is at least delta^K times its seed, bound2 * grow
-    bound2 = _delta_exact(c, p, min_truncation_k1(c, p), "an enclosure of E[Y_2,k]",
-                          K * _log2(derive_constants(p).delta) + _log2(grow))
-    gn, gd = grow.as_integer_ratio()
-    y2, y3 = [[(0, _fixed_up(num * gn, den * gd))] for num, den in (bound2, _y30_value(c, p, bound2))]
     pn, pd = p.numerator, p.denominator
     qn = pd - pn
     pd2, pd3 = pd**2, pd**3
     a2, delta = pn * qn, pd2 - 2 * pn * qn
     a3, beta = 2 * pn * qn**2, pd3 - 3 * pn * qn**2
+    lone = 1 if semantics == "literal" else 2 / (1 - c * (1 - p))  # e1, the bound _lone_series' seed uses
+    A = (2 * pd2 + a2 * lone * c) / (pd2 - delta * c)
+    B = (2 * pd3 + a3 * A * c) / (pd3 - beta * c)
+    y2, y3 = [[(0, _fixed_up(*(u * c**K).as_integer_ratio()))] for u in (A, B)]
     for i in range(K - 1, -1, -1):
         x = sched.x[i] << _BITS  # E[Y_3,i] goes first: it reads E[Y_2,i+1]
         y3.append(_step(x, pd3, (a3, y2[-1]), (beta, y3[-1])))
@@ -425,7 +425,7 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
 
     return ExpectationTable(
         c=c, p=p, semantics=semantics, truncation_K=K,
-        y1=e1, y2=intervals(2, y2[::-1]), y3=intervals(3, y3[::-1]),
+        y1=intervals(1, y1), y2=intervals(2, y2[::-1]), y3=intervals(3, y3[::-1]),
     )
 
 

@@ -369,13 +369,21 @@ def test_fixed_point_seeds_round_up():
     assert _fixed_up(5, 4) == _fixed_up(10, 8) == 5 << (_BITS - 2)
 
 
+def _supersolution(c, p, semantics):
+    """(e1, A, B): E[Y_1,k] <= e1 c^k, and A c^k, B c^k bound E[Y_2,k], E[Y_3,k]."""
+    consts = derive_constants(p)
+    e1 = Fraction(1) if semantics == "literal" else _lone_seed(c, p, 0)
+    a = (2 + p * (1 - p) * e1 * c) / (1 - consts.delta * c)
+    b = (2 + 2 * p * (1 - p) ** 2 * a * c) / (1 - consts.beta * c)
+    return e1, a, b
+
+
 def _solve_expectations_exact(c, p, semantics, K):
-    # the interval recurrence run exactly, seeded with the exact bounds;
+    # the interval recurrence run exactly, seeded with the supersolution;
     # each table a list of (lo, hi, den), integer numerators over den
     sched = Schedule(c, K)
-    grow = c ** (K - 1) * (c + 1)
-    pair = _delta_exact(c, p, min_truncation_k1(c, p), "Delta")
-    seeds = [Fraction(*pair) * grow, Fraction(*_y30_value(c, p, pair)) * grow]
+    _, a, b = _supersolution(c, p, semantics)
+    seeds = [a * c**K, b * c**K]
     if semantics == "paper-series":
         seeds.append(_lone_seed(c, p, K + 80))
     base = math.lcm(*(seed.denominator for seed in seeds))
@@ -436,11 +444,39 @@ def feasible_points(draw):
 
 
 @settings(max_examples=100, deadline=None)
+@given(feasible_points(), st.sampled_from(["literal", "paper-series"]))
+def test_seeds_are_a_supersolution(point, semantics):
+    # T(u) <= u, exactly: then u lies above the least nonnegative solution
+    c, p = point
+    e1, a, b = _supersolution(c, p, semantics)
+    consts, x = derive_constants(p), Schedule(c, 12).x
+    for k in range(13):
+        u1 = 1 if semantics == "literal" else e1 * c ** (k + 1)  # E[Y_1,k+1] or its bound
+        if semantics == "paper-series":  # the lone player's own recurrence
+            assert x[k] + (1 - p) * u1 <= e1 * c**k
+        assert x[k] + p * (1 - p) * u1 + consts.delta * a * c ** (k + 1) <= a * c**k
+        assert x[k] + 2 * p * (1 - p) ** 2 * a * c ** (k + 1) + consts.beta * b * c ** (k + 1) <= b * c**k
+
+
+@settings(max_examples=100, deadline=None)
 @given(feasible_points(), st.sampled_from(["literal", "paper-series"]), st.integers(1, 12))
 def test_solve_expectations_matches_fraction_recurrence_property(point, semantics, K):
     c, p = point
     table = solve_expectations(c, p, semantics, truncation_K=K)
     _assert_encloses(table, _solve_expectations_exact(c, p, semantics, K))
+
+
+@settings(max_examples=50, deadline=None)
+@given(feasible_points(), st.sampled_from(["literal", "paper-series"]), st.integers(1, 15))
+def test_longer_truncation_encloses_within(point, semantics, K):
+    # run down from 4K, E[Y_n,K] stays under the supersolution that seeds
+    # the K run, and every step below K is monotone
+    c, p = point
+    wide = solve_expectations(c, p, semantics, truncation_K=K)
+    narrow = solve_expectations(c, p, semantics, truncation_K=4 * K)
+    for rows, inner_rows in ((wide.y1, narrow.y1), (wide.y2, narrow.y2), (wide.y3, narrow.y3)):
+        for iv, inner in zip(rows, inner_rows):
+            assert iv.lower <= inner.lower and inner.upper <= iv.upper
 
 
 @settings(max_examples=100, deadline=None)

@@ -259,8 +259,8 @@ def test_persistent_law_past_the_float_range_is_one_line_error(capsys, argv, wha
 
 
 def test_enclosure_past_the_float_range_is_one_line_error(capsys):
-    # the exact seed, delta_bound at k1' = 347 times c^4 (c+1), passes 2^1024
-    code, out, err = run_cli(capsys, "analyze", "--c", "1000001/1000000", "--p", "0.999", "--K", "5")
+    # E[Y_2,K] >= x_K ~ 2 * 1.1^7500, past 2^1024
+    code, out, err = run_cli(capsys, "analyze", "--K", "7500")
     assert code == 1 and out == ""
     assert err == "error: an enclosure of E[Y_2,k] is too large for a float\n"
 
@@ -271,10 +271,6 @@ _LONG_TRUNCATIONS = [
     (
         ["bounds", "--c", "10000000001/10000000000", "--p", "0.99999"],
         "delta_bound at index 34658 is too large for a float",
-    ),
-    (
-        ["analyze", "--c", "10000000001/10000000000", "--p", "0.99999", "--K", "5"],
-        "an enclosure of E[Y_2,k] is too large for a float",
     ),
     (
         ["bounds", "--c", "1000000001/1000000000", "--p", "0.999999"],
@@ -288,7 +284,7 @@ _LONG_TRUNCATIONS = [
 @pytest.mark.parametrize(
     "argv, what",
     _LONG_TRUNCATIONS,
-    ids=["bounds-k1-34658", "analyze-k1-34658", "bounds-k1-346747", "bounds-p-1e-400", "bounds-requested-k1-1000000"],
+    ids=["bounds-k1-34658", "bounds-k1-346747", "bounds-p-1e-400", "bounds-requested-k1-1000000"],
 )
 def test_long_truncations_are_one_line_errors(capsys, argv, what):
     start = time.perf_counter()
@@ -296,6 +292,23 @@ def test_long_truncations_are_one_line_errors(capsys, argv, what):
     assert time.perf_counter() - start < 10
     assert code == 1 and out == ""
     assert err == f"error: {what}\n"
+
+
+# (c, p) whose least truncation k1' is 34,658 or 49,160: the enclosures need no k1'
+_FAR_FROM_THE_REFERENCE_POINT = [
+    ["analyze", "--c", "10000000001/10000000000", "--p", "0.99999", "--K", "5"],
+    ["analyze", "--c", "10000001/10000000", "--p", "0.0000071", "--K", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", _FAR_FROM_THE_REFERENCE_POINT, ids=["analyze-k1-34658", "analyze-k1-49160"])
+def test_enclosures_far_from_the_reference_point_are_fast_and_finite(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    rows = [row for n in (1, 2, 3) for row in json.loads(out)[f"y{n}"]]
+    assert len(rows) == 18 and all(0 <= row["lower"] <= row["upper"] < math.inf for row in rows)
 
 
 # valid calls whose reports hold a value past the float range
@@ -584,7 +597,8 @@ def fuzz_config_path(tmp_path_factory):
 @example(argv=_LONG_TRUNCATIONS[1][0], config={})
 @example(argv=_LONG_TRUNCATIONS[2][0], config={})
 @example(argv=_LONG_TRUNCATIONS[3][0], config={})
-@example(argv=_LONG_TRUNCATIONS[4][0], config={})
+@example(argv=_FAR_FROM_THE_REFERENCE_POINT[0], config={})
+@example(argv=_FAR_FROM_THE_REFERENCE_POINT[1], config={})
 def test_cli_never_shows_a_traceback(fuzz_config_path, argv, config):
     fuzz_config_path.write_text(json.dumps(config))
     argv = [str(fuzz_config_path) if token == CONFIG else token for token in argv]
