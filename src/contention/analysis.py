@@ -191,13 +191,14 @@ def min_truncation_k1(c, p) -> int:
     return k
 
 
-def _delta_exact(c, p, k1_prime: int, name: str) -> tuple:
-    """delta_bound's exact value as an unreduced (num, den), with its checks.  Raises "<name> is
-    too large for a float", before building the value, when it is past the float range."""
+def _delta_exact(c, p, k1_prime: int, name: str, k1_min: int | None = None) -> tuple:
+    """delta_bound's exact value as an unreduced (num, den), with its checks; k1_min is
+    min_truncation_k1(c, p) if the caller has settled it.  Raises "<name> is too large for a
+    float", before building the value, when it is past the float range."""
     c, p = _series_params(c, p)
     if k1_prime < 1:
         raise ValueError("truncation index must be >= 1")
-    if k1_prime < min_truncation_k1(c, p):
+    if k1_prime < (min_truncation_k1(c, p) if k1_min is None else k1_min):
         raise ValueError(f"truncation {k1_prime} too small: delta^k1' c^(k1'-1) (c+1) >= 1")
     rate, grow = _contraction(c, p)
     head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), rate / (1 - p)
@@ -278,7 +279,7 @@ def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundRep
     k1_min = min_truncation_k1(c, p)
     k1_used = k1_min if k1_prime is None else k1_prime
     name = f"delta_bound at index {k1_used}"
-    bound2 = _delta_exact(c, p, k1_used, name)  # once for both bounds: delta_bound's checks, then y30_upper's
+    bound2 = _delta_exact(c, p, k1_used, name, k1_min)  # once for both bounds: delta_bound's checks, then y30_upper's
     delta = _to_float(name, *bound2, up=True)
     _check_beta(c, p)
     return BoundReport(

@@ -16,9 +16,9 @@ import bisect
 import contextlib
 import csv
 import dataclasses
+import functools
 import itertools
 import json
-import math
 import sys
 
 from . import analysis, engine, protocols
@@ -58,10 +58,11 @@ def _emit(path, report) -> None:
 
 
 # json.dumps(payload, indent=2)'s encoding of each leaf, by exact type (bool is an int)
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _LEAVES = {
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
-    float: lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f),
+    float: lambda f: _NONFINITE.get(r := float.__repr__(f), r),
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
@@ -69,14 +70,18 @@ _LEAVES = {
 
 def _write(value, indent: str) -> str:
     """value as json.dumps(value, indent=2) writes it at this indent: str-keyed dicts, lists, tuples, leaves."""
-    leaf = _LEAVES.get(type(value))
+    get = _LEAVES.get
+    leaf = get(type(value))
     if leaf is not None:
         return leaf(value)
     inner = indent + "  "
+    # a leaf is encoded in place, without a recursive call
     if isinstance(value, dict):
-        items, ends = [f"{_LEAVES[str](key)}: {_write(item, inner)}" for key, item in value.items()], "{}"
+        key = _LEAVES[str]
+        items = [f"{key(k)}: {f(v) if (f := get(type(v))) else _write(v, inner)}" for k, v in value.items()]
+        ends = "{}"
     else:  # a list or a tuple
-        items, ends = [_write(item, inner) for item in value], "[]"
+        items, ends = [f(v) if (f := get(type(v))) else _write(v, inner) for v in value], "[]"
     if not items:
         return ends
     return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
@@ -166,6 +171,7 @@ def cmd_compare_deadline(args) -> str:
     return _json(report.to_json())
 
 
+@functools.cache  # built by the first main call in a process, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contention",
@@ -212,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp = sub.add_parser("compare-deadline", help="lower-bound evidence against a deadline deviator")
     _add_cp(dp)
     dp.add_argument("--t0", type=int, required=True)
-    dp.add_argument("--zmax-grid", type=int, nargs="+", default=[25, 50, 100, 200, 400])
+    dp.add_argument("--zmax-grid", type=int, nargs="+", default=(25, 50, 100, 200, 400))
     _add_output(dp)
     dp.set_defaults(handler=cmd_compare_deadline)
 

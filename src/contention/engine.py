@@ -29,10 +29,13 @@ draw compares the final hash value with an integer threshold,
 ceil(p * 2^53) << 11, which is exact for every float or rational p.
 
 `run_trial` plays one trial straight from the rules, querying them anew
-at every slot it visits; it is kept as the independent oracle that
-`run_trials` is tested against.  While two pending players transmit with
-probability 1, or none can transmit, no draw can change the outcome, so
-it skips to the next slot where a pending player's rule can change.  Both
+at every slot it visits, and compares float draws with the
+probabilities; it is kept as the oracle that `run_trials` is tested
+against.  It shares only the per-player keys with `run_trials`, and the
+tests check its draws against `attempt_uniform`, the hash written out in
+full.  While two pending players transmit with probability 1, or none
+can transmit, no draw can change the outcome, so it skips to the next
+slot where a pending player's rule can change.  Both
 leave a trial's slot counter one past its last slot, so slots_run is
 the slot cap for a censored trial.  The library simulates through
 `run_trials` alone; `summarize(outcomes, player)`, which counts a
@@ -67,6 +70,19 @@ def attempt_uniform(seed: int, trial_index: int, player: int, slot: int) -> floa
     for part in (trial_index, player, slot):
         z = _mix64(z ^ ((part * _GOLDEN) & _MASK64))
     return (z >> 11) * (1.0 / (1 << 53))
+
+
+def _player_keys(seed_key: int, trial_index: int, n: int) -> list:
+    """Each player's key for one trial, from seed_key = _mix64(seed): the
+    state of attempt_uniform's hash after the trial and the player are
+    mixed in, so a draw needs one more mix, of the slot."""
+    trial_key = _mix64(seed_key ^ ((trial_index * _GOLDEN) & _MASK64))
+    return [_mix64(trial_key ^ ((i * _GOLDEN) & _MASK64)) for i in range(n)]
+
+
+def _keyed_uniform(key: int, slot: int) -> float:
+    """attempt_uniform's draw at this slot for the player whose key _player_keys gave."""
+    return (_mix64(key ^ ((slot * _GOLDEN) & _MASK64)) >> 11) * (1.0 / (1 << 53))
 
 
 @dataclass(frozen=True)
@@ -108,8 +124,8 @@ class LatencyStats:
 
 def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
     """Play one game to completion or the slot cap."""
-    n, seed, cap = config.n, config.seed, config.slot_cap
-    profile = config.profile
+    n, cap, profile = config.n, config.slot_cap, config.profile
+    keys = _player_keys(_mix64(config.seed), trial_index, n)
     pending = list(range(n))
     latency: list = [None] * n
     t = 1
@@ -127,7 +143,7 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
         transmitters = [
             i
             for i, pr in zip(pending, probs)
-            if pr == 1.0 or (pr > 0.0 and attempt_uniform(seed, trial_index, i, t) < pr)
+            if pr == 1.0 or (pr > 0.0 and _keyed_uniform(keys[i], t) < pr)
         ]
         if len(transmitters) == 1:
             winner = transmitters[0]
@@ -185,8 +201,7 @@ def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
     seed_key = _mix64(config.seed)
     outcomes = []
     for idx in range(trials):
-        trial_key = _mix64(seed_key ^ ((idx * _GOLDEN) & _MASK64))
-        keys = [_mix64(trial_key ^ ((i * _GOLDEN) & _MASK64)) for i in range(n)]
+        keys = _player_keys(seed_key, idx, n)
         latency = [None] * n
         mask = (1 << n) - 1
         t = 1

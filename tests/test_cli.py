@@ -443,13 +443,56 @@ def test_player_out_of_range_is_one_line_error(tmp_path, capsys, monkeypatch, pl
     assert err.count("\n") == 1
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy would add its import time and resident memory to every run
+def _fresh_process(*args, **kwargs):
+    # a new interpreter that imports the package under test
     src = str(Path(contention.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, contention.cli; print('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy would add its import time and resident memory to every run
+    result = _fresh_process("-c", "import sys, contention.cli; print('numpy' in sys.modules)", check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_builds_no_parser():
+    # the first main call builds the parser, so importing the CLI stays cheap
+    probe = "import contention.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    assert _fresh_process("-c", probe, check=True).stdout.strip() == "0"
+
+
+def test_cached_parser_leaks_no_state_between_calls(tmp_path, capsys):
+    # in turn in one process, each call prints what a fresh process prints
+    config = _write_config(tmp_path, {"players": [{"type": "constant_prob", "q": 0.5}] * 3, "seed": 5})
+    target = tmp_path / "report.json"
+    calls = [
+        ["compare-deadline", "--t0", "5"],
+        ["compare-deadline", "--t0", "5", "--zmax-grid", "10", "30"],
+        ["compare-deadline", "--t0", "5"],
+        ["analyze", "--persistent", "--zmax", "30"],
+        ["analyze", "--K", "20"],
+        ["simulate", "--config", config, "--trials", "40", "--seed", "3"],
+        ["simulate", "--config", config, "--trials", "40"],
+        ["analyze", "--semantics", "neither"],
+        ["feasibility", "--p", "0.5", "--output-path", str(target)],
+        ["feasibility"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # an argparse usage error
+            code = exc.code
+        out = capsys.readouterr().out
+        written = target.read_text() if "--output-path" in argv else None
+        target.unlink(missing_ok=True)
+        fresh = _fresh_process("-m", "contention.cli", *argv)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        if written is not None:
+            assert written == target.read_text() and written.startswith("{")
+    assert main(["compare-deadline", "--t0", "5"]) == 0
+    bounds = json.loads(capsys.readouterr().out)["truncated_lower_bounds"]
+    assert [row["z_max"] for row in bounds] == [25, 50, 100, 200, 400]
 
 
 @pytest.mark.parametrize(

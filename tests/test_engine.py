@@ -266,6 +266,19 @@ def test_split_key_reproduces_attempt_uniform():
     ]
 
 
+def test_keyed_draw_reproduces_attempt_uniform():
+    # run_trial's draw: the seed and trial mixed once per trial, the player
+    # keys kept, one mix of the slot per draw
+    for seed in (0, 7, 31, 2**64 + 5, -1):
+        seed_key = engine._mix64(seed)
+        for trial in (0, 1, 5, 3999, 10**6):
+            keys = engine._player_keys(seed_key, trial, 4)
+            for player in range(4):
+                for slot in (1, 2, 13, 77, 10**6):
+                    draw = engine._keyed_uniform(keys[player], slot)
+                    assert draw == attempt_uniform(seed, trial, player, slot)
+
+
 @pytest.mark.parametrize("p", [0.0, 2.0**-1074, 0.3, 0.5, 0.75, 1 - 2.0**-53, 1.0])
 def test_threshold_matches_float_draw(p):
     threshold = engine._threshold(p)
