@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
 
 from . import analysis, engine, protocols
@@ -58,11 +59,10 @@ def _emit(path, report) -> None:
 
 
 # json.dumps(payload, indent=2)'s encoding of each leaf, by exact type (bool is an int)
-_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _LEAVES = {
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
-    float: lambda f: _NONFINITE.get(r := float.__repr__(f), r),
+    float: lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f),
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
@@ -77,8 +77,8 @@ def _write(value, indent: str) -> str:
     inner = indent + "  "
     # a leaf is encoded in place, without a recursive call
     if isinstance(value, dict):
-        key = _LEAVES[str]
-        items = [f"{key(k)}: {f(v) if (f := get(type(v))) else _write(v, inner)}" for k, v in value.items()]
+        quote = _LEAVES[str]
+        items = [f"{quote(k)}: {f(v) if (f := get(type(v))) else _write(v, inner)}" for k, v in value.items()]
         ends = "{}"
     else:  # a list or a tuple
         items, ends = [f(v) if (f := get(type(v))) else _write(v, inner) for v in value], "[]"

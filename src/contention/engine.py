@@ -35,12 +35,11 @@ against.  It shares only the per-player keys with `run_trials`, and the
 tests check its draws against `attempt_uniform`, the hash written out in
 full.  While two pending players transmit with probability 1, or none
 can transmit, no draw can change the outcome, so it skips to the next
-slot where a pending player's rule can change.  Both
-leave a trial's slot counter one past its last slot, so slots_run is
-the slot cap for a censored trial.  The library simulates through
-`run_trials` alone; `summarize(outcomes, player)`, which counts a
-censored trial at its slots_run, and `outcomes_to_csv_rows` read its
-outcomes.
+slot where a pending player's rule can change.  Both leave a trial's
+slot counter one past its last slot, so slots_run is the slot cap for a
+censored trial.  The library simulates through `run_trials` alone;
+`summarize(outcomes, player)`, which counts a censored trial at its
+slots_run, and `outcomes_to_csv_rows` read its outcomes.
 """
 
 from __future__ import annotations
