@@ -133,18 +133,22 @@ def test_min_truncation_k1_far_from_the_reference_point():
     assert k == 34658 and num * dn * cn < den * dd * cd and num >= den
 
 
+@pytest.fixture
+def settles(monkeypatch):
+    # the (c, p) of every min_truncation_k1 call that bound_report makes
+    calls, real = [], analysis.min_truncation_k1
+    monkeypatch.setattr(analysis, "min_truncation_k1", lambda c, p: calls.append((c, p)) or real(c, p))
+    return calls
+
+
 @pytest.mark.parametrize("k1_prime", [None, 2, 5])
-def test_bound_report_settles_k1_once(monkeypatch, k1_prime):
-    settles, real = [], analysis.min_truncation_k1
-    monkeypatch.setattr(analysis, "min_truncation_k1", lambda c, p: settles.append((c, p)) or real(c, p))
+def test_bound_report_settles_k1_once(settles, k1_prime):
     report = bound_report(C, P, k1_prime=k1_prime)
     assert len(settles) == 1 and report.k1_min == 2
     assert report.k1_used == (2 if k1_prime is None else k1_prime)
 
 
-def test_requested_truncation_below_the_least_is_too_small(monkeypatch):
-    settles, real = [], analysis.min_truncation_k1
-    monkeypatch.setattr(analysis, "min_truncation_k1", lambda c, p: settles.append((c, p)) or real(c, p))
+def test_requested_truncation_below_the_least_is_too_small(settles):
     with pytest.raises(ValueError, match=r"truncation 1 too small: delta\^k1' c\^\(k1'-1\) \(c\+1\) >= 1"):
         bound_report(C, P, k1_prime=1)
     assert len(settles) == 1
