@@ -23,10 +23,11 @@ from typing import Union
 from .schedule import Schedule, parse_rational
 
 
-def _check_probability(name: str, value: float) -> None:
-    # also rejects nan and infinities
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+def _probability(name: str, value) -> float:
+    """value, a float or a rational, as a probability; checked before float(), which fails past its range."""
+    if not 0 <= value <= 1:  # also rejects nan and infinities
+        raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class AgeBased:
     p: float
 
     def __post_init__(self):
-        _check_probability("p", self.p)
+        _probability("p", self.p)
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class ConstantProb:
     q: float
 
     def __post_init__(self):
-        _check_probability("q", self.q)
+        _probability("q", self.q)
 
 
 @dataclass(frozen=True)
@@ -77,21 +78,17 @@ def next_prob_change(spec: ProtocolSpec, t: int) -> int | None:
     if isinstance(spec, ConstantProb):
         return None
     if isinstance(spec, AgeBased):
-        return _age_based_change(spec.schedule, spec.p, t)
+        if spec.p == 1.0:
+            return None
+        # the first scheduled slot >= t; a scheduled t changes back to 1 at t + 1
+        nxt = spec.schedule.next_nontrivial_after(t - 1)
+        return t + 1 if nxt == t else nxt
     if isinstance(spec, Deadline):
         if t >= spec.t0:
             return None
         change = next_prob_change(spec.pre, t)
         return spec.t0 if change is None else min(change, spec.t0)
     raise TypeError(f"unknown protocol spec {spec!r}")
-
-
-def _age_based_change(sched: Schedule, p: float, t: int) -> int | None:
-    if p == 1.0:
-        return None
-    if sched.nontrivial_index(t) is not None:
-        return t + 1
-    return sched.next_nontrivial_after(t)
 
 
 # --- JSON config -----------------------------------------------------------
@@ -105,12 +102,13 @@ def spec_from_json(data: dict) -> ProtocolSpec:
     if kind == "deadline":
         return Deadline(t0=int(data["t0"]), pre=_pre_from_json(data.get("pre", {"type": "quiet"})))
     if kind == "constant_prob":
-        return ConstantProb(q=float(data["q"]))
+        return ConstantProb(q=_probability("q", parse_rational(data["q"])))
     raise ValueError(f"unknown protocol type {kind!r}")
 
 
 def _age_based_from_json(data: dict) -> AgeBased:
-    return AgeBased(schedule=Schedule(parse_rational(data["c"]), 0), p=float(data["p"]))
+    schedule = Schedule(parse_rational(data["c"]), 0)
+    return AgeBased(schedule=schedule, p=_probability("p", parse_rational(data["p"])))
 
 
 def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:
@@ -120,7 +118,7 @@ def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:
     if kind == "quiet":
         return ConstantProb(0.0)
     if kind == "fixed_prob":
-        return ConstantProb(q=float(data["q"]))
+        return ConstantProb(q=_probability("q", parse_rational(data["q"])))
     if kind == "follow_age_based":
         return _age_based_from_json(data)
     raise ValueError(f"unknown pre-deadline rule {kind!r}")
