@@ -23,13 +23,17 @@ import math
 import sys
 
 from . import analysis, engine, protocols
-from .schedule import Schedule, parse_rational
+from .schedule import Schedule, parse_int, parse_rational
 
 
-def _add_cp(parser):
+def _add_c(parser):
     parser.add_argument(
         "--c", type=parse_rational, default="11/10", help="growth factor as a rational, e.g. 11/10"
     )
+
+
+def _add_cp(parser):
+    _add_c(parser)
     parser.add_argument(
         "--p", type=parse_rational, default="3/4",
         help="scheduled-slot transmission probability as a rational, e.g. 3/4 or 0.75",
@@ -136,9 +140,9 @@ def _load_config(path: str) -> engine.GameConfig:
         raise ValueError(f"config {path} must hold a JSON object, not a {type(data).__name__}")
     try:
         profile = protocols.profile_from_json(data)
-        seed = int(data["seed"])
-        n = int(data.get("n", len(profile)))
-        slot_cap = int(data.get("slot_cap", engine.GameConfig.slot_cap))
+        seed = parse_int(data["seed"], "seed")
+        n = parse_int(data.get("n", len(profile)), "n")
+        slot_cap = parse_int(data.get("slot_cap", engine.GameConfig.slot_cap), "slot_cap")
     except KeyError as exc:
         raise ValueError(f"config {path} is missing key {exc}") from None
     except TypeError as exc:
@@ -180,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("schedule", help="print the exact non-trivial slot schedule")
-    sp.add_argument("--c", type=parse_rational, default="11/10")
+    _add_c(sp)
     sp.add_argument("--k", type=int, default=8, help="schedule horizon index")
     _add_output(sp, formats=True)
     sp.set_defaults(handler=cmd_schedule)

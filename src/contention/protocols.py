@@ -17,10 +17,12 @@ probability at slot t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
-from .schedule import Schedule, parse_rational
+from .schedule import Schedule, parse_int, parse_rational
 
 
 def _probability(name: str, value) -> float:
@@ -100,15 +102,23 @@ def spec_from_json(data: dict) -> ProtocolSpec:
     if kind == "age_based":
         return _age_based_from_json(data)
     if kind == "deadline":
-        return Deadline(t0=int(data["t0"]), pre=_pre_from_json(data.get("pre", {"type": "quiet"})))
+        return Deadline(t0=parse_int(data["t0"], "t0"), pre=_pre_from_json(data.get("pre", {"type": "quiet"})))
     if kind == "constant_prob":
-        return ConstantProb(q=_probability("q", parse_rational(data["q"])))
+        return ConstantProb(q=_probability("q", _rational(data, "q")))
     raise ValueError(f"unknown protocol type {kind!r}")
 
 
+def _rational(data: dict, key: str) -> Fraction:
+    """data[key] exactly: a finite JSON number, or "num/den" or decimal text.
+    Fraction would take a bool for 0 or 1, and fail on nan or inf without naming the key."""
+    value = data[key]
+    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
+        raise TypeError(f"{key} must be a finite number or text, got {value!r}")
+    return parse_rational(value)
+
+
 def _age_based_from_json(data: dict) -> AgeBased:
-    schedule = Schedule(parse_rational(data["c"]), 0)
-    return AgeBased(schedule=schedule, p=_probability("p", parse_rational(data["p"])))
+    return AgeBased(schedule=Schedule(_rational(data, "c"), 0), p=_probability("p", _rational(data, "p")))
 
 
 def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:
@@ -118,7 +128,7 @@ def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:
     if kind == "quiet":
         return ConstantProb(0.0)
     if kind == "fixed_prob":
-        return ConstantProb(q=_probability("q", parse_rational(data["q"])))
+        return ConstantProb(q=_probability("q", _rational(data, "q")))
     if kind == "follow_age_based":
         return _age_based_from_json(data)
     raise ValueError(f"unknown pre-deadline rule {kind!r}")

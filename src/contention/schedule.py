@@ -30,13 +30,22 @@ from fractions import Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a plain integer / decimal string) exactly.
+    """Parse "num/den" (or a plain integer / decimal string, or a number) exactly.
 
     Raises ValueError for malformed text and for a zero denominator."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
+def parse_int(value, name: str) -> int:
+    """An integer config field: an int, an integral float such as 1e6, or
+    text int() accepts.  A bool, or a float that int() would truncate or
+    fail on, is a TypeError naming the field."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def format_rational(value: Fraction) -> str:

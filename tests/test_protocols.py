@@ -81,6 +81,43 @@ def test_deadline_change_slot_is_min_of_pre_and_t0(age_based):
     assert next_prob_change(Deadline(t0=7, pre=always), 2) == 7
 
 
+_FAR_SCHEDULES = [Schedule(c, 0) for c in (Fraction(1), Fraction(11, 10), Fraction(10001, 10000), Fraction(2))]
+_FAR_AGE_BASED = [AgeBased(schedule=sched, p=p) for sched in _FAR_SCHEDULES for p in (0.0, 0.3, 1.0)]
+_FAR_SPEC = st.one_of(
+    st.sampled_from([*_FAR_AGE_BASED, ConstantProb(q=0.2)]),
+    st.builds(
+        Deadline,
+        t0=st.integers(min_value=1, max_value=10**5),
+        pre=st.sampled_from([ConstantProb(q=0.0), ConstantProb(q=0.25), *_FAR_AGE_BASED]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=_FAR_SPEC,
+    t=st.integers(min_value=1, max_value=10**5),
+    near=st.sampled_from([None, "schedule", "t0"]),
+    offset=st.integers(min_value=-1, max_value=1),
+)
+def test_next_prob_change_holds_far_out(spec, t, near, offset):
+    # run_trials and the run_trial oracle both trust next_prob_change, so it
+    # is checked slot by slot here, far past the caps their tests reach
+    rule = spec.pre if isinstance(spec, Deadline) else spec
+    if near == "schedule" and isinstance(rule, AgeBased):
+        t = max(1, rule.schedule.next_nontrivial_after(t - 1) + offset)
+    elif near == "t0" and isinstance(spec, Deadline):
+        t = max(1, spec.t0 + offset)
+    value = decision_probability(spec, t)
+    change = next_prob_change(spec, t)
+    assert change is None or change > t
+    end = t + 500 if change is None else min(change - 1, t + 500)
+    assert all(decision_probability(spec, u) == value for u in range(t, end + 1))
+    # and no later than the value moves, unless a deadline's t0 cuts in first
+    if change is not None and not (isinstance(spec, Deadline) and change == spec.t0):
+        assert decision_probability(spec, change) != value
+
+
 def test_profile_json_parses_every_rule_type():
     data = {
         "players": [
