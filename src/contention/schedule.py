@@ -24,6 +24,7 @@ it, so callers never size it in advance.
 
 from __future__ import annotations
 
+import contextlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,11 +42,13 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_int(value, name: str) -> int:
     """An integer config field: an int, an integral float such as 1e6, or
-    text int() accepts.  A bool, or a float that int() would truncate or
-    fail on, is a TypeError naming the field."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    integer text such as "7".  Anything else, a bool or a float that int()
+    would truncate included, is a TypeError naming the field."""
+    integral = isinstance(value, float) and value.is_integer()
+    if integral or isinstance(value, (int, str)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError):  # text int() rejects
+            return int(value)
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def format_rational(value: Fraction) -> str:

@@ -410,7 +410,9 @@ def test_missing_config_key_is_one_line_error(tmp_path, capsys, data, key):
         # an integer field takes no bool and no fractional or non-finite float, which int() would truncate
         ({"players": [{"type": "constant_prob", "q": 0.5}], "seed": 7.9}, "seed must be an integer, got 7.9"),
         ({"players": [{"type": "constant_prob", "q": 0.5}], "seed": True}, "seed must be an integer, got True"),
+        ({"players": [{"type": "constant_prob", "q": 0.5}], "seed": "1e6"}, "seed must be an integer, got '1e6'"),
         ({"players": [{"type": "constant_prob", "q": 0.5}], "seed": 1, "n": 3.7}, "n must be an integer, got 3.7"),
+        ({"players": [{"type": "constant_prob", "q": 0.5}], "seed": 1, "n": None}, "n must be an integer, got None"),
         ({"players": [{"type": "constant_prob", "q": 0.5}], "seed": 1, "slot_cap": 2.9}, "slot_cap must be an integer"),
         ({"players": [{"type": "constant_prob", "q": 0.5}], "seed": 1, "slot_cap": math.nan}, "slot_cap must be"),
         ({"players": [{"type": "constant_prob", "q": 0.5}], "seed": 1, "slot_cap": -math.inf}, "slot_cap must be"),
