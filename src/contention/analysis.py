@@ -60,6 +60,16 @@ def _to_float(name: str, num: int, den: int, up: bool | None = None) -> float:
 # --- derived constants and feasibility --------------------------------------
 
 @dataclass(frozen=True)
+class _Report:
+    """A report at one parameter point (c, p): its JSON opens with c as exact text and p as a float."""
+    c: Fraction
+    p: Fraction
+
+    def _payload(self, **fields) -> dict:
+        return {"c": format_rational(self.c), "p": float(self.p), **fields}
+
+
+@dataclass(frozen=True)
 class DerivedConstants:
     gamma: Fraction
     delta: Fraction
@@ -79,9 +89,7 @@ def derive_constants(p) -> DerivedConstants:
 
 
 @dataclass(frozen=True)
-class FeasibilityReport:
-    c: Fraction
-    p: Fraction
+class FeasibilityReport(_Report):
     thresholds: dict  # name -> Fraction
     finite_all_P: bool
     persistent_diverges: bool
@@ -92,14 +100,12 @@ class FeasibilityReport:
             name: {"exact": format_rational(val), "value": _to_float(name, *val.as_integer_ratio())}
             for name, val in self.thresholds.items()
         }
-        return {
-            "c": format_rational(self.c),
-            "p": float(self.p),
-            "thresholds": thr,
-            "finite_all_P": self.finite_all_P,
-            "persistent_diverges": self.persistent_diverges,
-            "feasible": self.feasible,
-        }
+        return self._payload(
+            thresholds=thr,
+            finite_all_P=self.finite_all_P,
+            persistent_diverges=self.persistent_diverges,
+            feasible=self.feasible,
+        )
 
 
 def feasibility(c, p) -> FeasibilityReport:
@@ -250,9 +256,7 @@ def y30_upper(c, p, k1_prime: int) -> float:
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    c: Fraction
-    p: Fraction
+class BoundReport(_Report):
     k1_min: int
     k1_used: int
     delta_bound: float
@@ -260,15 +264,13 @@ class BoundReport:
     y1k_upper: list  # [(k, bound)]
 
     def to_json(self) -> dict:
-        return {
-            "c": format_rational(self.c),
-            "p": float(self.p),
-            "k1_min": self.k1_min,
-            "k1_used": self.k1_used,
-            "delta_bound": self.delta_bound,
-            "y30_upper": self.y30_upper,
-            "y1k_upper": [{"k": k, "bound": b} for k, b in self.y1k_upper],
-        }
+        return self._payload(
+            k1_min=self.k1_min,
+            k1_used=self.k1_used,
+            delta_bound=self.delta_bound,
+            y30_upper=self.y30_upper,
+            y1k_upper=[{"k": k, "bound": b} for k, b in self.y1k_upper],
+        )
 
 
 def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundReport:
@@ -314,9 +316,7 @@ class ExpectationInterval:
 
 
 @dataclass(frozen=True)
-class ExpectationTable:
-    c: Fraction
-    p: Fraction
+class ExpectationTable(_Report):
     semantics: str
     truncation_K: int
     y1: list
@@ -324,15 +324,13 @@ class ExpectationTable:
     y3: list
 
     def to_json(self) -> dict:
-        return {
-            "c": format_rational(self.c),
-            "p": float(self.p),
-            "semantics": self.semantics,
-            "truncation_K": self.truncation_K,
-            "y1": self._rows(self.y1),
-            "y2": self._rows(self.y2),
-            "y3": self._rows(self.y3),
-        }
+        return self._payload(
+            semantics=self.semantics,
+            truncation_K=self.truncation_K,
+            y1=self._rows(self.y1),
+            y2=self._rows(self.y2),
+            y3=self._rows(self.y3),
+        )
 
     def _rows(self, intervals: list) -> list:
         table = {"truncation_K": self.truncation_K, "semantics": self.semantics}
@@ -433,9 +431,7 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
 # --- persistent deviator ------------------------------------------------------
 
 @dataclass(frozen=True)
-class PersistentDistribution:
-    c: Fraction
-    p: Fraction
+class PersistentDistribution(_Report):
     support: list  # s_z, exact ints
     exact: list  # integers (pmf(z), partial expectation at z, den): numerators over den = pd^(2(z+1))
     term_ratios: list  # float, growth of consecutive expectation terms
@@ -453,19 +449,17 @@ class PersistentDistribution:
         return [Fraction(num, den) for _, num, den in self.exact]
 
     def to_json(self) -> dict:
-        return {
-            "c": format_rational(self.c),
-            "p": float(self.p),
-            "support": list(self.support),
+        return self._payload(
+            support=list(self.support),
             # the nearest floats: int / int rounds correctly, as float(Fraction) does
-            "pmf": [num / den for num, _, den in self.exact],
-            "partial_expectations": [num / den for _, num, den in self.exact],
-            "term_ratios": list(self.term_ratios),
-            "divergent": self.divergent,
-            "growth_rate": self.growth_rate,
-            "expected_rounds": self.expected_rounds,
-            "jensen_lower": self.jensen_lower,
-        }
+            pmf=[num / den for num, _, den in self.exact],
+            partial_expectations=[num / den for _, num, den in self.exact],
+            term_ratios=list(self.term_ratios),
+            divergent=self.divergent,
+            growth_rate=self.growth_rate,
+            expected_rounds=self.expected_rounds,
+            jensen_lower=self.jensen_lower,
+        )
 
 
 def _exact_law(support: list, p: Fraction):
@@ -524,9 +518,7 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
 # --- deadline deviators --------------------------------------------------------
 
 @dataclass(frozen=True)
-class DeadlineComparison:
-    c: Fraction
-    p: Fraction
+class DeadlineComparison(_Report):
     t0: int
     xi: int
     prE_lower: float
@@ -534,17 +526,13 @@ class DeadlineComparison:
     truncated_lower_bounds: list  # [(z_max, lower bound on E[latency])]
 
     def to_json(self) -> dict:
-        return {
-            "c": format_rational(self.c),
-            "p": float(self.p),
-            "t0": self.t0,
-            "xi": self.xi,
-            "prE_lower": self.prE_lower,
-            "diverges": self.diverges,
-            "truncated_lower_bounds": [
-                {"z_max": z, "bound": b} for z, b in self.truncated_lower_bounds
-            ],
-        }
+        return self._payload(
+            t0=self.t0,
+            xi=self.xi,
+            prE_lower=self.prE_lower,
+            diverges=self.diverges,
+            truncated_lower_bounds=[{"z_max": z, "bound": b} for z, b in self.truncated_lower_bounds],
+        )
 
 
 def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) -> DeadlineComparison:
