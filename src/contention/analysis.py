@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +39,13 @@ def _check_cp(c, p) -> tuple:
 
 def _log2(x: Fraction) -> float:
     return math.log2(x.numerator) - math.log2(x.denominator)  # no float overflow
+
+
+def _check_fits(name: str, log2_lower: float) -> None:
+    """Name a value as too large for a float before the exact work that builds it, from
+    log2_lower, a lower bound on its log2; a value past 2^1025 fails _to_float for certain."""
+    if log2_lower > 1025:
+        raise ValueError(f"{name} is too large for a float")
 
 
 def _to_float(name: str, num: int, den: int, up: bool | None = None) -> float:
@@ -167,8 +175,7 @@ def y1_upper(c, p, k: int) -> float:
     if k < 0:
         raise ValueError("k must be >= 0")
     head, ratio = 2 * c * p / ((c - 1) * (1 - c * (1 - p))), c / (1 - p)
-    if _log2(head) + k * _log2(ratio) > 1025:  # named before the power is built
-        raise ValueError(f"y1_upper at index {k} is too large for a float")
+    _check_fits(f"y1_upper at index {k}", _log2(head) + k * _log2(ratio))
     return _to_float(f"y1_upper at index {k}", *(head * ratio**k).as_integer_ratio(), up=True)
 
 
@@ -209,8 +216,7 @@ def _delta_exact(c, p, k1_prime: int, name: str, k1_min: int | None = None) -> t
     rate, grow = _contraction(c, p)
     head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), rate / (1 - p)
     # 1 - factor is in (0, 1]: the value is >= head * ratio^(k1'-1)
-    if _log2(head) + (k1_prime - 1) * _log2(ratio) > 1025:
-        raise ValueError(f"{name} is too large for a float")
+    _check_fits(name, _log2(head) + (k1_prime - 1) * _log2(ratio))
     if k1_prime > _K1_LIMIT:
         raise ValueError(f"truncation {k1_prime} is past the limit {_K1_LIMIT}")
     power = rate**k1_prime
@@ -406,8 +412,6 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
                 for lo, hi in rows]
 
     K = truncation_K
-    sched = Schedule(c, K)
-    y1 = [(1 << _BITS,) * 2] * (K + 1) if semantics == "literal" else _lone_series(sched, c, p, K)
     pn, pd = p.numerator, p.denominator
     qn = pd - pn
     pd2, pd3 = pd**2, pd**3
@@ -416,6 +420,14 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     lone = 1 if semantics == "literal" else 2 / (1 - c * (1 - p))  # e1, the bound _lone_series' seed uses
     A = (2 * pd2 + a2 * lone * c) / (pd2 - delta * c)
     B = (2 * pd3 + a3 * A * c) / (pd3 - beta * c)
+    # the tables are emitted y1 first.  In paper-series E[Y_1,K] >= x_K >= c^K, and every
+    # E[Y_1,k] fits when e1 c^K (plus K + _LONE_TERMS units) is below 2^1022.  E[Y_2,K]'s upper end is A c^K
+    if semantics == "paper-series":
+        _check_fits("an enclosure of E[Y_1,k]", K * _log2(c))
+    if semantics == "literal" or _log2(lone) + K * _log2(c) < 1022:
+        _check_fits("an enclosure of E[Y_2,k]", _log2(A) + K * _log2(c))
+    sched = Schedule(c, K)
+    y1 = [(1 << _BITS,) * 2] * (K + 1) if semantics == "literal" else _lone_series(sched, c, p, K)
     y2, y3 = [[(0, _fixed_up(*(u * c**K).as_integer_ratio()))] for u in (A, B)]
     for i in range(K - 1, -1, -1):
         x = sched.x[i] << _BITS  # E[Y_3,i] goes first: it reads E[Y_2,i+1]
@@ -492,8 +504,12 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
     c, p = _check_cp(c, p)
     if z_max < 0:
         raise ValueError("z_max must be >= 0")
-    support = Schedule(c, z_max).s
     gamma = derive_constants(p).gamma
+    # every term ratio (<= (1 + 2c) gamma), c*gamma and 1/(1-p)^2 fit, and are checked first:
+    # then the partial expectation at z_max, >= s_z pmf(z) >= (c gamma)^z (1-p)^2, is checked here
+    if _log2(c) < 1000 and _log2(1 - p) > -500:
+        _check_fits(f"partial expectation at z = {z_max}", z_max * _log2(c * gamma) + 2 * _log2(1 - p))
+    support = Schedule(c, z_max).s
     exact = list(_exact_law(support, p))
     gn, gd = gamma.numerator, gamma.denominator
     ratios = [_to_float(f"term ratio at z = {z}", support[z + 1] * gn, support[z] * gd) for z in range(z_max)]
@@ -555,20 +571,31 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
         raise ValueError(f"z_grid must be a non-empty list of z_max >= 0, got {list(z_grid)}")
     consts = derive_constants(p)
     z_max = max(z_grid)
-    sched = Schedule(c, z_max)
+    sched = Schedule(c, 0)
     sched.ensure_covers_time(t0)
-    xi = sum(1 for s in sched.s if s < t0)
-    totals = [total for _, total, _ in _exact_law(sched.s[: z_max + 1], p)]
+    xi = bisect_left(sched.s, t0)
     # delta^xi and c^(xi-1) (c-1) stay Fractions (powers do not reduce; xi = 0 gives 1/c),
     # and the factor, their product, is num/den unreduced
     dn, dd = (consts.delta**xi).as_integer_ratio()
     gn, gd = (c ** (xi - 1) * (c - 1)).as_integer_ratio()
     num, den = dn * gn, dd * gd
+    if num and t0.bit_length() < 500:
+        # a bound is factor * partial_expectation(z) - t0^2, with -t0^2 > -2^1000 and
+        # factor (c gamma)^z (1-p)^2 <= factor * partial_expectation(z) <= factor 2(z+1) c^z:
+        # the first z in grid order not certain to fit is named here if it certainly does not
+        log2_factor = math.log2(num) - math.log2(den)
+        for z in z_grid:
+            if log2_factor + 1 + math.log2(z + 1) + z * _log2(c) >= 1023:
+                lower = log2_factor + z * _log2(c * consts.gamma) + 2 * _log2(1 - p)
+                _check_fits(f"truncated lower bound at z_max = {z}", lower - 1)
+                break
+    sched.extend_to(z_max)
+    law = [(total, zden) for _, total, zden in _exact_law(sched.s[: z_max + 1], p)]
     bounds = []
-    for z in z_grid:  # factor * totals[z] / pd^(2(z+1)) - t0^2
-        zden = den * p.denominator ** (2 * (z + 1))
-        low = num * totals[z] - t0**2 * zden
-        bounds.append((z, _to_float(f"truncated lower bound at z_max = {z}", low, zden, up=False)))
+    for z in z_grid:  # factor * total / zden - t0^2, with zden = pd^(2(z+1)) from the law
+        total, zden = law[z]
+        low = num * total - t0**2 * den * zden
+        bounds.append((z, _to_float(f"truncated lower bound at z_max = {z}", low, den * zden, up=False)))
     return DeadlineComparison(
         c=c,
         p=p,

@@ -147,8 +147,6 @@ def _load_config(path: str) -> engine.GameConfig:
         raise ValueError(f"config {path} is missing key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"config {path} has a value of the wrong type: {exc}") from None
-    except OverflowError as exc:
-        raise ValueError(f"config {path} has a value out of range: {exc}") from None
     return engine.GameConfig(n=n, profile=tuple(profile), seed=seed, slot_cap=slot_cap)
 
 

@@ -263,18 +263,20 @@ def summarize(outcomes: list[TrialOutcome], focus_player: int) -> LatencyStats:
         else:
             values.append(lat)
     trials = len(values)
-    mean = sum(values) / trials
     ordered = sorted(values)
-    sd = statistics.stdev(values) if trials > 1 else 0.0
-    return LatencyStats(
-        trials=trials,
-        mean=mean,
-        median=_quantile(ordered, 0.5),
-        q90=_quantile(ordered, 0.9),
-        q99=_quantile(ordered, 0.99),
-        censored_count=censored_count,
-        ci95_halfwidth=1.96 * sd / math.sqrt(trials),
-    )
+    try:
+        sd = statistics.stdev(values) if trials > 1 else 0.0
+        return LatencyStats(
+            trials=trials,
+            mean=sum(values) / trials,
+            median=_quantile(ordered, 0.5),
+            q90=_quantile(ordered, 0.9),
+            q99=_quantile(ordered, 0.99),
+            censored_count=censored_count,
+            ci95_halfwidth=1.96 * sd / math.sqrt(trials),
+        )
+    except OverflowError:  # a latency past the float range: every value is at most the slot cap
+        raise ValueError(f"player {focus_player}'s latencies are too large for a float: lower slot_cap") from None
 
 
 def outcomes_to_csv_rows(outcomes: list[TrialOutcome]):

@@ -25,10 +25,11 @@ from typing import Union
 from .schedule import Schedule, parse_int, parse_rational
 
 
-def _probability(name: str, value) -> float:
-    """value, a float or a rational, as a probability; checked before float(), which fails past its range."""
+def _probability(name: str, value, shown=None) -> float:
+    """value, a float or a rational, as a probability; checked before float(), which fails past its range.
+    A rejected value is shown as `shown`, the text a config wrote, when that is given."""
     if not 0 <= value <= 1:  # also rejects nan and infinities
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
+        raise ValueError(f"{name} must be a probability in [0, 1], got {value if shown is None else shown}")
     return float(value)
 
 
@@ -104,7 +105,7 @@ def spec_from_json(data: dict) -> ProtocolSpec:
     if kind == "deadline":
         return Deadline(t0=parse_int(data["t0"], "t0"), pre=_pre_from_json(data.get("pre", {"type": "quiet"})))
     if kind == "constant_prob":
-        return ConstantProb(q=_probability("q", _rational(data, "q")))
+        return ConstantProb(q=_json_probability(data, "q"))
     raise ValueError(f"unknown protocol type {kind!r}")
 
 
@@ -117,8 +118,13 @@ def _rational(data: dict, key: str) -> Fraction:
     return parse_rational(value)
 
 
+def _json_probability(data: dict, key: str) -> float:
+    """data[key] as a probability, checked exactly and shown as the config wrote it."""
+    return _probability(key, _rational(data, key), data[key])
+
+
 def _age_based_from_json(data: dict) -> AgeBased:
-    return AgeBased(schedule=Schedule(_rational(data, "c"), 0), p=_probability("p", _rational(data, "p")))
+    return AgeBased(schedule=Schedule(_rational(data, "c"), 0), p=_json_probability(data, "p"))
 
 
 def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:
@@ -128,7 +134,7 @@ def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:
     if kind == "quiet":
         return ConstantProb(0.0)
     if kind == "fixed_prob":
-        return ConstantProb(q=_probability("q", _rational(data, "q")))
+        return ConstantProb(q=_json_probability(data, "q"))
     if kind == "follow_age_based":
         return _age_based_from_json(data)
     raise ValueError(f"unknown pre-deadline rule {kind!r}")

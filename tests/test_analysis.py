@@ -710,3 +710,30 @@ def test_deadline_lower_bounds_unbounded_in_zmax():
 def test_deadline_comparison_rejects_bad_z_grid(z_grid):
     with pytest.raises(ValueError, match="z_grid"):
         deadline_comparison(C, P, 5, z_grid=z_grid)
+
+
+# calls near the float range, each side of where the size guard starts to answer (c = 3/2, p = 1/2
+# for the enclosures; c = 2, p = 3/4 for the persistent law and a t0 = 5 deadline)
+_NEAR_THE_FLOAT_RANGE = [
+    *[(solve_expectations, (Fraction(3, 2), Fraction(1, 2), "literal", K)) for K in (1744, 1747, 1800)],
+    *[(solve_expectations, (Fraction(3, 2), Fraction(1, 2), "paper-series", K)) for K in (1745, 1753, 1800)],
+    *[(persistent_distribution, (Fraction(2), Fraction(3, 4), z)) for z in (1134, 1135, 1300)],
+    *[(deadline_comparison, (Fraction(2), Fraction(3, 4), 5, grid))
+      for grid in [(1136,), (1137,), (25, 1300), (1300, 25), (1300, 1136), (1136, 1300)]],
+    (deadline_comparison, (Fraction(2), Fraction(3, 4), 2**520, (1300,))),  # -t0^2 is past the range too
+]
+
+
+def test_size_guard_names_what_the_exact_path_names(monkeypatch):
+    def message(fn, args):
+        with pytest.raises(ValueError, match="too large for a float") as exc:
+            fn(*args)
+        return str(exc.value)
+
+    fired = []
+    real = analysis._check_fits
+    monkeypatch.setattr(analysis, "_check_fits", lambda name, lb: fired.append(lb > 1025) or real(name, lb))
+    guarded = [message(fn, args) for fn, args in _NEAR_THE_FLOAT_RANGE]
+    assert sum(fired) == 10  # the guard answers 10 of the 17 calls, the exact path the rest
+    monkeypatch.setattr(analysis, "_check_fits", lambda name, lb: None)
+    assert guarded == [message(fn, args) for fn, args in _NEAR_THE_FLOAT_RANGE]

@@ -325,16 +325,25 @@ _PAST_THE_FLOAT_RANGE = [
         ["compare-deadline", "--c", "2", "--p", "3/4", "--t0", "5", "--zmax-grid", "1200"],
         "truncated lower bound at z_max = 1200",
     ),
+    # horizons whose tables once took 10 s or more to build, or ran out of memory, before failing
+    (["analyze", "--K", "200000"], "an enclosure of E[Y_2,k]"),
+    (["analyze", "--persistent", "--zmax", "40000"], "partial expectation at z = 40000"),
+    (["compare-deadline", "--t0", "5", "--zmax-grid", "40000"], "truncated lower bound at z_max = 40000"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, what",
     _PAST_THE_FLOAT_RANGE,
-    ids=["deadline-huge-c", "feasibility-p-near-1", "persistent-json", "persistent-csv", "deadline-zmax-1200"],
+    ids=[
+        "deadline-huge-c", "feasibility-p-near-1", "persistent-json", "persistent-csv", "deadline-zmax-1200",
+        "analyze-K-200000", "persistent-zmax-40000", "deadline-zmax-40000",
+    ],
 )
 def test_values_past_the_float_range_are_named(capsys, argv, what):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err == f"error: {what} is too large for a float\n"
 
@@ -384,6 +393,34 @@ def _write_config(tmp_path, data):
     return str(path)
 
 
+_ONE_PLAYER = {"players": [{"type": "deadline", "t0": 1}], "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, config, what",
+    [
+        (["simulate", "--trials", "0"], _ONE_PLAYER, "trials must be >= 1"),
+        (["analyze", "--K", "0"], None, "truncation_K must be >= 1"),
+        (["analyze", "--persistent", "--zmax", "-1"], None, "z_max must be >= 0"),
+        (["compare-deadline", "--t0", "0"], None, "deadline must be >= 1"),
+        (["bounds", "--k1", "0"], None, "truncation index must be >= 1"),
+        (["schedule", "--k", "-1"], None, "horizon_k must be >= 0"),
+        (["simulate", "--trials", "5"], {"players": [], "seed": 1}, "need at least one player"),
+        (
+            ["simulate", "--trials", "5"],
+            {"players": [{"type": "deadline", "t0": 3, "pre": {"type": "loud"}}], "seed": 1},
+            "unknown pre-deadline rule 'loud'",
+        ),
+    ],
+    ids=["trials-0", "K-0", "zmax-negative", "t0-0", "k1-0", "schedule-k-negative", "no-players", "unknown-pre-rule"],
+)
+def test_argument_out_of_range_is_one_line_error(tmp_path, capsys, argv, config, what):
+    if config is not None:
+        argv = [*argv, "--config", _write_config(tmp_path, config)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {what}\n")
+
+
 @pytest.mark.parametrize(
     "data, key",
     [
@@ -431,30 +468,38 @@ def test_malformed_config_is_one_line_error(tmp_path, capsys, data, what):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        {"type": "age_based", "c": "11/10", "p": 1.5},
-        {"type": "constant_prob", "q": -1},
-        {"type": "deadline", "t0": 0},
-        {"type": "age_based", "c": "1/0", "p": 0.75},
-        {"type": "age_based", "c": "11/10", "p": "3/2"},
-        {"type": "deadline", "t0": 3.5},
-        {"type": "deadline", "t0": math.nan},
-        {"type": "deadline", "t0": math.inf},
-        {"type": "deadline", "t0": False},
-        {"type": "age_based", "c": True, "p": 0.75},
-        {"type": "age_based", "c": "11/10", "p": math.nan},
-        {"type": "constant_prob", "q": True},
+_INVALID_RULES = [
+    ({"type": "age_based", "c": "11/10", "p": 1.5}, "p must be a probability in [0, 1], got 1.5"),
+    ({"type": "constant_prob", "q": -1}, "q must be a probability in [0, 1], got -1"),
+    ({"type": "deadline", "t0": 0}, "deadline t0 must be >= 1, got 0"),
+    ({"type": "age_based", "c": "1/0", "p": 0.75}, "rational '1/0' has a zero denominator"),
+    ({"type": "age_based", "c": "11/10", "p": "3/2"}, "p must be a probability in [0, 1], got 3/2"),
+    ({"type": "deadline", "t0": 3.5}, "t0 must be an integer, got 3.5"),
+    ({"type": "deadline", "t0": math.nan}, "t0 must be an integer, got nan"),
+    ({"type": "deadline", "t0": math.inf}, "t0 must be an integer, got inf"),
+    ({"type": "deadline", "t0": False}, "t0 must be an integer, got False"),
+    ({"type": "age_based", "c": True, "p": 0.75}, "c must be a finite number or text, got True"),
+    ({"type": "age_based", "c": "11/10", "p": math.nan}, "p must be a finite number or text, got nan"),
+    ({"type": "constant_prob", "q": True}, "q must be a finite number or text, got True"),
+    (
         {"type": "deadline", "t0": 3, "pre": {"type": "fixed_prob", "q": False}},
-        {"type": "constant_prob", "q": 10**400},
-    ],
+        "q must be a finite number or text, got False",
+    ),
+    ({"type": "constant_prob", "q": 10**400}, f"q must be a probability in [0, 1], got {10**400}"),
+    # a probability is shown as the config wrote it, not as the ratio of its double
+    ({"type": "age_based", "c": "11/10", "p": 1.1}, "p must be a probability in [0, 1], got 1.1"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, what", _INVALID_RULES, ids=[f"spec{i}" for i in range(14)] + ["p-1.1-as-written"]
 )
-def test_invalid_rule_parameter_is_one_line_error(tmp_path, capsys, spec):
+def test_invalid_rule_parameter_is_one_line_error(tmp_path, capsys, spec, what):
     path = _write_config(tmp_path, {"players": [spec], "seed": 1})
     code, out, err = run_cli(capsys, "simulate", "--config", path, "--trials", "5")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"{what}\n")
 
 
 def test_rational_text_simulates_as_its_number(tmp_path, capsys):
@@ -550,21 +595,31 @@ def test_cached_parser_leaks_no_state_between_calls(tmp_path, capsys):
     assert [row["z_max"] for row in bounds] == [25, 50, 100, 200, 400]
 
 
+_PERSISTENT = {"type": "deadline", "t0": 1}
+
+
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, what",
     [
-        (["bounds", "--kmax", "2000"], None),
-        (["bounds", "--k1", "100000"], None),
-        (["simulate", "--trials", "2"], {"players": [{"type": "deadline", "t0": 1e400}], "seed": 1}),
-        (["simulate", "--trials", "2"], {"players": [{"type": "deadline", "t0": 1}], "seed": 1e400}),
+        (["bounds", "--kmax", "2000"], None, "y1_upper at index 477 is too large for a float"),
+        (["bounds", "--k1", "100000"], None, "delta_bound at index 100000 is too large for a float"),
+        (["simulate", "--trials", "2"], {"players": [{"type": "deadline", "t0": 1e400}], "seed": 1}, "got inf"),
+        (["simulate", "--trials", "2"], {"players": [_PERSISTENT], "seed": 1e400}, "got inf"),
+        # two persistent players collide until the cap, and a censored trial counts at the cap
+        (
+            ["simulate", "--trials", "2"],
+            {"players": [_PERSISTENT, _PERSISTENT], "seed": 1, "slot_cap": 10**400},
+            "player 0's latencies are too large for a float: lower slot_cap",
+        ),
     ],
+    ids=["argv0-None", "argv1-None", "argv2-config2", "argv3-config3", "censored-at-slot-cap-10^400"],
 )
-def test_huge_numbers_are_one_line_errors(tmp_path, capsys, argv, config):
+def test_huge_numbers_are_one_line_errors(tmp_path, capsys, argv, config, what):
     if config is not None:
         argv = [*argv, "--config", _write_config(tmp_path, config)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith(f"{what}\n") and err.count("\n") == 1
 
 
 # --- fuzz: no input may end in a traceback ------------------------------------
@@ -691,6 +746,9 @@ def fuzz_config_path(tmp_path_factory):
 @example(argv=_PAST_THE_FLOAT_RANGE[2][0], config={})
 @example(argv=_PAST_THE_FLOAT_RANGE[3][0], config={})
 @example(argv=_PAST_THE_FLOAT_RANGE[4][0], config={})
+@example(argv=_PAST_THE_FLOAT_RANGE[5][0], config={})
+@example(argv=_PAST_THE_FLOAT_RANGE[6][0], config={})
+@example(argv=_PAST_THE_FLOAT_RANGE[7][0], config={})
 @example(argv=_LONG_TRUNCATIONS[0][0], config={})
 @example(argv=_LONG_TRUNCATIONS[1][0], config={})
 @example(argv=_LONG_TRUNCATIONS[2][0], config={})
