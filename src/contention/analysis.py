@@ -505,10 +505,13 @@ def persistent_distribution(c, p, z_max: int) -> PersistentDistribution:
     if z_max < 0:
         raise ValueError("z_max must be >= 0")
     gamma = derive_constants(p).gamma
-    # every term ratio (<= (1 + 2c) gamma), c*gamma and 1/(1-p)^2 fit, and are checked first:
-    # then the partial expectation at z_max, >= s_z pmf(z) >= (c gamma)^z (1-p)^2, is checked here
-    if _log2(c) < 1000 and _log2(1 - p) > -500:
-        _check_fits(f"partial expectation at z = {z_max}", z_max * _log2(c * gamma) + 2 * _log2(1 - p))
+    # the checks go in the order below, so each is made here only once those before it certainly pass:
+    # every term ratio (<= (1 + 2c) gamma) and c*gamma fit, then 1/(1-p)^2, then the partial
+    # expectation at z_max, which is >= s_z pmf(z) >= (c gamma)^z (1-p)^2
+    if _log2(c) < 1000:
+        _check_fits("expected rounds 1/(1-p)^2", -2 * _log2(1 - p))
+        if _log2(1 - p) > -500:
+            _check_fits(f"partial expectation at z = {z_max}", z_max * _log2(c * gamma) + 2 * _log2(1 - p))
     support = Schedule(c, z_max).s
     exact = list(_exact_law(support, p))
     gn, gd = gamma.numerator, gamma.denominator

@@ -713,11 +713,13 @@ def test_deadline_comparison_rejects_bad_z_grid(z_grid):
 
 
 # calls near the float range, each side of where the size guard starts to answer (c = 3/2, p = 1/2
-# for the enclosures; c = 2, p = 3/4 for the persistent law and a t0 = 5 deadline)
+# for the enclosures; c = 2, p = 3/4 for the persistent law and a t0 = 5 deadline; p = 1 - 2^-e,
+# whose 1/(1-p)^2 = 2^2e overflows from e = 512 on)
 _NEAR_THE_FLOAT_RANGE = [
     *[(solve_expectations, (Fraction(3, 2), Fraction(1, 2), "literal", K)) for K in (1744, 1747, 1800)],
     *[(solve_expectations, (Fraction(3, 2), Fraction(1, 2), "paper-series", K)) for K in (1745, 1753, 1800)],
     *[(persistent_distribution, (Fraction(2), Fraction(3, 4), z)) for z in (1134, 1135, 1300)],
+    *[(persistent_distribution, (Fraction(2), 1 - Fraction(1, 2**e), 5)) for e in (512, 513, 600)],
     *[(deadline_comparison, (Fraction(2), Fraction(3, 4), 5, grid))
       for grid in [(1136,), (1137,), (25, 1300), (1300, 25), (1300, 1136), (1136, 1300)]],
     (deadline_comparison, (Fraction(2), Fraction(3, 4), 2**520, (1300,))),  # -t0^2 is past the range too
@@ -734,6 +736,6 @@ def test_size_guard_names_what_the_exact_path_names(monkeypatch):
     real = analysis._check_fits
     monkeypatch.setattr(analysis, "_check_fits", lambda name, lb: fired.append(lb > 1025) or real(name, lb))
     guarded = [message(fn, args) for fn, args in _NEAR_THE_FLOAT_RANGE]
-    assert sum(fired) == 10  # the guard answers 10 of the 17 calls, the exact path the rest
+    assert sum(fired) == 12  # the guard answers 12 of the 20 calls, the exact path the rest
     monkeypatch.setattr(analysis, "_check_fits", lambda name, lb: None)
     assert guarded == [message(fn, args) for fn, args in _NEAR_THE_FLOAT_RANGE]

@@ -329,6 +329,7 @@ _PAST_THE_FLOAT_RANGE = [
     (["analyze", "--K", "200000"], "an enclosure of E[Y_2,k]"),
     (["analyze", "--persistent", "--zmax", "40000"], "partial expectation at z = 40000"),
     (["compare-deadline", "--t0", "5", "--zmax-grid", "40000"], "truncated lower bound at z_max = 40000"),
+    (["analyze", "--persistent", "--p", "0." + "9" * 200, "--zmax", "40000"], "expected rounds 1/(1-p)^2"),
 ]
 
 
@@ -337,7 +338,7 @@ _PAST_THE_FLOAT_RANGE = [
     _PAST_THE_FLOAT_RANGE,
     ids=[
         "deadline-huge-c", "feasibility-p-near-1", "persistent-json", "persistent-csv", "deadline-zmax-1200",
-        "analyze-K-200000", "persistent-zmax-40000", "deadline-zmax-40000",
+        "analyze-K-200000", "persistent-zmax-40000", "deadline-zmax-40000", "persistent-p-near-1-zmax-40000",
     ],
 )
 def test_values_past_the_float_range_are_named(capsys, argv, what):
@@ -749,6 +750,7 @@ def fuzz_config_path(tmp_path_factory):
 @example(argv=_PAST_THE_FLOAT_RANGE[5][0], config={})
 @example(argv=_PAST_THE_FLOAT_RANGE[6][0], config={})
 @example(argv=_PAST_THE_FLOAT_RANGE[7][0], config={})
+@example(argv=_PAST_THE_FLOAT_RANGE[8][0], config={})
 @example(argv=_LONG_TRUNCATIONS[0][0], config={})
 @example(argv=_LONG_TRUNCATIONS[1][0], config={})
 @example(argv=_LONG_TRUNCATIONS[2][0], config={})
