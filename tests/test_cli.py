@@ -295,6 +295,24 @@ def test_long_truncations_are_one_line_errors(capsys, argv, what):
     assert err == f"error: {what}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["--c", "1", "--p", "3/4"], "c = 1 makes the geometric prefactor 1/(c-1) undefined"),
+        (["--c", "3/2", "--p", "3/4"], "beta*c = 165/128 >= 1: bound diverges"),
+        (["--k1", "1"], "truncation 1 too small: delta^k1' c^(k1'-1) (c+1) >= 1"),
+        (["--k1", "699"], "y30_upper at index 699 is too large for a float"),
+        (["--k1", "700"], "delta_bound at index 700 is too large for a float"),
+        (["--c", "13/10", "--p", "0.2"], "c(1-p) = 26/25 >= 1: series diverges"),
+        (["--c", "6/5", "--p", "0.05"], "contraction rate 543/500 >= 1: no finite truncation exists"),
+    ],
+    ids=["c-1", "beta-c", "k1-too-small", "y30-k1-699", "delta-k1-700", "series-diverges", "no-contraction"],
+)
+def test_bounds_errors_name_the_first_failed_check(capsys, argv, what):
+    # each argv passes every check before the one it names
+    assert run_cli(capsys, "bounds", *argv) == (1, "", f"error: {what}\n")
+
+
 # (c, p) whose least truncation k1' is 34,658 or 49,160: the enclosures need no k1'
 _FAR_FROM_THE_REFERENCE_POINT = [
     ["analyze", "--c", "10000000001/10000000000", "--p", "0.99999", "--K", "5"],
