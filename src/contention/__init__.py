@@ -19,14 +19,12 @@ from .engine import (
 from .analysis import (
     bound_report,
     deadline_comparison,
-    delta_bound,
     derive_constants,
     feasibility,
     min_truncation_k1,
     persistent_distribution,
     solve_expectations,
     y1_upper,
-    y30_upper,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

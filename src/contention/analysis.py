@@ -204,63 +204,6 @@ def min_truncation_k1(c, p) -> int:
     return k
 
 
-def _delta_exact(c, p, k1_prime: int, name: str, k1_min: int | None = None) -> tuple:
-    """delta_bound's exact value as an unreduced (num, den), with its checks; k1_min is
-    min_truncation_k1(c, p) if the caller has settled it.  Raises "<name> is too large for a
-    float", before building the value, when it is past the float range."""
-    c, p = _series_params(c, p)
-    if k1_prime < 1:
-        raise ValueError("truncation index must be >= 1")
-    if k1_prime < (min_truncation_k1(c, p) if k1_min is None else k1_min):
-        raise ValueError(f"truncation {k1_prime} too small: delta^k1' c^(k1'-1) (c+1) >= 1")
-    rate, grow = _contraction(c, p)
-    head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), rate / (1 - p)
-    # 1 - factor is in (0, 1]: the value is >= head * ratio^(k1'-1)
-    _check_fits(name, _log2(head) + (k1_prime - 1) * _log2(ratio))
-    if k1_prime > _K1_LIMIT:
-        raise ValueError(f"truncation {k1_prime} is past the limit {_K1_LIMIT}")
-    power = rate**k1_prime
-    # (a + b) / f: three Fractions, each reduced only against small integers, combined unreduced
-    an, ad = (2 * (1 - power) / (1 - rate)).as_integer_ratio()
-    bn, bd = (head * (k1_prime if ratio == 1 else (1 - ratio**k1_prime) / (1 - ratio))).as_integer_ratio()
-    fn, fd = (1 - grow * power).as_integer_ratio()
-    return (an * bd + bn * ad) * fd, ad * bd * fn
-
-
-def delta_bound(c, p, k1_prime: int) -> float:
-    """Truncated-recurrence upper bound on the 2-pending expected extra
-    latency (the quotient with denominator 1 - delta^k1' c^(k1'-1) (c+1)).
-    """
-    name = f"delta_bound at index {k1_prime}"
-    return _to_float(name, *_delta_exact(c, p, k1_prime, name), up=True)
-
-
-def _y30_value(c: Fraction, p: Fraction, bound2: tuple) -> tuple:
-    """y30_upper's expression on a 2-pending bound (num, den), unreduced, for (c, p) already checked."""
-    wn, wd = (2 * p * (1 - p) ** 2 * (c + 1)).as_integer_ratio()
-    sn, sd = (1 - derive_constants(p).beta * c).as_integer_ratio()
-    return (2 * wd * bound2[1] + wn * bound2[0]) * sd, wd * bound2[1] * sn
-
-
-def _check_beta(c: Fraction, p: Fraction) -> None:
-    beta_c = derive_constants(p).beta * c
-    if beta_c >= 1:
-        raise ValueError(f"beta*c = {beta_c} >= 1: bound diverges")
-
-
-def y30_upper(c, p, k1_prime: int) -> float:
-    """Closed-form upper bound on a fixed player's expected latency when
-    everyone runs the protocol:
-
-        (2 + 2p(1-p)^2 (c+1) Delta) / (1 - beta c).
-    """
-    c, p = _check_cp(c, p)
-    _check_beta(c, p)
-    # the bound is >= (4/3) Delta: a Delta past the float range is named as this bound
-    name = f"y30_upper at index {k1_prime}"
-    return _to_float(name, *_y30_value(c, p, _delta_exact(c, p, k1_prime, name)), up=True)
-
-
 @dataclass(frozen=True)
 class BoundReport(_Report):
     k1_min: int
@@ -280,23 +223,50 @@ class BoundReport(_Report):
 
 
 def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundReport:
-    """All closed-form upper bounds in one report."""
+    """All closed-form upper bounds in one report, at truncation k1' (the least one by default).
+
+    delta_bound bounds the 2-pending expected extra latency by the truncated recurrence, a
+    quotient with denominator 1 - delta^k1' c^(k1'-1) (c+1); y30_upper bounds a fixed player's
+    expected latency when everyone runs the protocol:
+
+        (2 + 2p(1-p)^2 (c+1) Delta) / (1 - beta c).
+    """
     c, p = _check_cp(c, p)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     k1_min = min_truncation_k1(c, p)
-    k1_used = k1_min if k1_prime is None else k1_prime
-    name = f"delta_bound at index {k1_used}"
-    bound2 = _delta_exact(c, p, k1_used, name, k1_min)  # once for both bounds: delta_bound's checks, then y30_upper's
-    delta = _to_float(name, *bound2, up=True)
-    _check_beta(c, p)
+    k1 = k1_min if k1_prime is None else k1_prime
+    _series_params(c, p)
+    if k1 < 1:
+        raise ValueError("truncation index must be >= 1")
+    if k1 < k1_min:
+        raise ValueError(f"truncation {k1} too small: delta^k1' c^(k1'-1) (c+1) >= 1")
+    rate, grow = _contraction(c, p)
+    head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), rate / (1 - p)
+    name = f"delta_bound at index {k1}"
+    # 1 - grow rate^k1' is in (0, 1]: Delta is >= head * ratio^(k1'-1)
+    _check_fits(name, _log2(head) + (k1 - 1) * _log2(ratio))
+    if k1 > _K1_LIMIT:
+        raise ValueError(f"truncation {k1} is past the limit {_K1_LIMIT}")
+    power = rate**k1
+    # Delta = (a + b) / f: three Fractions, each reduced only against small integers, combined unreduced
+    an, ad = (2 * (1 - power) / (1 - rate)).as_integer_ratio()
+    bn, bd = (head * (k1 if ratio == 1 else (1 - ratio**k1) / (1 - ratio))).as_integer_ratio()
+    fn, fd = (1 - grow * power).as_integer_ratio()
+    dn, dd = (an * bd + bn * ad) * fd, ad * bd * fn
+    delta_bound = _to_float(name, dn, dd, up=True)
+    beta_c = derive_constants(p).beta * c
+    if beta_c >= 1:
+        raise ValueError(f"beta*c = {beta_c} >= 1: bound diverges")
+    wn, wd = (2 * p * (1 - p) ** 2 * (c + 1)).as_integer_ratio()
+    sn, sd = (1 - beta_c).as_integer_ratio()
     return BoundReport(
         c=c,
         p=p,
         k1_min=k1_min,
-        k1_used=k1_used,
-        delta_bound=delta,
-        y30_upper=_to_float(f"y30_upper at index {k1_used}", *_y30_value(c, p, bound2), up=True),
+        k1_used=k1,
+        delta_bound=delta_bound,
+        y30_upper=_to_float(f"y30_upper at index {k1}", (2 * wd * dd + wn * dn) * sd, wd * dd * sn, up=True),
         y1k_upper=[(k, y1_upper(c, p, k)) for k in range(k_max + 1)],
     )
 

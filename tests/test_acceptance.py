@@ -11,13 +11,12 @@ from fractions import Fraction
 import pytest
 
 from contention.analysis import (
+    bound_report,
     deadline_comparison,
-    delta_bound,
     feasibility,
     min_truncation_k1,
     persistent_distribution,
     solve_expectations,
-    y30_upper,
 )
 from contention.engine import run_trial, summarize
 from contention.schedule import Schedule, check_domination
@@ -46,20 +45,22 @@ def test_criterion_1_feasibility_reproduction():
 
 
 def test_criterion_2_delta_reproduction():
-    delta_bound(C, P, 2)
-    value, elapsed = _timed(delta_bound, C, P, 2)
+    bound_report(C, P, k1_prime=2, k_max=0)
+    report, elapsed = _timed(bound_report, C, P, k1_prime=2, k_max=0)
+    value = report.delta_bound
     assert 755.0 <= value <= 756.0
     assert elapsed < 1e-3
-    print(f"\nPASS criterion 2: delta_bound(11/10, 0.75, 2) = {value:.4f} in [755, 756] "
+    print(f"\nPASS criterion 2: delta_bound at (11/10, 0.75), k1' = 2, is {value:.4f} in [755, 756] "
           f"({elapsed * 1e6:.0f} us)")
 
 
 def test_criterion_3_latency_bound_reproduction():
-    y30_upper(C, P, 2)
-    value, elapsed = _timed(y30_upper, C, P, 2)
+    bound_report(C, P, k1_prime=2, k_max=0)
+    report, elapsed = _timed(bound_report, C, P, k1_prime=2, k_max=0)
+    value = report.y30_upper
     assert 2700 <= value <= 2759
     assert elapsed < 1e-3
-    print(f"\nPASS criterion 3: y30_upper(11/10, 0.75, 2) = {value:.4f} <= 2759 "
+    print(f"\nPASS criterion 3: y30_upper at (11/10, 0.75), k1' = 2, is {value:.4f} <= 2759 "
           f"({elapsed * 1e6:.0f} us)")
 
 

@@ -10,20 +10,16 @@ from contention import analysis
 from contention.analysis import (
     _BITS,
     _K1_LIMIT,
-    _delta_exact,
     _fixed_up,
     _lone_series,
-    _y30_value,
     bound_report,
     deadline_comparison,
-    delta_bound,
     derive_constants,
     feasibility,
     min_truncation_k1,
     persistent_distribution,
     solve_expectations,
     y1_upper,
-    y30_upper,
 )
 from contention.schedule import Schedule
 
@@ -163,7 +159,7 @@ def test_bound_report_rejects_negative_table_horizon():
 @pytest.mark.parametrize("p", [0, 1, Fraction(-1, 2)])
 def test_series_bounds_reject_p_outside_open_unit_interval(p):
     with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
-        delta_bound(Fraction(1, 2), p, 2)
+        bound_report(Fraction(1, 2), p, k1_prime=2, k_max=0)
     with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
         y1_upper(Fraction(1, 2), p, 0)
 
@@ -174,12 +170,12 @@ def test_min_truncation_no_finite_value():
 
 
 def test_delta_bound_reference_value():
-    assert 755.0 <= delta_bound(C, P, 2) <= 756.0
+    assert 755.0 <= bound_report(C, P, k1_prime=2, k_max=0).delta_bound <= 756.0
 
 
 def test_delta_bound_too_small_truncation():
     with pytest.raises(ValueError, match="too small"):
-        delta_bound(C, P, 1)
+        bound_report(C, P, k1_prime=1, k_max=0)
 
 
 @pytest.mark.parametrize("k1", [2, 2700])
@@ -187,29 +183,28 @@ def test_delta_bound_without_contraction_names_the_reason(k1):
     # delta*c = 41/10 at (5, 9/10); at k1' = 2700 the exact factor once
     # passed Python's limit for printing an integer
     with pytest.raises(ValueError, match="no finite truncation"):
-        delta_bound(5, Fraction(9, 10), k1)
+        bound_report(5, Fraction(9, 10), k1_prime=k1, k_max=0)
 
 
 @pytest.mark.parametrize("k1", [700, 100_000])
 def test_delta_bound_past_the_float_range_is_named(k1):
     with pytest.raises(ValueError, match=f"delta_bound at index {k1} is too large for a float"):
-        delta_bound(C, P, k1)
+        bound_report(C, P, k1_prime=k1, k_max=0)
 
 
 def test_y1_and_y30_upper_past_the_float_range_are_named():
     with pytest.raises(ValueError, match="y1_upper at index 2000 is too large for a float"):
         y1_upper(C, P, 2000)
     # delta_bound still fits at k1' = 699; the bound built on it does not.  Past
-    # that, delta_bound does not fit either, and y30_upper names itself
-    for k1 in (699, 700, 100_000):
-        with pytest.raises(ValueError, match=f"y30_upper at index {k1} is too large for a float"):
-            y30_upper(C, P, k1)
+    # that, delta_bound does not fit either, and is named first
+    with pytest.raises(ValueError, match="y30_upper at index 699 is too large for a float"):
+        bound_report(C, P, k1_prime=699, k_max=0)
 
 
 def test_bounds_near_the_float_range_keep_their_exact_value():
     # each is the least float at or above its exact value
-    assert delta_bound(C, P, 600) == 4.267545258889281e264
-    assert y30_upper(C, P, 698) == 1.7421463357065434e308
+    assert bound_report(C, P, k1_prime=600, k_max=0).delta_bound == 4.267545258889281e264
+    assert bound_report(C, P, k1_prime=698, k_max=0).y30_upper == 1.7421463357065434e308
     assert y1_upper(C, P, 476) == 4.3713939318653676e307  # the last k that fits
 
 
@@ -225,23 +220,25 @@ def test_rounding_up_past_the_largest_float_is_named():
 
 def test_delta_bound_larger_truncation_regression():
     # larger truncation tightens the bound; value frozen from exact evaluation
-    assert delta_bound(C, P, 3) == pytest.approx(570.8645304357467, rel=1e-12)
-    assert delta_bound(C, P, 3) < delta_bound(C, P, 2)
+    value = bound_report(C, P, k1_prime=3, k_max=0).delta_bound
+    assert value == pytest.approx(570.8645304357467, rel=1e-12)
+    assert value < bound_report(C, P, k1_prime=2, k_max=0).delta_bound
 
 
 def test_y30_upper_reference_value():
-    value = y30_upper(C, P, 2)
+    value = bound_report(C, P, k1_prime=2, k_max=0).y30_upper
     assert 2700 <= value <= 2759
     assert value == pytest.approx(2756.5626009852213, rel=1e-12)
 
 
 def test_y30_upper_larger_truncation_regression():
-    assert y30_upper(C, P, 3) == pytest.approx(2091.6837381401165, rel=1e-12)
+    assert bound_report(C, P, k1_prime=3, k_max=0).y30_upper == pytest.approx(2091.6837381401165, rel=1e-12)
 
 
 def test_y30_upper_divergent():
-    with pytest.raises(ValueError, match="diverges"):
-        y30_upper(Fraction(6, 5), 0.05, 2)
+    # delta c = 15/16 contracts and c(1-p) = 3/8 converges, but beta c = 165/128
+    with pytest.raises(ValueError, match=r"beta\*c = 165/128 >= 1: bound diverges"):
+        bound_report(Fraction(3, 2), Fraction(3, 4))
 
 
 def test_bound_report_consistency():
@@ -270,12 +267,11 @@ def _y30_fraction(c, p, bound2):
 
 
 def _assert_matches_fraction_formula(c, p, k1):
-    pair = _delta_exact(c, p, k1, "Delta")
-    y30 = _y30_value(c, p, pair)
-    assert pair[1] > 0 and y30[1] > 0  # as _to_float and _fixed_up need
+    # each bound is the least float at or above its value by the reduced Fraction formula
+    report = bound_report(c, p, k1_prime=k1, k_max=0)
     bound2 = _delta_fraction(c, p, k1)
-    assert Fraction(*pair) == bound2
-    assert Fraction(*y30) == _y30_fraction(c, p, bound2)
+    for value, exact in ((report.delta_bound, bound2), (report.y30_upper, _y30_fraction(c, p, bound2))):
+        assert value >= exact and math.nextafter(value, -math.inf) < exact
 
 
 @pytest.mark.parametrize(
@@ -295,7 +291,7 @@ def test_requested_truncation_past_the_limit_is_named(monkeypatch):
     exponents, real = [], Fraction.__pow__
     monkeypatch.setattr(Fraction, "__pow__", lambda a, b: exponents.append(b) or real(a, b))
     with pytest.raises(ValueError, match=f"truncation {_K1_LIMIT + 1} is past the limit {_K1_LIMIT}"):
-        delta_bound(Fraction(21, 20), Fraction(1, 10), _K1_LIMIT + 1)
+        bound_report(Fraction(21, 20), Fraction(1, 10), k1_prime=_K1_LIMIT + 1, k_max=0)
     assert exponents and max(exponents) <= min_truncation_k1(Fraction(21, 20), Fraction(1, 10))
 
 
@@ -385,7 +381,7 @@ def test_lone_series_interval_matches_fraction_loop(c, p):
 def test_fixed_point_seeds_round_up():
     # a seed rounded down can sit below its exact value by less than a
     # float's ulp, which no float endpoint shows
-    for value in (Fraction(1, 3), Fraction(10**40 + 1, 7), Fraction(*_delta_exact(C, Fraction(3, 4), 2, "Delta"))):
+    for value in (Fraction(1, 3), Fraction(10**40 + 1, 7), _delta_fraction(C, Fraction(3, 4), 2)):
         assert 0 < _fixed_up(*value.as_integer_ratio()) - value * 2**_BITS < 1
     assert _fixed_up(5, 4) == _fixed_up(10, 8) == 5 << (_BITS - 2)
 
@@ -528,9 +524,9 @@ def test_public_bounds_round_outward(point, k, extra, t0):
     head = 2 * c * p / ((c - 1) * (1 - c * (1 - p)))
     _assert_outward(y1_upper(c, p, k), head * (c / (1 - p)) ** k, up=True)
     k1 = min_truncation_k1(c, p) + extra
-    pair = _delta_exact(c, p, k1, "Delta")
-    _assert_outward(delta_bound(c, p, k1), Fraction(*pair), up=True)
-    _assert_outward(y30_upper(c, p, k1), Fraction(*_y30_value(c, p, pair)), up=True)
+    bounds, bound2 = bound_report(c, p, k1_prime=k1, k_max=0), _delta_fraction(c, p, k1)
+    _assert_outward(bounds.delta_bound, bound2, up=True)
+    _assert_outward(bounds.y30_upper, _y30_fraction(c, p, bound2), up=True)
     report = deadline_comparison(c, p, t0, z_grid=(0, 7, 25))
     delta = derive_constants(p).delta
     _assert_outward(report.prE_lower, delta**report.xi, up=False)
