@@ -552,16 +552,23 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     dn, dd = (consts.delta**xi).as_integer_ratio()
     gn, gd = (c ** (xi - 1) * (c - 1)).as_integer_ratio()
     num, den = dn * gn, dd * gd
-    if num and t0.bit_length() < 500:
-        # a bound is factor * partial_expectation(z) - t0^2, with -t0^2 > -2^1000 and
-        # factor (c gamma)^z (1-p)^2 <= factor * partial_expectation(z) <= factor 2(z+1) c^z:
-        # the first z in grid order not certain to fit is named here if it certainly does not
-        log2_factor = math.log2(num) - math.log2(den)
-        for z in z_grid:
-            if log2_factor + 1 + math.log2(z + 1) + z * _log2(c) >= 1023:
-                lower = log2_factor + z * _log2(c * consts.gamma) + 2 * _log2(1 - p)
-                _check_fits(f"truncated lower bound at z_max = {z}", lower - 1)
-                break
+    # a bound is X - t0^2 with X = factor * partial_expectation(z) in [2^L, 2^U]: s_z >= c^z gives
+    # L = log2(factor (c gamma)^z (1-p)^2), and s_j <= 2(j+1) c^j gives U = log2(factor 2(z+1)^2
+    # (1-p)^2 max(1, c gamma)^z); X = 0 when c = 1.  With T = log2(t0^2), the first z in grid order
+    # not certain to fit is named here if it certainly does not: X - t0^2 >= 2^(L-1) when L > T + 1,
+    # and t0^2 - X >= 2^(T-1) when U < T - 1
+    log2_factor, log2_t0_sq = math.log2(num) - math.log2(den) if num else -math.inf, 2 * math.log2(t0)
+    log2_cg = _log2(c * consts.gamma)
+    for z in z_grid:
+        upper = log2_factor + 1 + 2 * math.log2(z + 1) + 2 * _log2(1 - p) + z * max(0.0, log2_cg)
+        if max(upper, log2_t0_sq) >= 1023:
+            lower = log2_factor + z * log2_cg + 2 * _log2(1 - p)
+            name = f"truncated lower bound at z_max = {z}"
+            if lower > log2_t0_sq + 1:
+                _check_fits(name, lower - 1)
+            elif upper < log2_t0_sq - 1:
+                _check_fits(name, log2_t0_sq - 1)
+            break
     sched.extend_to(z_max)
     law = [(total, zden) for _, total, zden in _exact_law(sched.s[: z_max + 1], p)]
     bounds = []

@@ -160,12 +160,13 @@ def cmd_simulate(args):
     if not 0 <= args.player < config.n:
         raise ValueError(f"--player {args.player} is not a player of this {config.n}-player config")
     outcomes = engine.run_trials(config, args.trials)
-    stats = engine.summarize(outcomes, args.player)
+    if args.output_format == "csv":  # the rows alone, with no summary
+        report = SAMPLES_HEADER, engine.outcomes_to_csv_rows(outcomes)
+    else:  # summarized before any file is written
+        report = _json(dataclasses.asdict(engine.summarize(outcomes, args.player)))
     if args.samples_path:
         _emit(args.samples_path, (SAMPLES_HEADER, engine.outcomes_to_csv_rows(outcomes)))
-    if args.output_format == "csv":
-        return SAMPLES_HEADER, engine.outcomes_to_csv_rows(outcomes)
-    return _json(dataclasses.asdict(stats))
+    return report
 
 
 def cmd_compare_deadline(args) -> str:

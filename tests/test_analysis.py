@@ -719,6 +719,8 @@ _NEAR_THE_FLOAT_RANGE = [
     *[(deadline_comparison, (Fraction(2), Fraction(3, 4), 5, grid))
       for grid in [(1136,), (1137,), (25, 1300), (1300, 25), (1300, 1136), (1136, 1300)]],
     (deadline_comparison, (Fraction(2), Fraction(3, 4), 2**520, (1300,))),  # -t0^2 is past the range too
+    # the bound is about -t0^2, past the range from t0 = 2^512 on; the guard names it from t0^2 > 2^1026
+    *[(deadline_comparison, (Fraction(2), Fraction(3, 4), t0, (5,))) for t0 in (2**512, 2**513, 2**514)],
 ]
 
 
@@ -732,6 +734,6 @@ def test_size_guard_names_what_the_exact_path_names(monkeypatch):
     real = analysis._check_fits
     monkeypatch.setattr(analysis, "_check_fits", lambda name, lb: fired.append(lb > 1025) or real(name, lb))
     guarded = [message(fn, args) for fn, args in _NEAR_THE_FLOAT_RANGE]
-    assert sum(fired) == 12  # the guard answers 12 of the 20 calls, the exact path the rest
+    assert sum(fired) == 14  # the guard answers 14 of the 23 calls, the exact path the rest
     monkeypatch.setattr(analysis, "_check_fits", lambda name, lb: None)
     assert guarded == [message(fn, args) for fn, args in _NEAR_THE_FLOAT_RANGE]

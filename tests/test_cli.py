@@ -348,6 +348,8 @@ _PAST_THE_FLOAT_RANGE = [
     (["analyze", "--persistent", "--zmax", "40000"], "partial expectation at z = 40000"),
     (["compare-deadline", "--t0", "5", "--zmax-grid", "40000"], "truncated lower bound at z_max = 40000"),
     (["analyze", "--persistent", "--p", "0." + "9" * 200, "--zmax", "40000"], "expected rounds 1/(1-p)^2"),
+    # the bound is about -t0^2 = -2^1040
+    (["compare-deadline", "--t0", str(2**520), "--zmax-grid", "40000"], "truncated lower bound at z_max = 40000"),
 ]
 
 
@@ -357,6 +359,7 @@ _PAST_THE_FLOAT_RANGE = [
     ids=[
         "deadline-huge-c", "feasibility-p-near-1", "persistent-json", "persistent-csv", "deadline-zmax-1200",
         "analyze-K-200000", "persistent-zmax-40000", "deadline-zmax-40000", "persistent-p-near-1-zmax-40000",
+        "deadline-t0-2^520-zmax-40000",
     ],
 )
 def test_values_past_the_float_range_are_named(capsys, argv, what):
@@ -641,6 +644,21 @@ def test_huge_numbers_are_one_line_errors(tmp_path, capsys, argv, config, what):
     assert err.startswith("error: ") and err.endswith(f"{what}\n") and err.count("\n") == 1
 
 
+def test_csv_simulate_prints_its_rows_without_a_summary(tmp_path, capsys):
+    # every trial is censored at a cap past the float range: the rows are fine, a summary is not
+    config = _write_config(tmp_path, {"players": [_PERSISTENT, _PERSISTENT], "seed": 1, "slot_cap": 10**400})
+    samples = tmp_path / "samples.csv"
+    argv = ["simulate", "--config", config, "--trials", "3", "--samples-path", str(samples)]
+    code, out, _ = run_cli(capsys, *argv, "--output-format", "csv")
+    rows = list(csv.DictReader(out.splitlines()))
+    assert code == 0 and len(rows) == 6 and all(r["latency"] == "" and r["censored"] == "1" for r in rows)
+    assert samples.read_bytes() == out.encode()
+    samples.unlink()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.endswith("player 0's latencies are too large for a float: lower slot_cap\n")
+    assert not samples.exists()
+
+
 # --- fuzz: no input may end in a traceback ------------------------------------
 
 CONFIG = "<config>"  # stands for the path of the fuzzed config in an argv
@@ -769,6 +787,7 @@ def fuzz_config_path(tmp_path_factory):
 @example(argv=_PAST_THE_FLOAT_RANGE[6][0], config={})
 @example(argv=_PAST_THE_FLOAT_RANGE[7][0], config={})
 @example(argv=_PAST_THE_FLOAT_RANGE[8][0], config={})
+@example(argv=_PAST_THE_FLOAT_RANGE[9][0], config={})
 @example(argv=_LONG_TRUNCATIONS[0][0], config={})
 @example(argv=_LONG_TRUNCATIONS[1][0], config={})
 @example(argv=_LONG_TRUNCATIONS[2][0], config={})
