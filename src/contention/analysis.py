@@ -557,8 +557,8 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     # (1-p)^2 max(1, c gamma)^z); X = 0 when c = 1.  With T = log2(t0^2), the first z in grid order
     # not certain to fit is named here if it certainly does not: X - t0^2 >= 2^(L-1) when L > T + 1,
     # and t0^2 - X >= 2^(T-1) when U < T - 1
-    log2_factor, log2_t0_sq = math.log2(num) - math.log2(den) if num else -math.inf, 2 * math.log2(t0)
-    log2_cg = _log2(c * consts.gamma)
+    log2_factor = math.log2(num) - math.log2(den) if num else -math.inf
+    log2_t0_sq, log2_cg = 2 * math.log2(t0), _log2(c * consts.gamma)
     for z in z_grid:
         upper = log2_factor + 1 + 2 * math.log2(z + 1) + 2 * _log2(1 - p) + z * max(0.0, log2_cg)
         if max(upper, log2_t0_sq) >= 1023:
