@@ -24,7 +24,6 @@ from .analysis import (
     min_truncation_k1,
     persistent_distribution,
     solve_expectations,
-    y1_upper,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

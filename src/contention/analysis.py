@@ -154,44 +154,13 @@ def feasibility(c, p) -> FeasibilityReport:
 _K1_LIMIT = 50_000  # the largest least truncation settled exactly: under 2 s on a 2-core box
 
 
-def _series_params(c, p) -> tuple:
-    """(c, p) as fractions, checked for the lone player's series."""
-    c, p = _check_cp(c, p)
-    if c == 1:
-        raise ValueError("c = 1 makes the geometric prefactor 1/(c-1) undefined")
-    if c * (1 - p) >= 1:
-        raise ValueError(f"c(1-p) = {c * (1 - p)} >= 1: series diverges")
-    return c, p
-
-
-def y1_upper(c, p, k: int) -> float:
-    """Closed-form bound on the lone player's scheduled-slot latency tail:
-
-        2cp / ((c-1)(1 - c(1-p))) * (c/(1-p))^k
-
-    Valid for 1 < c < 1/(1-p).
-    """
-    c, p = _series_params(c, p)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    head, ratio = 2 * c * p / ((c - 1) * (1 - c * (1 - p))), c / (1 - p)
-    _check_fits(f"y1_upper at index {k}", _log2(head) + k * _log2(ratio))
-    return _to_float(f"y1_upper at index {k}", *(head * ratio**k).as_integer_ratio(), up=True)
-
-
-def _contraction(c: Fraction, p: Fraction) -> tuple:
-    """(rate, grow) = (delta c, (c+1)/c) for (c, p) already checked: delta^k c^(k-1) (c+1) = grow rate^k."""
-    rate = derive_constants(p).delta * c
-    if rate >= 1:
-        raise ValueError(f"contraction rate {rate} >= 1: no finite truncation exists")
-    return rate, (c + 1) / c
-
-
 def min_truncation_k1(c, p) -> int:
     """Smallest truncation making the 2-pending recurrence contract, the least k >= 1
     with delta^k c^(k-1) (c+1) < 1: estimated from logarithms, settled exactly up to _K1_LIMIT."""
     c, p = _check_cp(c, p)
-    rate, grow = _contraction(c, p)
+    rate, grow = derive_constants(p).delta * c, (c + 1) / c  # delta^k c^(k-1) (c+1) = grow rate^k
+    if rate >= 1:
+        raise ValueError(f"contraction rate {rate} >= 1: no finite truncation exists")
     # k ln(1/rate) > ln(grow), and ln(1/rate) = gap (1 + gap/2 + ...): just gap once float(gap) underflows
     gap = 1 - rate
     log2_k = math.log2(math.log(grow)) - (math.log2(-math.log1p(-float(gap))) if gap > 1e-300 else _log2(gap))
@@ -225,9 +194,11 @@ class BoundReport(_Report):
 def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundReport:
     """All closed-form upper bounds in one report, at truncation k1' (the least one by default).
 
-    delta_bound bounds the 2-pending expected extra latency by the truncated recurrence, a
-    quotient with denominator 1 - delta^k1' c^(k1'-1) (c+1); y30_upper bounds a fixed player's
-    expected latency when everyone runs the protocol:
+    y1k_upper bounds the lone player's scheduled-slot latency tail, 2cp / ((c-1)(1 - c(1-p)))
+    * (c/(1-p))^k for k = 0..k_max, valid for 1 < c < 1/(1-p).  delta_bound bounds the 2-pending
+    expected extra latency by the truncated recurrence, a quotient with denominator
+    1 - delta^k1' c^(k1'-1) (c+1); y30_upper bounds a fixed player's expected latency when
+    everyone runs the protocol:
 
         (2 + 2p(1-p)^2 (c+1) Delta) / (1 - beta c).
     """
@@ -236,13 +207,18 @@ def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundRep
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     k1_min = min_truncation_k1(c, p)
     k1 = k1_min if k1_prime is None else k1_prime
-    _series_params(c, p)
+    if c == 1:
+        raise ValueError("c = 1 makes the geometric prefactor 1/(c-1) undefined")
+    if c * (1 - p) >= 1:
+        raise ValueError(f"c(1-p) = {c * (1 - p)} >= 1: series diverges")
     if k1 < 1:
         raise ValueError("truncation index must be >= 1")
     if k1 < k1_min:
         raise ValueError(f"truncation {k1} too small: delta^k1' c^(k1'-1) (c+1) >= 1")
-    rate, grow = _contraction(c, p)
-    head, ratio = 2 * c**2 * p**2 / ((c - 1) * (1 - c * (1 - p))), rate / (1 - p)
+    consts = derive_constants(p)
+    rate, grow = consts.delta * c, (c + 1) / c
+    lone = 2 * c * p / ((c - 1) * (1 - c * (1 - p)))  # y1 at k = 0
+    head, ratio = lone * c * p, rate / (1 - p)
     name = f"delta_bound at index {k1}"
     # 1 - grow rate^k1' is in (0, 1]: Delta is >= head * ratio^(k1'-1)
     _check_fits(name, _log2(head) + (k1 - 1) * _log2(ratio))
@@ -255,20 +231,19 @@ def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundRep
     fn, fd = (1 - grow * power).as_integer_ratio()
     dn, dd = (an * bd + bn * ad) * fd, ad * bd * fn
     delta_bound = _to_float(name, dn, dd, up=True)
-    beta_c = derive_constants(p).beta * c
+    beta_c = consts.beta * c
     if beta_c >= 1:
         raise ValueError(f"beta*c = {beta_c} >= 1: bound diverges")
     wn, wd = (2 * p * (1 - p) ** 2 * (c + 1)).as_integer_ratio()
     sn, sd = (1 - beta_c).as_integer_ratio()
-    return BoundReport(
-        c=c,
-        p=p,
-        k1_min=k1_min,
-        k1_used=k1,
-        delta_bound=delta_bound,
-        y30_upper=_to_float(f"y30_upper at index {k1}", (2 * wd * dd + wn * dn) * sd, wd * dd * sn, up=True),
-        y1k_upper=[(k, y1_upper(c, p, k)) for k in range(k_max + 1)],
-    )
+    y30_upper = _to_float(f"y30_upper at index {k1}", (2 * wd * dd + wn * dn) * sd, wd * dd * sn, up=True)
+    y1k_upper, step = [], c / (1 - p)
+    for k in range(k_max + 1):
+        name = f"y1_upper at index {k}"
+        _check_fits(name, _log2(lone) + k * _log2(step))
+        y1k_upper.append((k, _to_float(name, *(lone * step**k).as_integer_ratio(), up=True)))
+    return BoundReport(c=c, p=p, k1_min=k1_min, k1_used=k1, delta_bound=delta_bound, y30_upper=y30_upper,
+                       y1k_upper=y1k_upper)
 
 
 # --- recurrence interval solver ----------------------------------------------

@@ -19,7 +19,6 @@ from contention.analysis import (
     min_truncation_k1,
     persistent_distribution,
     solve_expectations,
-    y1_upper,
 )
 from contention.schedule import Schedule
 
@@ -72,18 +71,17 @@ def test_feasibility_flips_exactly_at_thresholds():
 
 
 def test_y1_upper_values():
-    assert y1_upper(C, P, 0) == pytest.approx(22.7586206896, rel=1e-9)
-    assert y1_upper(C, P, 1) == pytest.approx(22.7586206896 * 4.4, rel=1e-9)
+    assert bound_report(C, P, k_max=1).y1k_upper == [(0, 22.758620689655174), (1, 100.13793103448276)]
 
 
 def test_y1_upper_divergent():
     with pytest.raises(ValueError, match="diverges"):
-        y1_upper(Fraction(13, 10), 0.2, 0)  # c(1-p) = 1.04
+        bound_report(Fraction(13, 10), 0.2)  # c(1-p) = 1.04
 
 
 def test_y1_upper_c1_guard():
     with pytest.raises(ValueError, match="c = 1"):
-        y1_upper(Fraction(1), P, 0)
+        bound_report(Fraction(1), P)
 
 
 def test_min_truncation_k1():
@@ -153,15 +151,13 @@ def test_requested_truncation_below_the_least_is_too_small(settles):
 def test_bound_report_rejects_negative_table_horizon():
     with pytest.raises(ValueError, match="k_max must be >= 0"):
         bound_report(C, P, k_max=-1)
-    assert bound_report(C, P, k_max=0).y1k_upper == [(0, y1_upper(C, P, 0))]
+    assert bound_report(C, P, k_max=0).y1k_upper == [(0, 22.758620689655174)]
 
 
 @pytest.mark.parametrize("p", [0, 1, Fraction(-1, 2)])
 def test_series_bounds_reject_p_outside_open_unit_interval(p):
     with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
         bound_report(Fraction(1, 2), p, k1_prime=2, k_max=0)
-    with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
-        y1_upper(Fraction(1, 2), p, 0)
 
 
 def test_min_truncation_no_finite_value():
@@ -193,8 +189,9 @@ def test_delta_bound_past_the_float_range_is_named(k1):
 
 
 def test_y1_and_y30_upper_past_the_float_range_are_named():
-    with pytest.raises(ValueError, match="y1_upper at index 2000 is too large for a float"):
-        y1_upper(C, P, 2000)
+    # the table stops at the first k past the float range
+    with pytest.raises(ValueError, match="y1_upper at index 477 is too large for a float"):
+        bound_report(C, P, k_max=2000)
     # delta_bound still fits at k1' = 699; the bound built on it does not.  Past
     # that, delta_bound does not fit either, and is named first
     with pytest.raises(ValueError, match="y30_upper at index 699 is too large for a float"):
@@ -205,7 +202,7 @@ def test_bounds_near_the_float_range_keep_their_exact_value():
     # each is the least float at or above its exact value
     assert bound_report(C, P, k1_prime=600, k_max=0).delta_bound == 4.267545258889281e264
     assert bound_report(C, P, k1_prime=698, k_max=0).y30_upper == 1.7421463357065434e308
-    assert y1_upper(C, P, 476) == 4.3713939318653676e307  # the last k that fits
+    assert bound_report(C, P, k_max=476).y1k_upper[-1] == (476, 4.3713939318653676e307)  # the last k that fits
 
 
 def test_rounding_up_past_the_largest_float_is_named():
@@ -522,9 +519,9 @@ def test_public_bounds_round_outward(point, k, extra, t0):
     # upper bounds round up and lower bounds down
     c, p = point
     head = 2 * c * p / ((c - 1) * (1 - c * (1 - p)))
-    _assert_outward(y1_upper(c, p, k), head * (c / (1 - p)) ** k, up=True)
     k1 = min_truncation_k1(c, p) + extra
-    bounds, bound2 = bound_report(c, p, k1_prime=k1, k_max=0), _delta_fraction(c, p, k1)
+    bounds, bound2 = bound_report(c, p, k1_prime=k1, k_max=k), _delta_fraction(c, p, k1)
+    _assert_outward(bounds.y1k_upper[k][1], head * (c / (1 - p)) ** k, up=True)
     _assert_outward(bounds.delta_bound, bound2, up=True)
     _assert_outward(bounds.y30_upper, _y30_fraction(c, p, bound2), up=True)
     report = deadline_comparison(c, p, t0, z_grid=(0, 7, 25))
