@@ -96,11 +96,15 @@ def _json(payload) -> str:
 
 
 def cmd_schedule(args):
-    sched = Schedule(args.c, args.k)
     # CPython refuses to print integers longer than this (0: no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and sched.s[-1] >= 10**limit:
-        k = bisect.bisect_left(sched.s, 10**limit)
+    past = 10**limit if limit else math.inf
+    sched = Schedule(args.c, min(args.k, 0))
+    # grown by doubling, so the quadratic build stops soon after the first entry past the limit
+    while sched.horizon_k < args.k and sched.s[-1] < past:
+        sched.extend_to(min(args.k, 2 * sched.horizon_k + 1))
+    if sched.s[-1] >= past:
+        k = bisect.bisect_left(sched.s, past)
         raise ValueError(
             f"schedule entry s_{k} has more than {limit} digits, Python's limit for printing an integer"
         )

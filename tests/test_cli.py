@@ -393,11 +393,17 @@ def test_negative_kmax_is_one_line_error(capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("output_format", ["json", "csv"])
-def test_schedule_past_the_integer_print_limit_is_one_line_error(tmp_path, capsys, output_format):
+@pytest.mark.parametrize(
+    "output_format, k",
+    [("json", "15000"), ("csv", "15000"), ("json", "1000000"), ("csv", "1000000")],
+    ids=["json", "csv", "json-k-1000000", "csv-k-1000000"],
+)
+def test_schedule_past_the_integer_print_limit_is_one_line_error(tmp_path, capsys, output_format, k):
     path = tmp_path / "schedule.out"
-    argv = ["schedule", "--c", "2", "--k", "15000", "--output-format", output_format, "--output-path", str(path)]
+    argv = ["schedule", "--c", "2", "--k", k, "--output-format", output_format, "--output-path", str(path)]
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1  # the build stops soon after the first entry past the limit
     assert code == 1 and out == "" and not path.exists()
     assert err.startswith("error: schedule entry s_14283 has more than 4300 digits")
     assert err.count("\n") == 1
