@@ -139,7 +139,10 @@ def cmd_analyze(args):
 
 def _load_config(path: str) -> engine.GameConfig:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that do not decode
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config {path} must hold a JSON object, not a {type(data).__name__}")
     try:

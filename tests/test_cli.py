@@ -449,6 +449,16 @@ def test_argument_out_of_range_is_one_line_error(tmp_path, capsys, argv, config,
     assert (code, out, err) == (1, "", f"error: {what}\n")
 
 
+@pytest.mark.parametrize("content", [b'{"players": [', b"\xff{}"], ids=["truncated", "not-utf-8"])
+def test_malformed_config_names_its_path(tmp_path, capsys, content):
+    path = tmp_path / "game.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--trials", "5")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: config {path} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "data, key",
     [
