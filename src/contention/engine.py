@@ -7,36 +7,62 @@ a slot cap because some profiles (a persistent deviator against the
 age-based protocol) have infinite expected latency.
 
 Every rule is a function of the slot alone, so `run_trials` shares one
-probability timeline among its trials: a list of segments (end, probs,
-actions), each a run of slots over which every player's probability is
-constant.  The first trial to reach a segment's first slot builds it, so
-the timeline reaches only as far as the trials do.  A trial carries
-its pending set as a bitmask, and each segment keeps a table of actions
-keyed by that mask, filled the first time a trial reaches the mask.  An
-action is None when the segment is a collision or silence to its end
-for those players, which then costs one lookup; otherwise it names the
-lone pending player certain to transmit (if any) and the players that
-draw.  A segment without draws resolves in one step; this is what makes
-slot caps of 10^6 affordable when the age-based protocol collides
-deterministically at every trivial slot.
+probability timeline among its trials: a list of segments (end, limits,
+stuck, actions), each a run of slots over which every player's
+probability is constant.  The first trial to reach a segment's first
+slot builds it, so the timeline reaches only as far as the trials do.
 
 Randomness is counter-based: every attempt draw is a pure hash of
 (seed, trial_index, player, slot), so results are bit-identical for a
-fixed (config, trials) regardless of the order in which trials run.
-`run_trials` mixes the seed in once per call and the trial once per
-trial, keeps one key per player, and pays one inlined mix per draw.  A
+fixed (config, trials) regardless of the order in which trials run.  A
 draw compares the final hash value with an integer threshold,
 ceil(p * 2^53) << 11, which is exact for every float or rational p.
+
+Since a draw depends on nothing but its counters, `run_trials` makes the
+same slot's draw for many trials at once (SWAR, SIMD within a register).
+It takes the trials in blocks of _BLOCK, and packs each block into
+Python ints, trial j of the block in lane j, bits [128j, 128j + 64):
+- Each player's key, the hash state after the seed, trial and player
+  are mixed in, is one packed int.  The keys are built packed: the trial
+  indices times the golden ratio, then the trial mix and one mix per
+  player, each for every lane at once.
+- The splitmix64 mixer runs on every lane at once with 5 lane masks:
+  after each of the first two shift-xors, after each multiply and after
+  the last shift-xor.  A lane's product with a 64-bit constant fills
+  its 128 bits and never carries into the next lane, and the masks
+  clear what a shift brings down from the next lane.
+- Player i's pending set is a bitmap with one bit at the bottom of each
+  lane.  Lane j of (2^64 + T - 1) * ONES - z has bit 64 set exactly when
+  z < T, so a shift by 64 and the pending bitmap give the lanes where
+  player i transmits; a player certain to transmit does so in all its
+  pending lanes.  Two OR-accumulators over those bitmaps find the lanes
+  with exactly one transmitter, and each winner's trial comes from
+  itertools.compress over the win bitmap's words.
+- Segments are walked in order.  One in which no live lane can resolve
+  (each has two pending players certain to transmit, or none that can
+  transmit) is skipped to its end, and one in which only such players
+  transmit needs one slot.  A lane with two pending players certain to
+  transmit up to the slot cap is censored at once.
+- When the live lanes fall below 80 % of the packed width, they are
+  packed anew.  At or below _TAIL live lanes, each remaining trial
+  finishes alone in a per-trial loop, resumed at its slot and pending
+  set with its keys from _player_keys.  That loop keys each segment's
+  actions by the pending set's bitmask, filled the first time a trial
+  reaches the mask: None when the segment is a collision or silence to
+  its end for those players, otherwise the lone pending player certain
+  to transmit (if any) and the players that draw.
+Blocks keep memory bounded whatever the trial count: a 1024-lane int is
+16 KiB, and a block holds a few dozen at a time.
 
 `run_trial` plays one trial straight from the rules, querying them anew
 at every slot it visits, and compares float draws with the
 probabilities; it is kept as the oracle that `run_trials` is tested
-against.  It shares only the per-player keys with `run_trials`, and the
-tests check its draws against `attempt_uniform`, the hash written out in
-full.  While two pending players transmit with probability 1, or none
-can transmit, no draw can change the outcome, so it skips to the next
-slot where a pending player's rule can change.  Both leave a trial's
-slot counter one past its last slot, so slots_run is the slot cap for a
+against.  It shares only the per-player keys' definition with
+`run_trials`, and the tests check its draws against `attempt_uniform`,
+the hash written out in full.  While two pending players transmit with
+probability 1, or none can transmit, no draw can change the outcome, so
+it skips to the next slot where a pending player's rule can change.  In
+both, slots_run is a trial's last success slot, or the slot cap for a
 censored trial.  The library simulates through `run_trials` alone;
 `summarize(outcomes, player)`, which counts a censored trial at its
 slots_run, and `outcomes_to_csv_rows` read its outcomes.
@@ -46,13 +72,18 @@ from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .protocols import ProtocolSpec, decision_probability, next_prob_change
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BLOCK = 1024  # trials packed into one int at most
+_TAIL = 48  # at or below this many live lanes, run_trials plays each trial on alone
+_SURE = 1 << 64  # the _threshold of probability 1, above every hash value
 
 
 def _mix64(z: int) -> int:
@@ -153,40 +184,256 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
 
 
 def _segment(profile: tuple, t: int, cap: int) -> tuple:
-    """The timeline segment that starts at slot t: (end, probs, actions),
-    where probs[i] is player i's transmission probability at every slot
-    from t to end, and actions starts as an empty table."""
-    probs = tuple(decision_probability(spec, t) for spec in profile)
-    end = cap
-    for spec in profile:
+    """The timeline segment that starts at slot t: (end, limits, stuck,
+    actions), where limits[i] is the _threshold of player i's transmission
+    probability at every slot from t to end (0 for silence, _SURE for a
+    certain transmitter), stuck lists the players certain to transmit at
+    every slot from t to the cap, and actions starts as an empty table."""
+    limits = tuple(_threshold(decision_probability(spec, t)) for spec in profile)
+    end, stuck = cap, []
+    for i, spec in enumerate(profile):
         change = next_prob_change(spec, t)
-        if change is not None and change <= end:
+        if change is None or change > cap:
+            if limits[i] == _SURE:
+                stuck.append(i)
+        elif change <= end:
             end = change - 1
-    return end, probs, {}
+    return end, limits, tuple(stuck), {}
 
 
 def _threshold(p) -> int:
     """The integer b with z < b exactly when the draw (z >> 11) / 2^53
     made from a final hash value z is below p, for any float or
     rational p."""
-    return math.ceil(Fraction(p) * (1 << 53)) << 11
+    scaled = p * 2.0**53 if isinstance(p, float) else Fraction(p) * (1 << 53)  # exact for a float too
+    return math.ceil(scaled) << 11
 
 
-def _action(probs: tuple, mask: int):
-    """What a segment does for the pending players in mask: None when it
-    is a collision or silence to its end, else (lone, draws) with lone
-    the one pending player certain to transmit (or None) and draws the
-    (player, threshold) pairs of those that draw."""
+def _action(limits: tuple, mask: int):
+    """What a segment with these limits does for the pending players in
+    mask: None when it is a collision or silence to its end, else (lone,
+    draws) with lone the one pending player certain to transmit (or None)
+    and draws the (player, threshold) pairs of those that draw."""
     forced, draws = [], []
-    for i, pr in enumerate(probs):
+    for i, limit in enumerate(limits):
         if mask >> i & 1:
-            if pr == 1.0:
+            if limit == _SURE:
                 forced.append(i)
-            elif pr > 0.0:
-                draws.append((i, _threshold(pr)))
+            elif limit:
+                draws.append((i, limit))
     if len(forced) > 1 or not (forced or draws):
         return None
     return (forced[0] if forced else None), tuple(draws)
+
+
+def _finish(timeline: list, k: int, t: int, mask: int, keys: list, profile: tuple, cap: int, won: list, trial: int):
+    """Play one trial on from slot t of timeline segment k, with the
+    players in mask pending and keys their _player_keys, writing each
+    win's slot into won[player][trial]."""
+    while True:
+        end, limits, _, actions = timeline[k]
+        while t <= end:
+            try:
+                action = actions[mask]
+            except KeyError:
+                action = actions[mask] = _action(limits, mask)
+            if action is None:
+                break  # collision or silence (or nobody left) until the segment ends
+            lone, draws = action
+            winner = lone
+            if draws:
+                for t in range(t, end + 1):
+                    step = (t * _GOLDEN) & _MASK64
+                    winner = lone
+                    for i, threshold in draws:
+                        z = keys[i] ^ step  # _mix64, inlined
+                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                        if z ^ (z >> 31) < threshold:
+                            if winner is not None:
+                                break  # collision: the other draws cannot matter
+                            winner = i
+                    else:
+                        if winner is not None:
+                            break
+                else:
+                    break  # no success before the segment ends
+            won[winner][trial] = t
+            mask ^= 1 << winner
+            t += 1
+        t = end + 1
+        if not mask or t > cap:
+            return
+        k += 1
+        if k == len(timeline):  # the first trial to reach slot t builds its segment
+            timeline.append(_segment(profile, t, cap))
+
+
+# --- lanes: trial j of a packed int in bits [128j, 128j + 64) ---------------
+
+_SWAP = array("Q", [1]).tobytes()[0] == 0  # a big-endian host: swap values into little-endian words
+
+
+def _words(x: int, width: int) -> memoryview:
+    """The low words of x's width lanes, as stored: true where a bitmap has a lane."""
+    return memoryview(x.to_bytes(16 * width, "little")).cast("Q")[::2]
+
+
+def _pack(words) -> int:
+    """The packed int whose lanes hold words, as _words reads them."""
+    spaced = array("Q", [0]) * (2 * len(words))
+    spaced[::2] = words
+    return int.from_bytes(spaced, "little")
+
+
+def _lanes(values) -> int:
+    """The packed int whose lane j holds values[j]."""
+    values = array("Q", values)
+    if _SWAP:
+        values.byteswap()
+    return _pack(values)
+
+
+def _mix_lanes(z: int, m: int) -> int:
+    """_mix64 in every lane of z at once, m being the lane mask (the low
+    64 bits of every lane).  A shift brings the next lane's low bits into
+    a lane's high half, and a product fills it; each is masked off before
+    the next multiply or shift reads it, so nothing crosses a lane."""
+    z = (z ^ (z >> 30)) & m
+    z = (z * 0xBF58476D1CE4E5B9) & m
+    z = (z ^ (z >> 27)) & m
+    z = (z * 0x94D049BB133111EB) & m
+    return (z ^ (z >> 31)) & m
+
+
+def _packed_keys(seed_key: int, trials: array, n: int) -> list:
+    """Player i's _player_keys for the trial in every lane, one packed int per player."""
+    ones = _lanes([1] * len(trials))
+    m = ones * _MASK64
+    trial_keys = _mix_lanes(((_lanes(trials) * _GOLDEN) & m) ^ seed_key * ones, m)
+    return [_mix_lanes(trial_keys ^ ((i * _GOLDEN) & _MASK64) * ones, m) for i in range(n)]
+
+
+def _tally(xs) -> tuple:
+    """(one, two): the lanes set in at least one, and in at least two, of the bitmaps xs."""
+    one = two = 0
+    for x in xs:
+        two |= one & x
+        one |= x
+    return one, two
+
+
+class _Lanes:
+    """One block of a run_trials call, trial trials[j] in lane j: each
+    player's keys packed, pending[i], the lanes where player i has not won
+    yet, as a bitmap with one bit at each lane's bottom, and live, the
+    lanes where some player has not."""
+
+    def __init__(self, seed_key: int, trials: range, n: int):
+        self.seed_key = seed_key
+        self.trials = array("Q", trials)
+        self.width = len(trials)
+        self.live = self.ones = _lanes([1] * self.width)
+        self.keys = _packed_keys(seed_key, self.trials, n)
+        self.pending = [self.ones] * n
+
+    def censor(self, stuck: tuple) -> None:
+        """Drop the lanes where two of the stuck players are pending: they collide to the cap."""
+        two = _tally(self.pending[i] for i in stuck)[1]
+        if two:
+            self.pending = [x & ~two for x in self.pending]
+            self.live &= ~two
+
+    def repack(self) -> None:
+        """Pack the live lanes anew, in order, one player's int at a time."""
+        keep = _words(self.live, self.width)
+        self.trials = array("Q", compress(self.trials, keep))
+        for xs in (self.keys, self.pending):
+            for i, x in enumerate(xs):
+                xs[i] = _pack(array("Q", compress(_words(x, self.width), keep)))
+        self.width = len(self.trials)
+        self.live = self.ones = _lanes([1] * self.width)
+
+    def settle(self, win: int, sent: list, won: list, t: int) -> None:
+        """Give slot t to the lone transmitter in each lane of win, sent
+        holding the lanes where each player transmitted."""
+        for i, x in sent:
+            w = win & x
+            if w:
+                self.pending[i] ^= w
+                column = won[i]
+                for trial in compress(self.trials, _words(w, self.width)):
+                    column[trial] = t
+        self.live = 0
+        for x in self.pending:
+            self.live |= x
+
+    def play(self, t: int, end: int, limits: tuple, won: list) -> int:
+        """Play slots t to end of a timeline segment; stop early, after a
+        slot with winners, when the live lanes fall to _TAIL or below 80 %
+        of the width, or when none can resolve.  Returns the next slot."""
+        pending, ones = self.pending, self.ones
+        forced = [i for i, limit in enumerate(limits) if limit == _SURE and pending[i]]
+        drawers = [i for i, limit in enumerate(limits) if 0 < limit < _SURE and pending[i]]
+
+        def resolvable():
+            # one forced player pending, or none and a drawer
+            one, two = _tally(pending[i] for i in forced)
+            return (one | _tally(pending[i] for i in drawers)[0]) & ~two
+
+        if not drawers:  # a lone forced player wins at once; the rest stay stuck or silent
+            one, two = _tally(pending[i] for i in forced)
+            if one & ~two:
+                self.settle(one & ~two, [(i, pending[i]) for i in forced], won, t)
+            return end + 1
+        if not resolvable():
+            return end + 1  # collision or silence in every live lane until the segment ends
+        m = ones * _MASK64
+        packed = {limits[i]: (limits[i] + _MASK64) * ones for i in drawers}
+        draws = [(i, packed[limits[i]], self.keys[i]) for i in drawers]
+        for t in range(t, end + 1):
+            step = ((t * _GOLDEN) & _MASK64) * ones
+            sent = [(i, pending[i]) for i in forced]
+            for i, limit_i, key in draws:
+                if pending[i]:
+                    # bit 64 of a lane of limit_i - z is set exactly when z < _threshold
+                    sent.append((i, pending[i] & (limit_i - _mix_lanes(key ^ step, m)) >> 64))
+            one, two = _tally(x for _, x in sent)
+            win = one & ~two
+            if win:
+                self.settle(win, sent, won, t)
+                count = self.live.bit_count()
+                if count <= _TAIL or 5 * count < 4 * self.width or not resolvable():
+                    break
+        return t + 1
+
+    def run(self, timeline: list, profile: tuple, cap: int, won: list) -> None:
+        """Play every lane's trial to its end or the cap, writing each
+        win's slot into won[player][trial]: packed while more than _TAIL
+        lanes are live, then each trial on alone."""
+        k, t = 0, 1
+        while True:
+            end, limits, stuck, _ = timeline[k]
+            if len(stuck) > 1:
+                self.censor(stuck)
+            count = self.live.bit_count()
+            if count <= _TAIL:
+                break
+            if 5 * count < 4 * self.width:
+                self.repack()
+            t = self.play(t, end, limits, won)
+            if t > end:
+                if not self.live or t > cap:
+                    return
+                k += 1
+                if k == len(timeline):  # the first lanes to reach slot t build its segment
+                    timeline.append(_segment(profile, t, cap))
+        pending = [_words(x, self.width) for x in self.pending]
+        for j in compress(range(self.width), _words(self.live, self.width)):
+            mask = sum(1 << i for i, x in enumerate(pending) if x[j])
+            trial = self.trials[j]
+            keys = _player_keys(self.seed_key, trial, len(pending))
+            _finish(timeline, k, t, mask, keys, profile, cap, won, trial)
 
 
 def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
@@ -196,52 +443,11 @@ def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
         raise ValueError("trials must be >= 1")
     n, profile, cap = config.n, config.profile, config.slot_cap
     timeline = [_segment(profile, 1, cap)]  # every trial reaches slot 1
-    last_end = timeline[0][0]
+    won = [[None] * trials for _ in range(n)]  # won[player][trial]: the slot of its success
     seed_key = _mix64(config.seed)
-    outcomes = []
-    for idx in range(trials):
-        keys = _player_keys(seed_key, idx, n)
-        latency = [None] * n
-        mask = (1 << n) - 1
-        t = 1
-        for end, probs, actions in timeline:  # also visits segments appended below
-            while t <= end:
-                try:
-                    action = actions[mask]
-                except KeyError:
-                    action = actions[mask] = _action(probs, mask)
-                if action is None:
-                    break  # collision or silence (or nobody left) until the segment ends
-                lone, draws = action
-                winner = lone
-                if draws:
-                    for t in range(t, end + 1):
-                        step = (t * _GOLDEN) & _MASK64
-                        winner = lone
-                        for i, threshold in draws:
-                            z = keys[i] ^ step  # _mix64, inlined
-                            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                            if z ^ (z >> 31) < threshold:
-                                if winner is not None:
-                                    break  # collision: the other draws cannot matter
-                                winner = i
-                        else:
-                            if winner is not None:
-                                break
-                    else:
-                        break  # no success before the segment ends
-                latency[winner] = t
-                mask ^= 1 << winner
-                t += 1
-            if not mask:
-                break
-            t = end + 1
-            if end == last_end and t <= cap:  # the first trial to reach slot t builds its segment
-                timeline.append(_segment(profile, t, cap))
-                last_end = timeline[-1][0]
-        outcomes.append(TrialOutcome(latency=tuple(latency), slots_run=t - 1))
-    return outcomes
+    for start in range(0, trials, _BLOCK):
+        _Lanes(seed_key, range(start, min(start + _BLOCK, trials)), n).run(timeline, profile, cap, won)
+    return [TrialOutcome(latency=lat, slots_run=cap if None in lat else max(lat)) for lat in zip(*won)]
 
 
 def _quantile(sorted_values: list, q: float) -> float:

@@ -1,5 +1,7 @@
+from array import array
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,12 @@ DIFFERENTIAL = {
         ),
         10**6,
     ),
+    # both deadline players certain to transmit from slot 14 to the cap: about
+    # half the trials still have both pending there and are censored at once
+    "two-deadlines-stuck": (
+        (AB, Deadline(t0=5, pre=ConstantProb(q=0.3)), Deadline(t0=14, pre=_age(C, 0.75)), ConstantProb(q=0.2)),
+        10**6,
+    ),
 }
 
 
@@ -180,6 +188,28 @@ def test_run_trials_matches_run_trial(name):
     profile, cap = DIFFERENTIAL[name]
     config = GameConfig(n=len(profile), profile=profile, seed=2024, slot_cap=cap)
     assert run_trials(config, 300) == [run_trial(config, idx) for idx in range(300)]
+
+
+@pytest.mark.parametrize("name", ["all-protocol", "persistent", "constant"])
+def test_packing_does_not_change_outcomes(name):
+    # which trials share a packed int depends on the trial count; the outcomes must not
+    profile, cap = DIFFERENTIAL[name]
+    config = GameConfig(n=len(profile), profile=profile, seed=99, slot_cap=cap)
+    everything = run_trials(config, 2000)
+    for k in (1, engine._TAIL - 1, engine._TAIL, engine._TAIL + 1, 500, engine._BLOCK + 1):
+        assert run_trials(config, k) == everything[:k]
+
+
+def test_packed_keys_match_player_keys():
+    trials = array("Q", range(4001))
+    for seed in (0, 7, 2**64 + 5, -1):
+        seed_key = engine._mix64(seed)
+        packed = engine._packed_keys(seed_key, trials, 3)
+        lanes = [key.to_bytes(16 * len(trials), "little") for key in packed]
+        for j in trials:
+            assert all(lane[16 * j + 8 : 16 * j + 16] == bytes(8) for lane in lanes)
+            keys = [int.from_bytes(lane[16 * j : 16 * j + 8], "little") for lane in lanes]
+            assert keys == engine._player_keys(seed_key, j, 3)
 
 
 _PROB = st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
@@ -205,6 +235,22 @@ _SPEC = st.one_of(
 def test_run_trials_matches_run_trial_on_random_profiles(profile, seed, slot_cap, trials):
     config = GameConfig(n=len(profile), profile=tuple(profile), seed=seed, slot_cap=slot_cap)
     assert run_trials(config, trials) == [run_trial(config, idx) for idx in range(trials)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    profile=st.lists(_SPEC, min_size=1, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**64),
+    slot_cap=st.integers(min_value=1, max_value=400),
+    trials=st.integers(min_value=1, max_value=60),
+    tail=st.sampled_from([0, 1, 5]),
+    block=st.sampled_from([1, 3, 16, 1024]),
+)
+def test_packed_lanes_match_run_trial_on_random_profiles(profile, seed, slot_cap, trials, tail, block):
+    # small tails and blocks, so that these few trials run packed, repack and hand off
+    config = GameConfig(n=len(profile), profile=tuple(profile), seed=seed, slot_cap=slot_cap)
+    with mock.patch.object(engine, "_TAIL", tail), mock.patch.object(engine, "_BLOCK", block):
+        assert run_trials(config, trials) == [run_trial(config, idx) for idx in range(trials)]
 
 
 def _slot_by_slot(config, trial_index):
