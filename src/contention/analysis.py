@@ -520,11 +520,19 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     consts = derive_constants(p)
     z_max = max(z_grid)
     sched = Schedule(c, 0)
-    sched.ensure_covers_time(t0)
-    xi = bisect_left(sched.s, t0)
+    if c == 1:  # s_k = 2(k + 1): xi needs no schedule up to t0
+        xi = (t0 + 1) // 2 - 1
+    else:
+        sched.ensure_covers_time(t0)
+        xi = bisect_left(sched.s, t0)
     # delta^xi and c^(xi-1) (c-1) stay Fractions (powers do not reduce; xi = 0 gives 1/c),
-    # and the factor, their product, is num/den unreduced
-    dn, dd = (consts.delta**xi).as_integer_ratio()
+    # and the factor, their product, is num/den unreduced.  At c = 1 the factor is 0 and
+    # delta^xi serves only prE_lower, which is 0.0 once delta^xi < 2^-1075: logarithms decide
+    # that before the power is built
+    if c == 1 and xi * -_log2(consts.delta) > 1075:
+        dn, dd = 0, 1
+    else:
+        dn, dd = (consts.delta**xi).as_integer_ratio()
     gn, gd = (c ** (xi - 1) * (c - 1)).as_integer_ratio()
     num, den = dn * gn, dd * gd
     # a bound is X - t0^2 with X = factor * partial_expectation(z) in [2^L, 2^U]: s_z >= c^z gives

@@ -1,9 +1,10 @@
 import math
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contention import analysis
@@ -685,6 +686,34 @@ def test_deadline_comparison_examples():
 def test_deadline_comparison_matches_the_fraction_formula(c, p, t0, xi):
     z_grid = (0, 25, 100)
     report = deadline_comparison(c, p, t0, z_grid=z_grid)
+    partials = persistent_distribution(c, p, max(z_grid)).partial_expectations
+    delta = derive_constants(p).delta
+    factor = delta**xi * c ** (xi - 1) * (c - 1)
+    assert report.xi == xi and report.prE_lower == _float_down(delta**xi)
+    assert report.truncated_lower_bounds == [(z, _float_down(factor * partials[z] - t0**2)) for z in z_grid]
+
+
+def _deadline_at_c1(p):
+    # a t0 at c = 1: small, or with xi = (t0 + 1)//2 - 1 around where delta^xi falls below 2^-1074
+    log2_inv_delta = -math.log2(derive_constants(p).delta)
+    lo, hi = math.floor(1074 / log2_inv_delta) - 4, math.ceil(1075 / log2_inv_delta) + 4
+    near = st.integers(lo, hi).flatmap(lambda xi: st.sampled_from([2 * xi + 1, 2 * xi + 2]))
+    return st.tuples(st.just(p), st.integers(min_value=1, max_value=60) | near)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1, 10), Fraction(99, 100)]).flatmap(_deadline_at_c1))
+@example(case=(Fraction(1, 2), 2149))  # xi = 1074: delta^xi = 2^-1074, the least float
+@example(case=(Fraction(1, 2), 2151))  # xi = 1075: rounds down to 0.0 on the exact path
+@example(case=(Fraction(1, 2), 2153))  # xi = 1076: 0.0 decided from logarithms
+def test_deadline_comparison_at_c1_matches_the_exact_path(case):
+    # at c = 1, xi and the bounds have closed forms and delta^xi may go unbuilt; the exact path
+    # counts xi on the schedule and rounds delta^xi and factor * partial - t0^2 down
+    (p, t0), c, z_grid = case, Fraction(1), (0, 25)
+    report = deadline_comparison(c, p, t0, z_grid=z_grid)
+    sched = Schedule(c, 0)
+    sched.ensure_covers_time(t0)
+    xi = bisect_left(sched.s, t0)
     partials = persistent_distribution(c, p, max(z_grid)).partial_expectations
     delta = derive_constants(p).delta
     factor = delta**xi * c ** (xi - 1) * (c - 1)

@@ -330,6 +330,21 @@ def test_enclosures_far_from_the_reference_point_are_fast_and_finite(capsys, arg
     assert len(rows) == 18 and all(0 <= row["lower"] <= row["upper"] < math.inf for row in rows)
 
 
+# at c = 1 the scheduled slots are 2, 4, 6, ..., so a schedule up to t0 would have t0/2 entries
+_DEADLINE_AT_C_1 = ["compare-deadline", "--c", "1", "--p", "3/4", "--t0", str(10**30)]
+
+
+def test_deadline_at_c_1_answers_at_any_t0(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *_DEADLINE_AT_C_1)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["xi"] == 5 * 10**29 - 1 and report["prE_lower"] == 0.0
+    bound = math.nextafter(-1e60, -math.inf)  # -10^60 rounded down
+    assert [row["bound"] for row in report["truncated_lower_bounds"]] == [bound] * 5
+
+
 # valid calls whose reports hold a value past the float range
 _PAST_THE_FLOAT_RANGE = [
     (["compare-deadline", "--c", "1e400", "--p", "3/4", "--t0", "5"], "truncated lower bound at z_max = 25"),
@@ -350,6 +365,8 @@ _PAST_THE_FLOAT_RANGE = [
     (["analyze", "--persistent", "--p", "0." + "9" * 200, "--zmax", "40000"], "expected rounds 1/(1-p)^2"),
     # the bound is about -t0^2 = -2^1040
     (["compare-deadline", "--t0", str(2**520), "--zmax-grid", "40000"], "truncated lower bound at z_max = 40000"),
+    # at c = 1 every bound is -t0^2 = -2^1040, with xi = 2^519 - 1 counted without a schedule
+    (["compare-deadline", "--c", "1", "--p", "3/4", "--t0", str(2**520)], "truncated lower bound at z_max = 25"),
 ]
 
 
@@ -359,7 +376,7 @@ _PAST_THE_FLOAT_RANGE = [
     ids=[
         "deadline-huge-c", "feasibility-p-near-1", "persistent-json", "persistent-csv", "deadline-zmax-1200",
         "analyze-K-200000", "persistent-zmax-40000", "deadline-zmax-40000", "persistent-p-near-1-zmax-40000",
-        "deadline-t0-2^520-zmax-40000",
+        "deadline-t0-2^520-zmax-40000", "deadline-c-1-t0-2^520",
     ],
 )
 def test_values_past_the_float_range_are_named(capsys, argv, what):
@@ -804,6 +821,8 @@ def fuzz_config_path(tmp_path_factory):
 @example(argv=_PAST_THE_FLOAT_RANGE[7][0], config={})
 @example(argv=_PAST_THE_FLOAT_RANGE[8][0], config={})
 @example(argv=_PAST_THE_FLOAT_RANGE[9][0], config={})
+@example(argv=_PAST_THE_FLOAT_RANGE[10][0], config={})
+@example(argv=_DEADLINE_AT_C_1, config={})
 @example(argv=_LONG_TRUNCATIONS[0][0], config={})
 @example(argv=_LONG_TRUNCATIONS[1][0], config={})
 @example(argv=_LONG_TRUNCATIONS[2][0], config={})
