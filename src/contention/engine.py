@@ -205,8 +205,7 @@ def _threshold(p) -> int:
     """The integer b with z < b exactly when the draw (z >> 11) / 2^53
     made from a final hash value z is below p, for any float or
     rational p."""
-    scaled = p * 2.0**53 if isinstance(p, float) else Fraction(p) * (1 << 53)  # exact for a float too
-    return math.ceil(scaled) << 11
+    return math.ceil(Fraction(p) * (1 << 53)) << 11
 
 
 def _action(limits: tuple, mask: int):
@@ -344,6 +343,13 @@ class _Lanes:
             self.pending = [x & ~two for x in self.pending]
             self.live &= ~two
 
+    def thinned(self) -> bool:
+        """Whether the live lanes have fallen to _TAIL or below 80 % of the
+        width: run then packs them anew, and hands them to the per-trial
+        loop if they are _TAIL or fewer."""
+        count = self.live.bit_count()
+        return count <= _TAIL or 5 * count < 4 * self.width
+
     def repack(self) -> None:
         """Pack the live lanes anew, in order, one player's int at a time."""
         keep = _words(self.live, self.width)
@@ -370,8 +376,8 @@ class _Lanes:
 
     def play(self, t: int, end: int, limits: tuple, won: list) -> int:
         """Play slots t to end of a timeline segment; stop early, after a
-        slot with winners, when the live lanes fall to _TAIL or below 80 %
-        of the width, or when none can resolve.  Returns the next slot."""
+        slot with winners, when the lanes are thinned or none can resolve.
+        Returns the next slot."""
         pending, ones = self.pending, self.ones
         forced = [i for i, limit in enumerate(limits) if limit == _SURE and pending[i]]
         drawers = [i for i, limit in enumerate(limits) if 0 < limit < _SURE and pending[i]]
@@ -402,8 +408,7 @@ class _Lanes:
             win = one & ~two
             if win:
                 self.settle(win, sent, won, t)
-                count = self.live.bit_count()
-                if count <= _TAIL or 5 * count < 4 * self.width or not resolvable():
+                if self.thinned() or not resolvable():
                     break
         return t + 1
 
@@ -416,11 +421,10 @@ class _Lanes:
             end, limits, stuck, _ = timeline[k]
             if len(stuck) > 1:
                 self.censor(stuck)
-            count = self.live.bit_count()
-            if count <= _TAIL:
-                break
-            if 5 * count < 4 * self.width:
+            if self.thinned():
                 self.repack()
+                if self.width <= _TAIL:
+                    break
             t = self.play(t, end, limits, won)
             if t > end:
                 if not self.live or t > cap:
