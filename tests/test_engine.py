@@ -200,6 +200,24 @@ def test_packing_does_not_change_outcomes(name):
         assert run_trials(config, k) == everything[:k]
 
 
+# slots at and past 2^63, 2^64 and 2^128, which a deadline's skip reaches at once:
+# past the low word of a lane and past what a signed 64-bit column holds
+@pytest.mark.parametrize("t0", [2**62, 2**63 + 5, 2**70, 2**130])
+@pytest.mark.parametrize(
+    "profile",
+    [
+        lambda t0: (Deadline(t0=t0), ConstantProb(q=0.5)),
+        lambda t0: (ConstantProb(q=0.5), Deadline(t0=t0 + 2), Deadline(t0=t0)),
+        lambda t0: (Deadline(t0=t0), Deadline(t0=t0), ConstantProb(q=0.5)),  # censored to the cap
+    ],
+    ids=["one-deadline", "two-deadlines", "stuck-deadlines"],
+)
+def test_huge_slots_round_trip(t0, profile):
+    config = GameConfig(n=len(profile(t0)), profile=profile(t0), seed=6, slot_cap=2 * t0)
+    assert 100 > engine._TAIL  # so the packed lanes, not the per-trial loop, settle these slots
+    assert run_trials(config, 100) == [run_trial(config, idx) for idx in range(100)]
+
+
 def test_packed_keys_match_player_keys():
     trials = array("Q", range(4001))
     for seed in (0, 7, 2**64 + 5, -1):
