@@ -12,6 +12,7 @@ from .protocols import (
 from .engine import (
     GameConfig,
     LatencyStats,
+    Outcomes,
     TrialOutcome,
     run_trial,
     run_trials,

@@ -73,6 +73,7 @@ from __future__ import annotations
 import math
 import statistics
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -84,6 +85,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 1024  # trials packed into one int at most
 _TAIL = 48  # at or below this many live lanes, run_trials plays each trial on alone
 _SURE = 1 << 64  # the _threshold of probability 1, above every hash value
+_WIDE = 1 << 64  # slots from here on fit neither a lane's low word nor an unsigned 64-bit column
 
 
 def _mix64(z: int) -> int:
@@ -225,10 +227,10 @@ def _action(limits: tuple, mask: int):
     return (forced[0] if forced else None), tuple(draws)
 
 
-def _finish(timeline: list, k: int, t: int, mask: int, keys: list, profile: tuple, cap: int, won: list, trial: int):
+def _finish(timeline: list, k: int, t: int, mask: int, keys: list, profile: tuple, cap: int, columns: list, trial: int):
     """Play one trial on from slot t of timeline segment k, with the
     players in mask pending and keys their _player_keys, writing each
-    win's slot into won[player][trial]."""
+    win's slot into columns[player][trial]."""
     while True:
         end, limits, _, actions = timeline[k]
         while t <= end:
@@ -257,7 +259,7 @@ def _finish(timeline: list, k: int, t: int, mask: int, keys: list, profile: tupl
                             break
                 else:
                     break  # no success before the segment ends
-            won[winner][trial] = t
+            columns[winner][trial] = t
             mask ^= 1 << winner
             t += 1
         t = end + 1
@@ -325,16 +327,27 @@ def _tally(xs) -> tuple:
 class _Lanes:
     """One block of a run_trials call, trial trials[j] in lane j: each
     player's keys packed, pending[i], the lanes where player i has not won
-    yet, as a bitmap with one bit at each lane's bottom, and live, the
-    lanes where some player has not."""
+    yet, as a bitmap with one bit at each lane's bottom, live, the lanes
+    where some player has not, and won[i], player i's win slots in the
+    lanes' low words (0 for none) since they were last written into
+    columns[i]."""
 
-    def __init__(self, seed_key: int, trials: range, n: int):
+    def __init__(self, seed_key: int, trials: range, n: int, columns: list):
         self.seed_key = seed_key
+        self.columns = columns
         self.trials = array("Q", trials)
-        self.width = len(trials)
-        self.live = self.ones = _lanes([1] * self.width)
+        self.resized()
         self.keys = _packed_keys(seed_key, self.trials, n)
         self.pending = [self.ones] * n
+        self.won = [0] * n
+
+    def resized(self) -> None:
+        """Set what follows from the lanes' count: the width, ones and the
+        lane mask, every lane live, and no packed thresholds."""
+        self.width = len(self.trials)
+        self.live = self.ones = _lanes([1] * self.width)
+        self.mask = self.ones * _MASK64
+        self.limits = {}  # threshold -> (2^64 + threshold - 1) in every lane
 
     def censor(self, stuck: tuple) -> None:
         """Drop the lanes where two of the stuck players are pending: they collide to the cap."""
@@ -350,35 +363,59 @@ class _Lanes:
         count = self.live.bit_count()
         return count <= _TAIL or 5 * count < 4 * self.width
 
+    def flush(self) -> None:
+        """Write the win slots held in the lanes into the columns, and clear them."""
+        for i, x in enumerate(self.won):
+            if x:
+                slots = _words(x, self.width)
+                if _SWAP:  # values are read here, not only tested for truth
+                    slots = array("Q", slots)
+                    slots.byteswap()
+                column = self.columns[i]
+                for trial, slot in zip(compress(self.trials, slots), filter(None, slots)):
+                    column[trial] = slot
+        self.won = [0] * len(self.won)
+
     def repack(self) -> None:
-        """Pack the live lanes anew, in order, one player's int at a time."""
+        """Write out the wins, then pack the live lanes anew, in order, one player's int at a time."""
+        self.flush()
         keep = _words(self.live, self.width)
-        self.trials = array("Q", compress(self.trials, keep))
         for xs in (self.keys, self.pending):
             for i, x in enumerate(xs):
                 xs[i] = _pack(array("Q", compress(_words(x, self.width), keep)))
-        self.width = len(self.trials)
-        self.live = self.ones = _lanes([1] * self.width)
+        self.trials = array("Q", compress(self.trials, keep))
+        self.resized()
 
-    def settle(self, win: int, sent: list, won: list, t: int) -> None:
+    def settle(self, win: int, sent: list, t: int) -> None:
         """Give slot t to the lone transmitter in each lane of win, sent
         holding the lanes where each player transmitted."""
         for i, x in sent:
             w = win & x
             if w:
                 self.pending[i] ^= w
-                column = won[i]
-                for trial in compress(self.trials, _words(w, self.width)):
-                    column[trial] = t
+                if t < _WIDE:
+                    self.won[i] |= w * t
+                else:  # past a lane's low word: straight into the column
+                    column = self.columns[i]
+                    for trial in compress(self.trials, _words(w, self.width)):
+                        column[trial] = t
         self.live = 0
         for x in self.pending:
             self.live |= x
 
-    def play(self, t: int, end: int, limits: tuple, won: list) -> int:
+    def limit(self, threshold: int) -> int:
+        """(2^64 + threshold - 1) in every lane, kept until the width changes."""
+        try:
+            return self.limits[threshold]
+        except KeyError:
+            packed = self.limits[threshold] = (threshold + _MASK64) * self.ones
+            return packed
+
+    def play(self, t: int, end: int, limits: tuple) -> int:
         """Play slots t to end of a timeline segment; stop early, after a
         slot with winners, when the lanes are thinned or none can resolve.
         Returns the next slot."""
-        pending, ones = self.pending, self.ones
+        pending, ones, m = self.pending, self.ones, self.mask
         forced = [i for i, limit in enumerate(limits) if limit == _SURE and pending[i]]
         drawers = [i for i, limit in enumerate(limits) if 0 < limit < _SURE and pending[i]]
 
@@ -390,13 +427,11 @@ class _Lanes:
         if not drawers:  # a lone forced player wins at once; the rest stay stuck or silent
             one, two = _tally(pending[i] for i in forced)
             if one & ~two:
-                self.settle(one & ~two, [(i, pending[i]) for i in forced], won, t)
+                self.settle(one & ~two, [(i, pending[i]) for i in forced], t)
             return end + 1
         if not resolvable():
             return end + 1  # collision or silence in every live lane until the segment ends
-        m = ones * _MASK64
-        packed = {limits[i]: (limits[i] + _MASK64) * ones for i in drawers}
-        draws = [(i, packed[limits[i]], self.keys[i]) for i in drawers]
+        draws = [(i, self.limit(limits[i]), self.keys[i]) for i in drawers]
         for t in range(t, end + 1):
             step = ((t * _GOLDEN) & _MASK64) * ones
             sent = [(i, pending[i]) for i in forced]
@@ -407,15 +442,15 @@ class _Lanes:
             one, two = _tally(x for _, x in sent)
             win = one & ~two
             if win:
-                self.settle(win, sent, won, t)
+                self.settle(win, sent, t)
                 if self.thinned() or not resolvable():
                     break
         return t + 1
 
-    def run(self, timeline: list, profile: tuple, cap: int, won: list) -> None:
+    def run(self, timeline: list, profile: tuple, cap: int) -> None:
         """Play every lane's trial to its end or the cap, writing each
-        win's slot into won[player][trial]: packed while more than _TAIL
-        lanes are live, then each trial on alone."""
+        win's slot into columns[player][trial]: packed while more than
+        _TAIL lanes are live, then each trial on alone."""
         k, t = 0, 1
         while True:
             end, limits, stuck, _ = timeline[k]
@@ -425,9 +460,10 @@ class _Lanes:
                 self.repack()
                 if self.width <= _TAIL:
                     break
-            t = self.play(t, end, limits, won)
+            t = self.play(t, end, limits)
             if t > end:
                 if not self.live or t > cap:
+                    self.flush()
                     return
                 k += 1
                 if k == len(timeline):  # the first lanes to reach slot t build its segment
@@ -437,21 +473,87 @@ class _Lanes:
             mask = sum(1 << i for i, x in enumerate(pending) if x[j])
             trial = self.trials[j]
             keys = _player_keys(self.seed_key, trial, len(pending))
-            _finish(timeline, k, t, mask, keys, profile, cap, won, trial)
+            _finish(timeline, k, t, mask, keys, profile, cap, self.columns, trial)
 
 
-def run_trials(config: GameConfig, trials: int) -> list[TrialOutcome]:
+def _column(trials: int, cap: int):
+    """A column of trials zeros, able to hold every slot up to cap."""
+    return array("Q", [0]) * trials if cap < _WIDE else [0] * trials
+
+
+class Outcomes(Sequence):
+    """Trial outcomes in trial-index order, kept as one column per player:
+    columns[i][j] is player i's success slot in trial j, 0 if it has none
+    by the slot cap.  Indexing and iteration give TrialOutcomes, a slice
+    gives Outcomes, and it equals a list of the same TrialOutcomes."""
+
+    def __init__(self, columns: list, cap: int):
+        self.columns = columns
+        self.cap = cap
+
+    @classmethod
+    def of(cls, outcomes) -> Outcomes:
+        """outcomes as columns, with cap the largest slots_run: each
+        censored trial must have run to it, as run_trial's do."""
+        if isinstance(outcomes, cls):
+            return outcomes
+        outcomes = list(outcomes)
+        cap = max(out.slots_run for out in outcomes)
+        columns = [_column(len(outcomes), cap) for _ in outcomes[0].latency]
+        for j, out in enumerate(outcomes):
+            if None in out.latency and out.slots_run != cap:
+                raise ValueError(f"trial {j} is censored at slot {out.slots_run}, not at the largest slots_run {cap}")
+            for column, lat in zip(columns, out.latency):
+                if lat is not None:
+                    column[j] = lat
+        return cls(columns, cap)
+
+    def _outcome(self, slots) -> TrialOutcome:
+        latency = tuple(slot or None for slot in slots)
+        return TrialOutcome(latency=latency, slots_run=self.cap if None in latency else max(latency))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Outcomes([column[k] for column in self.columns], self.cap)
+        return self._outcome([column[k] for column in self.columns])
+
+    def __iter__(self):
+        return map(self._outcome, zip(*self.columns))
+
+    def __eq__(self, other):
+        if isinstance(other, (Outcomes, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, (Outcomes, list)):
+            return list(self) + list(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, list):
+            return other + list(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Outcomes({list(self)!r})"
+
+
+def run_trials(config: GameConfig, trials: int) -> Outcomes:
     """All trial outcomes in trial-index order; each equals
     `run_trial(config, trial_index)`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, profile, cap = config.n, config.profile, config.slot_cap
     timeline = [_segment(profile, 1, cap)]  # every trial reaches slot 1
-    won = [[None] * trials for _ in range(n)]  # won[player][trial]: the slot of its success
+    columns = [_column(trials, cap) for _ in range(n)]
     seed_key = _mix64(config.seed)
     for start in range(0, trials, _BLOCK):
-        _Lanes(seed_key, range(start, min(start + _BLOCK, trials)), n).run(timeline, profile, cap, won)
-    return [TrialOutcome(latency=lat, slots_run=cap if None in lat else max(lat)) for lat in zip(*won)]
+        _Lanes(seed_key, range(start, min(start + _BLOCK, trials)), n, columns).run(timeline, profile, cap)
+    return Outcomes(columns, cap)
 
 
 def _quantile(sorted_values: list, q: float) -> float:
@@ -459,19 +561,15 @@ def _quantile(sorted_values: list, q: float) -> float:
     return float(sorted_values[idx])
 
 
-def summarize(outcomes: list[TrialOutcome], focus_player: int) -> LatencyStats:
-    """Aggregate one player's latencies; a censored trial counts at its
-    slots_run, which is the slot cap, so the mean is a lower bound on the
-    true mean whenever censoring occurred."""
-    values = []
-    censored_count = 0
-    for out in outcomes:
-        lat = out.latency[focus_player]
-        if lat is None:
-            censored_count += 1
-            values.append(out.slots_run)
-        else:
-            values.append(lat)
+def summarize(outcomes, focus_player: int) -> LatencyStats:
+    """Aggregate one player's latencies from Outcomes or a list of
+    TrialOutcomes; a censored trial counts at its slots_run, which is the
+    slot cap, so the mean is a lower bound on the true mean whenever
+    censoring occurred."""
+    outcomes = Outcomes.of(outcomes)
+    column = outcomes.columns[focus_player]
+    censored_count = column.count(0)
+    values = [slot or outcomes.cap for slot in column] if censored_count else column
     trials = len(values)
     ordered = sorted(values)
     try:
@@ -489,8 +587,8 @@ def summarize(outcomes: list[TrialOutcome], focus_player: int) -> LatencyStats:
         raise ValueError(f"player {focus_player}'s latencies are too large for a float: lower slot_cap") from None
 
 
-def outcomes_to_csv_rows(outcomes: list[TrialOutcome]):
+def outcomes_to_csv_rows(outcomes):
     """Yield (trial_index, player, latency, censored) rows for export."""
-    for idx, out in enumerate(outcomes):
-        for player, lat in enumerate(out.latency):
-            yield idx, player, "" if lat is None else lat, int(lat is None)
+    for idx, slots in enumerate(zip(*Outcomes.of(outcomes).columns)):
+        for player, slot in enumerate(slots):
+            yield idx, player, slot or "", int(not slot)

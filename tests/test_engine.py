@@ -218,6 +218,52 @@ def test_huge_slots_round_trip(t0, profile):
     assert run_trials(config, 100) == [run_trial(config, idx) for idx in range(100)]
 
 
+def test_outcomes_read_as_a_list_of_trial_outcomes():
+    config = GameConfig(n=3, profile=(AB,) * 3, seed=4, slot_cap=3)  # most trials censored
+    outcomes = run_trials(config, 50)
+    expected = [run_trial(config, idx) for idx in range(50)]
+    assert isinstance(outcomes, engine.Outcomes) and len(outcomes) == 50
+    assert outcomes[0] == expected[0] and outcomes[-1] == expected[-1] and outcomes[-50] == expected[0]
+    with pytest.raises(IndexError):
+        outcomes[50]
+    assert isinstance(outcomes[10:20], engine.Outcomes)
+    assert outcomes[10:20] == expected[10:20] and outcomes[::-3] == expected[::-3]
+    assert list(outcomes) == [out for out in outcomes] == expected
+    assert outcomes == expected and expected == outcomes and outcomes == outcomes[:]
+    assert outcomes != expected[:-1] and outcomes != expected[::-1] and outcomes != tuple(expected)
+    assert outcomes + expected[:2] == expected + expected[:2]
+    assert expected[:2] + outcomes == expected[:2] + expected
+    censored = [out for out in outcomes if any(out.censored)]
+    assert censored and all(out.slots_run == 3 for out in censored)
+    assert [(out.censored, out.slots_run) for out in outcomes] == [(out.censored, out.slots_run) for out in expected]
+    assert summarize(outcomes, 0) == summarize(expected, 0)
+
+
+def test_outcomes_of_a_list_round_trip():
+    config = GameConfig(n=3, profile=(AB, AB, Deadline(t0=1)), seed=12, slot_cap=40)
+    expected = [run_trial(config, idx) for idx in range(200)]
+    assert any(any(out.censored) for out in expected)
+    columns = engine.Outcomes.of(expected)
+    assert columns == expected and columns.cap == 40
+    assert engine.Outcomes.of(columns) is columns
+    with pytest.raises(ValueError, match="censored at slot 39"):
+        engine.Outcomes.of(expected + [TrialOutcome(latency=(1, None, 2), slots_run=39)])
+
+
+@pytest.mark.parametrize("name", ["all-protocol", "persistent", "constant"])
+def test_csv_rows_match_run_trial_across_blocks(name):
+    profile, cap = DIFFERENTIAL[name]
+    config = GameConfig(n=len(profile), profile=profile, seed=41, slot_cap=cap)
+    trials = 2100  # past two blocks of lanes
+    assert trials > 2 * engine._BLOCK
+    rows = [
+        (idx, player, "" if lat is None else lat, int(lat is None))
+        for idx in range(trials)
+        for player, lat in enumerate(run_trial(config, idx).latency)
+    ]
+    assert list(outcomes_to_csv_rows(run_trials(config, trials))) == rows
+
+
 def test_packed_keys_match_player_keys():
     trials = array("Q", range(4001))
     for seed in (0, 7, 2**64 + 5, -1):
