@@ -552,11 +552,12 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
             elif upper < log2_t0_sq - 1:
                 _check_fits(name, log2_t0_sq - 1)
             break
-    sched.extend_to(z_max)
-    law = [(total, zden) for _, total, zden in _exact_law(sched.s[: z_max + 1], p)]
+    if c > 1:  # at c = 1 the factor is 0, so every bound is -t0^2 and the law is not needed
+        sched.extend_to(z_max)
+        law = [(total, zden) for _, total, zden in _exact_law(sched.s[: z_max + 1], p)]
     bounds = []
     for z in z_grid:  # factor * total / zden - t0^2, with zden = pd^(2(z+1)) from the law
-        total, zden = law[z]
+        total, zden = law[z] if c > 1 else (0, 1)
         low = num * total - t0**2 * den * zden
         bounds.append((z, _to_float(f"truncated lower bound at z_max = {z}", low, den * zden, up=False)))
     return DeadlineComparison(

@@ -345,6 +345,15 @@ def test_deadline_at_c_1_answers_at_any_t0(capsys):
     assert [row["bound"] for row in report["truncated_lower_bounds"]] == [bound] * 5
 
 
+def test_deadline_at_c_1_builds_no_law_up_to_zmax(capsys):
+    # the factor is 0 at c = 1, so the persistent law up to z_max plays no part in a bound
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compare-deadline", "--c", "1", "--t0", "5", "--zmax-grid", "400000")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert json.loads(out)["truncated_lower_bounds"] == [{"z_max": 400000, "bound": -25.0}]
+
+
 # valid calls whose reports hold a value past the float range
 _PAST_THE_FLOAT_RANGE = [
     (["compare-deadline", "--c", "1e400", "--p", "3/4", "--t0", "5"], "truncated lower bound at z_max = 25"),
