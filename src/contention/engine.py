@@ -36,15 +36,21 @@ Python ints, trial j of the block in lane j, bits [128j, 128j + 64):
   z < T, so a shift by 64 and the pending bitmap give the lanes where
   player i transmits; a player certain to transmit does so in all its
   pending lanes.  Two OR-accumulators over those bitmaps find the lanes
-  with exactly one transmitter, and each winner's trial comes from
-  itertools.compress over the win bitmap's words.
+  with exactly one transmitter.
+- Player i's win slots stay in the lanes too: a packed int whose lane
+  holds the slot of the player's success there, 0 if none yet, gains
+  slot t in the lanes of w, the player's winning lanes, as won |= w * t.
+  The win ints are written into the player's column, with one
+  itertools.compress over their lane words, when the lanes are packed
+  anew and at the block's end.  A slot at or past 2^64 fits no lane's
+  low word and goes straight into the column.
 - Segments are walked in order.  One in which no live lane can resolve
   (each has two pending players certain to transmit, or none that can
   transmit) is skipped to its end, and one in which only such players
   transmit needs one slot.  A lane with two pending players certain to
   transmit up to the slot cap is censored at once.
-- When the live lanes fall below 80 % of the packed width, they are
-  packed anew.  At or below _TAIL live lanes, each remaining trial
+- When the live lanes fall below 80 % of the packed width, their wins
+  are written out and they are packed anew.  At or below _TAIL live lanes, each remaining trial
   finishes alone in a per-trial loop, resumed at its slot and pending
   set with its keys from _player_keys.  That loop keys each segment's
   actions by the pending set's bitmask, filled the first time a trial
@@ -63,9 +69,16 @@ the hash written out in full.  While two pending players transmit with
 probability 1, or none can transmit, no draw can change the outcome, so
 it skips to the next slot where a pending player's rule can change.  In
 both, slots_run is a trial's last success slot, or the slot cap for a
-censored trial.  The library simulates through `run_trials` alone;
-`summarize(outcomes, player)`, which counts a censored trial at its
-slots_run, and `outcomes_to_csv_rows` read its outcomes.
+censored trial.
+
+The library simulates through `run_trials` alone.  It returns Outcomes,
+one column per player holding its success slot in each trial, 0 where it
+has none by the cap: an array of unsigned 64-bit words, or a list when
+the cap reaches 2^64.  Outcomes reads as a sequence of TrialOutcome and
+equals a list of them, so it compares with `run_trial`'s.
+`summarize(outcomes, player)`, which counts a censored trial at the slot
+cap, and `outcomes_to_csv_rows` read the columns; a list of TrialOutcome
+is wrapped into Outcomes first.
 """
 
 from __future__ import annotations
@@ -485,7 +498,8 @@ class Outcomes(Sequence):
     """Trial outcomes in trial-index order, kept as one column per player:
     columns[i][j] is player i's success slot in trial j, 0 if it has none
     by the slot cap.  Indexing and iteration give TrialOutcomes, a slice
-    gives Outcomes, and it equals a list of the same TrialOutcomes."""
+    gives Outcomes, it equals a list of the same TrialOutcomes, and + with
+    a list gives a list."""
 
     def __init__(self, columns: list, cap: int):
         self.columns = columns
