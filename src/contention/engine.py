@@ -35,7 +35,8 @@ Python ints, trial j of the block in lane j, bits [128j, 128j + 64):
   lane.  Lane j of (2^64 + T - 1) * ONES - z has bit 64 set exactly when
   z < T, so a shift by 64 and the pending bitmap give the lanes where
   player i transmits; a player certain to transmit does so in all its
-  pending lanes.  Two OR-accumulators over those bitmaps find the lanes
+  pending lanes.  Each packed threshold is kept until the lanes are
+  packed anew.  Two OR-accumulators over those bitmaps find the lanes
   with exactly one transmitter.
 - Player i's win slots stay in the lanes too: a packed int whose lane
   holds the slot of the player's success there, 0 if none yet, gains
@@ -50,13 +51,14 @@ Python ints, trial j of the block in lane j, bits [128j, 128j + 64):
   transmit needs one slot.  A lane with two pending players certain to
   transmit up to the slot cap is censored at once.
 - When the live lanes fall below 80 % of the packed width, their wins
-  are written out and they are packed anew.  At or below _TAIL live lanes, each remaining trial
-  finishes alone in a per-trial loop, resumed at its slot and pending
-  set with its keys from _player_keys.  That loop keys each segment's
-  actions by the pending set's bitmask, filled the first time a trial
-  reaches the mask: None when the segment is a collision or silence to
-  its end for those players, otherwise the lone pending player certain
-  to transmit (if any) and the players that draw.
+  are written out and they are packed anew.  At or below _TAIL live
+  lanes, each remaining trial finishes alone in a per-trial loop,
+  resumed at its slot and pending set with its keys from _player_keys.
+  That loop keys each segment's actions by the pending set's bitmask,
+  filled the first time a trial reaches the mask: None when the segment
+  is a collision or silence to its end for those players, otherwise the
+  lone pending player certain to transmit (if any) and the players that
+  draw.
 Blocks keep memory bounded whatever the trial count: a 1024-lane int is
 16 KiB, and a block holds a few dozen at a time.
 
@@ -551,9 +553,6 @@ class Outcomes(Sequence):
         if isinstance(other, list):
             return other + list(self)
         return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Outcomes({list(self)!r})"
 
 
 def run_trials(config: GameConfig, trials: int) -> Outcomes:
