@@ -8,9 +8,9 @@ age-based protocol) have infinite expected latency.
 
 Every rule is a function of the slot alone, so `run_trials` shares one
 probability timeline among its trials: a list of segments (end, limits,
-stuck, actions), each a run of slots over which every player's
-probability is constant.  The first trial to reach a segment's first
-slot builds it, so the timeline reaches only as far as the trials do.
+stuck), each a run of slots over which every player's probability is
+constant.  The first trial to reach a segment's first slot builds it,
+so the timeline reaches only as far as the trials do.
 
 Randomness is counter-based: every attempt draw is a pure hash of
 (seed, trial_index, player, slot), so results are bit-identical for a
@@ -50,15 +50,9 @@ Python ints, trial j of the block in lane j, bits [128j, 128j + 64):
   transmit) is skipped to its end, and one in which only such players
   transmit needs one slot.  A lane with two pending players certain to
   transmit up to the slot cap is censored at once.
-- When the live lanes fall below 80 % of the packed width, their wins
-  are written out and they are packed anew.  At or below _TAIL live
-  lanes, each remaining trial finishes alone in a per-trial loop,
-  resumed at its slot and pending set with its keys from _player_keys.
-  That loop keys each segment's actions by the pending set's bitmask,
-  filled the first time a trial reaches the mask: None when the segment
-  is a collision or silence to its end for those players, otherwise the
-  lone pending player certain to transmit (if any) and the players that
-  draw.
+- When the live lanes fall below half the packed width, their wins are
+  written out and they are packed anew, down to no lanes at all; a
+  block ends when no lane is live or the slot cap is passed.
 Blocks keep memory bounded whatever the trial count: a 1024-lane int is
 16 KiB, and a block holds a few dozen at a time.
 
@@ -98,7 +92,6 @@ from .protocols import ProtocolSpec, decision_probability, next_prob_change
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 1024  # trials packed into one int at most
-_TAIL = 48  # at or below this many live lanes, run_trials plays each trial on alone
 _SURE = 1 << 64  # the _threshold of probability 1, above every hash value
 _WIDE = 1 << 64  # slots from here on fit neither a lane's low word nor an unsigned 64-bit column
 
@@ -201,11 +194,11 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
 
 
 def _segment(profile: tuple, t: int, cap: int) -> tuple:
-    """The timeline segment that starts at slot t: (end, limits, stuck,
-    actions), where limits[i] is the _threshold of player i's transmission
+    """The timeline segment that starts at slot t: (end, limits, stuck),
+    where limits[i] is the _threshold of player i's transmission
     probability at every slot from t to end (0 for silence, _SURE for a
-    certain transmitter), stuck lists the players certain to transmit at
-    every slot from t to the cap, and actions starts as an empty table."""
+    certain transmitter), and stuck lists the players certain to transmit
+    at every slot from t to the cap."""
     limits = tuple(_threshold(decision_probability(spec, t)) for spec in profile)
     end, stuck = cap, []
     for i, spec in enumerate(profile):
@@ -215,7 +208,7 @@ def _segment(profile: tuple, t: int, cap: int) -> tuple:
                 stuck.append(i)
         elif change <= end:
             end = change - 1
-    return end, limits, tuple(stuck), {}
+    return end, limits, tuple(stuck)
 
 
 def _threshold(p) -> int:
@@ -223,66 +216,6 @@ def _threshold(p) -> int:
     made from a final hash value z is below p, for any float or
     rational p."""
     return math.ceil(Fraction(p) * (1 << 53)) << 11
-
-
-def _action(limits: tuple, mask: int):
-    """What a segment with these limits does for the pending players in
-    mask: None when it is a collision or silence to its end, else (lone,
-    draws) with lone the one pending player certain to transmit (or None)
-    and draws the (player, threshold) pairs of those that draw."""
-    forced, draws = [], []
-    for i, limit in enumerate(limits):
-        if mask >> i & 1:
-            if limit == _SURE:
-                forced.append(i)
-            elif limit:
-                draws.append((i, limit))
-    if len(forced) > 1 or not (forced or draws):
-        return None
-    return (forced[0] if forced else None), tuple(draws)
-
-
-def _finish(timeline: list, k: int, t: int, mask: int, keys: list, profile: tuple, cap: int, columns: list, trial: int):
-    """Play one trial on from slot t of timeline segment k, with the
-    players in mask pending and keys their _player_keys, writing each
-    win's slot into columns[player][trial]."""
-    while True:
-        end, limits, _, actions = timeline[k]
-        while t <= end:
-            try:
-                action = actions[mask]
-            except KeyError:
-                action = actions[mask] = _action(limits, mask)
-            if action is None:
-                break  # collision or silence (or nobody left) until the segment ends
-            lone, draws = action
-            winner = lone
-            if draws:
-                for t in range(t, end + 1):
-                    step = (t * _GOLDEN) & _MASK64
-                    winner = lone
-                    for i, threshold in draws:
-                        z = keys[i] ^ step  # _mix64, inlined
-                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                        if z ^ (z >> 31) < threshold:
-                            if winner is not None:
-                                break  # collision: the other draws cannot matter
-                            winner = i
-                    else:
-                        if winner is not None:
-                            break
-                else:
-                    break  # no success before the segment ends
-            columns[winner][trial] = t
-            mask ^= 1 << winner
-            t += 1
-        t = end + 1
-        if not mask or t > cap:
-            return
-        k += 1
-        if k == len(timeline):  # the first trial to reach slot t builds its segment
-            timeline.append(_segment(profile, t, cap))
 
 
 # --- lanes: trial j of a packed int in bits [128j, 128j + 64) ---------------
@@ -348,7 +281,6 @@ class _Lanes:
     columns[i]."""
 
     def __init__(self, seed_key: int, trials: range, n: int, columns: list):
-        self.seed_key = seed_key
         self.columns = columns
         self.trials = array("Q", trials)
         self.resized()
@@ -372,11 +304,8 @@ class _Lanes:
             self.live &= ~two
 
     def thinned(self) -> bool:
-        """Whether the live lanes have fallen to _TAIL or below 80 % of the
-        width: run then packs them anew, and hands them to the per-trial
-        loop if they are _TAIL or fewer."""
-        count = self.live.bit_count()
-        return count <= _TAIL or 5 * count < 4 * self.width
+        """Whether the live lanes have fallen below half the width: run then packs them anew."""
+        return 2 * self.live.bit_count() < self.width
 
     def flush(self) -> None:
         """Write the win slots held in the lanes into the columns, and clear them."""
@@ -464,31 +393,22 @@ class _Lanes:
 
     def run(self, timeline: list, profile: tuple, cap: int) -> None:
         """Play every lane's trial to its end or the cap, writing each
-        win's slot into columns[player][trial]: packed while more than
-        _TAIL lanes are live, then each trial on alone."""
+        win's slot into columns[player][trial]."""
         k, t = 0, 1
         while True:
-            end, limits, stuck, _ = timeline[k]
+            end, limits, stuck = timeline[k]
             if len(stuck) > 1:
                 self.censor(stuck)
             if self.thinned():
                 self.repack()
-                if self.width <= _TAIL:
-                    break
             t = self.play(t, end, limits)
+            if not self.live or t > cap:
+                break
             if t > end:
-                if not self.live or t > cap:
-                    self.flush()
-                    return
                 k += 1
                 if k == len(timeline):  # the first lanes to reach slot t build its segment
                     timeline.append(_segment(profile, t, cap))
-        pending = [_words(x, self.width) for x in self.pending]
-        for j in compress(range(self.width), _words(self.live, self.width)):
-            mask = sum(1 << i for i, x in enumerate(pending) if x[j])
-            trial = self.trials[j]
-            keys = _player_keys(self.seed_key, trial, len(pending))
-            _finish(timeline, k, t, mask, keys, profile, cap, self.columns, trial)
+        self.flush()
 
 
 def _column(trials: int, cap: int):
@@ -500,8 +420,7 @@ class Outcomes(Sequence):
     """Trial outcomes in trial-index order, kept as one column per player:
     columns[i][j] is player i's success slot in trial j, 0 if it has none
     by the slot cap.  Indexing and iteration give TrialOutcomes, a slice
-    gives Outcomes, it equals a list of the same TrialOutcomes, and + with
-    a list gives a list."""
+    gives Outcomes, and it equals a list of the same TrialOutcomes."""
 
     def __init__(self, columns: list, cap: int):
         self.columns = columns
@@ -542,16 +461,6 @@ class Outcomes(Sequence):
     def __eq__(self, other):
         if isinstance(other, (Outcomes, list)):
             return list(self) == list(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (Outcomes, list)):
-            return list(self) + list(other)
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, list):
-            return other + list(self)
         return NotImplemented
 
 
