@@ -196,13 +196,12 @@ def test_run_trials_matches_run_trial(name):
 def test_lanes_censored_at_slot_1_build_one_segment(monkeypatch):
     profile, cap = DIFFERENTIAL["stuck-from-slot-1"]
     config = GameConfig(n=len(profile), profile=profile, seed=2024, slot_cap=cap)
-    built = []
+    segment, built = engine._segment, []
 
     def recorded(profile, t, cap):
         built.append(t)
         return segment(profile, t, cap)
 
-    segment = engine._segment
     monkeypatch.setattr(engine, "_segment", recorded)
     trials = engine._BLOCK + 1  # a full block and a one-lane block
     assert run_trials(config, trials) == [run_trial(config, idx) for idx in range(trials)]
@@ -326,7 +325,7 @@ def test_run_trials_matches_run_trial_on_random_profiles(profile, seed, slot_cap
     block=st.sampled_from([1, 3, 16, 1024]),
 )
 def test_packed_lanes_match_run_trial_on_random_profiles(profile, seed, slot_cap, trials, block):
-    # small blocks, so that these few trials fill several blocks and repack down to one lane
+    # small blocks, so that these few trials fill several blocks, each packed anew as its lanes finish
     config = GameConfig(n=len(profile), profile=tuple(profile), seed=seed, slot_cap=slot_cap)
     with mock.patch.object(engine, "_BLOCK", block):
         assert run_trials(config, trials) == [run_trial(config, idx) for idx in range(trials)]
