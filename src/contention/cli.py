@@ -243,6 +243,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # its str() is empty
+        print("error: out of memory", file=sys.stderr)
+        return 1
     return 0
 
 

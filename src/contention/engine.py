@@ -73,8 +73,7 @@ has none by the cap: an array of unsigned 64-bit words, or a list when
 the cap reaches 2^64.  Outcomes reads as a sequence of TrialOutcome and
 equals a list of them, so it compares with `run_trial`'s.
 `summarize(outcomes, player)`, which counts a censored trial at the slot
-cap, and `outcomes_to_csv_rows` read the columns; a list of TrialOutcome
-is wrapped into Outcomes first.
+cap, and `outcomes_to_csv_rows` read the columns.
 """
 
 from __future__ import annotations
@@ -426,23 +425,6 @@ class Outcomes(Sequence):
         self.columns = columns
         self.cap = cap
 
-    @classmethod
-    def of(cls, outcomes) -> Outcomes:
-        """outcomes as columns, with cap the largest slots_run: each
-        censored trial must have run to it, as run_trial's do."""
-        if isinstance(outcomes, cls):
-            return outcomes
-        outcomes = list(outcomes)
-        cap = max(out.slots_run for out in outcomes)
-        columns = [_column(len(outcomes), cap) for _ in outcomes[0].latency]
-        for j, out in enumerate(outcomes):
-            if None in out.latency and out.slots_run != cap:
-                raise ValueError(f"trial {j} is censored at slot {out.slots_run}, not at the largest slots_run {cap}")
-            for column, lat in zip(columns, out.latency):
-                if lat is not None:
-                    column[j] = lat
-        return cls(columns, cap)
-
     def _outcome(self, slots) -> TrialOutcome:
         latency = tuple(slot or None for slot in slots)
         return TrialOutcome(latency=latency, slots_run=self.cap if None in latency else max(latency))
@@ -483,12 +465,10 @@ def _quantile(sorted_values: list, q: float) -> float:
     return float(sorted_values[idx])
 
 
-def summarize(outcomes, focus_player: int) -> LatencyStats:
-    """Aggregate one player's latencies from Outcomes or a list of
-    TrialOutcomes; a censored trial counts at its slots_run, which is the
+def summarize(outcomes: Outcomes, focus_player: int) -> LatencyStats:
+    """Aggregate one player's latencies; a censored trial counts at the
     slot cap, so the mean is a lower bound on the true mean whenever
     censoring occurred."""
-    outcomes = Outcomes.of(outcomes)
     column = outcomes.columns[focus_player]
     censored_count = column.count(0)
     values = [slot or outcomes.cap for slot in column] if censored_count else column
@@ -509,8 +489,8 @@ def summarize(outcomes, focus_player: int) -> LatencyStats:
         raise ValueError(f"player {focus_player}'s latencies are too large for a float: lower slot_cap") from None
 
 
-def outcomes_to_csv_rows(outcomes):
+def outcomes_to_csv_rows(outcomes: Outcomes):
     """Yield (trial_index, player, latency, censored) rows for export."""
-    for idx, slots in enumerate(zip(*Outcomes.of(outcomes).columns)):
+    for idx, slots in enumerate(zip(*outcomes.columns)):
         for player, slot in enumerate(slots):
             yield idx, player, slot or "", int(not slot)

@@ -130,6 +130,8 @@ def _age_based_from_json(data: dict) -> AgeBased:
 def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:
     """The rule a deadline player follows before t0: "quiet",
     "fixed_prob" (key q) or "follow_age_based" (keys c, p)."""
+    if not isinstance(data, dict):
+        raise TypeError(f"pre must be a JSON object, got {data!r}")
     kind = data["type"]
     if kind == "quiet":
         return ConstantProb(0.0)

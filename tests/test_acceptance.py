@@ -18,7 +18,7 @@ from contention.analysis import (
     persistent_distribution,
     solve_expectations,
 )
-from contention.engine import run_trial, summarize
+from contention.engine import run_trial
 from contention.schedule import Schedule, check_domination
 
 C = Fraction(11, 10)
@@ -145,15 +145,14 @@ def test_criterion_9_deadline_comparison_evidence(all_p_run):
           f"certified, truncated lower bounds exceed the all-P mean {stats.mean:.2f}")
 
 
-def test_criterion_10_thread_count_determinism(all_p_config, all_p_run):
+def test_criterion_10_trial_order_determinism(all_p_config, all_p_outcomes):
     # Results depend on trial indices, never on the order trials run in:
-    # the 10^5 trials, played in four chunks taken last-to-first, must
-    # summarize to the in-order run bit for bit.
-    stats_in_order, _ = all_p_run
+    # the 10^5 trials, played one by one in four chunks taken last-to-first,
+    # must give the in-order run's outcomes bit for bit.
+    in_order, _ = all_p_outcomes
     chunk = 25_000
     outcomes = []
     for start in reversed(range(0, 100_000, chunk)):
         outcomes[:0] = [run_trial(all_p_config, idx) for idx in range(start, start + chunk)]
-    stats_reordered = summarize(outcomes, 0)
-    assert stats_reordered == stats_in_order
-    print("\nPASS criterion 10: LatencyStats bit-identical with chunks run last-to-first")
+    assert in_order == outcomes
+    print("\nPASS criterion 10: trial outcomes identical with chunks run last-to-first")

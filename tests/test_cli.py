@@ -522,6 +522,9 @@ def test_missing_config_key_is_one_line_error(tmp_path, capsys, data, key):
         ({"players": [{"type": "age_based", "c": True, "p": 0.75}], "seed": 1}, "c must be a finite number or text, got True"),
         ({"players": [{"type": "age_based", "c": "11/10", "p": True}], "seed": 1}, "p must be a finite number"),
         ({"players": [{"type": "constant_prob", "q": math.nan}], "seed": 1}, "q must be a finite number or text, got nan"),
+        ({"players": [{"type": "deadline", "t0": 3, "pre": [1]}], "seed": 1}, "pre must be a JSON object"),
+        ({"players": [{"type": "deadline", "t0": 3, "pre": None}], "seed": 1}, "pre must be a JSON object"),
+        ({"players": [{"type": "deadline", "t0": 3, "pre": "quiet"}], "seed": 1}, "pre must be a JSON object"),
     ],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, data, what):
@@ -605,6 +608,16 @@ def test_player_out_of_range_is_one_line_error(tmp_path, capsys, monkeypatch, pl
     assert code == 1 and out == ""
     assert err.startswith("error: ") and f"--player {player}" in err
     assert err.count("\n") == 1
+
+
+def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch):
+    def run_trials(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("contention.engine.run_trials", run_trials)
+    path = _write_config(tmp_path, {"players": [{"type": "constant_prob", "q": 0.5}], "seed": 1})
+    code, out, err = run_cli(capsys, "simulate", "--config", path, "--trials", "5")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 def _fresh_process(*args, **kwargs):

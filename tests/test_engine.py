@@ -55,8 +55,7 @@ def test_parallel_runs_bit_identical(age_based):
     # draws depend on (seed, trial, player, slot) only, not on trial order
     config = GameConfig(n=3, profile=(age_based,) * 3, seed=31, slot_cap=10**5)
     backwards = [run_trial(config, idx) for idx in reversed(range(2000))]
-    reordered = summarize(backwards[::-1], 1)
-    assert reordered == summarize(run_trials(config, 2000), 1)
+    assert run_trials(config, 2000) == backwards[::-1]
 
 
 def test_attempt_uniform_range_and_determinism():
@@ -115,7 +114,7 @@ def test_censoring_is_reported(age_based):
     assert all(
         (out.latency[0] is None) == out.censored[0] and out.slots_run <= 3 for out in outcomes
     )
-    # summarize counts a censored trial at its slots_run, which must be the cap
+    # a censored trial runs to the cap, in run_trials and in the oracle alike
     for out in [*outcomes, *(run_trial(config, idx) for idx in range(50))]:
         if any(out.censored):
             assert out.slots_run == config.slot_cap
@@ -251,18 +250,6 @@ def test_outcomes_read_as_a_list_of_trial_outcomes():
     censored = [out for out in outcomes if any(out.censored)]
     assert censored and all(out.slots_run == 3 for out in censored)
     assert [(out.censored, out.slots_run) for out in outcomes] == [(out.censored, out.slots_run) for out in expected]
-    assert summarize(outcomes, 0) == summarize(expected, 0)
-
-
-def test_outcomes_of_a_list_round_trip():
-    config = GameConfig(n=3, profile=(AB, AB, Deadline(t0=1)), seed=12, slot_cap=40)
-    expected = [run_trial(config, idx) for idx in range(200)]
-    assert any(any(out.censored) for out in expected)
-    columns = engine.Outcomes.of(expected)
-    assert columns == expected and columns.cap == 40
-    assert engine.Outcomes.of(columns) is columns
-    with pytest.raises(ValueError, match="censored at slot 39"):
-        engine.Outcomes.of(expected + [TrialOutcome(latency=(1, None, 2), slots_run=39)])
 
 
 @pytest.mark.parametrize("name", ["all-protocol", "persistent", "constant"])
