@@ -157,7 +157,12 @@ def _load_config(path: str) -> engine.GameConfig:
     return engine.GameConfig(n=n, profile=tuple(profile), seed=seed, slot_cap=slot_cap)
 
 
-SAMPLES_HEADER = ("trial_index", "player", "latency", "censored")
+SAMPLES_HEADER = "trial_index,player,latency,censored\r\n"
+
+
+def _samples(outcomes: engine.Outcomes):
+    """The samples CSV as text chunks: the header line, then one line per trial and player."""
+    return itertools.chain([SAMPLES_HEADER], engine.outcomes_to_csv_rows(outcomes))
 
 
 def cmd_simulate(args):
@@ -168,11 +173,11 @@ def cmd_simulate(args):
         raise ValueError(f"--player {args.player} is not a player of this {config.n}-player config")
     outcomes = engine.run_trials(config, args.trials)
     if args.output_format == "csv":  # the rows alone, with no summary
-        report = SAMPLES_HEADER, engine.outcomes_to_csv_rows(outcomes)
+        report = _samples(outcomes)
     else:  # summarized before any file is written
         report = _json(dataclasses.asdict(engine.summarize(outcomes, args.player)))
     if args.samples_path:
-        _emit(args.samples_path, (SAMPLES_HEADER, engine.outcomes_to_csv_rows(outcomes)))
+        _emit(args.samples_path, _samples(outcomes))
     return report
 
 

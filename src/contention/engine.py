@@ -16,7 +16,8 @@ Randomness is counter-based: every attempt draw is a pure hash of
 (seed, trial_index, player, slot), so results are bit-identical for a
 fixed (config, trials) regardless of the order in which trials run.  A
 draw compares the final hash value with an integer threshold,
-ceil(p * 2^53) << 11, which is exact for every float or rational p.
+ceil(p * 2^53) << 11, which is exact for every float or rational p and
+is cached per probability value.
 
 Since a draw depends on nothing but its counters, `run_trials` makes the
 same slot's draw for many trials at once (SWAR, SIMD within a register).
@@ -52,7 +53,10 @@ Python ints, trial j of the block in lane j, bits [128j, 128j + 64):
   transmit up to the slot cap is censored at once.
 - When the live lanes fall below half the packed width, their wins are
   written out and they are packed anew, down to no lanes at all; a
-  block ends when no lane is live or the slot cap is passed.
+  block ends when no lane is live or the slot cap is passed.  A repack
+  compresses the pending bitmaps and the trial indices only: a key is a
+  pure function of (seed, trial, player), so the kept trials' keys are
+  built afresh at the new width.
 Blocks keep memory bounded whatever the trial count: a 1024-lane int is
 16 KiB, and a block holds a few dozen at a time.
 
@@ -72,19 +76,24 @@ one column per player holding its success slot in each trial, 0 where it
 has none by the cap: an array of unsigned 64-bit words, or a list when
 the cap reaches 2^64.  Outcomes reads as a sequence of TrialOutcome and
 equals a list of them, so it compares with `run_trial`'s.
-`summarize(outcomes, player)`, which counts a censored trial at the slot
-cap, and `outcomes_to_csv_rows` read the columns.
+`summarize(outcomes, player)` counts a censored trial at the slot cap,
+and takes the mean and the standard deviation from the exact integer
+sums of the latencies and their squares, each rounded once, so it gives
+the same bits on every Python version.  `outcomes_to_csv_rows` yields
+each row as its finished CSV line, the bytes csv.writer would write,
+built one chunk of _BLOCK trials at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import statistics
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
+from operator import mul
 
 from .protocols import ProtocolSpec, decision_probability, next_prob_change
 
@@ -210,6 +219,7 @@ def _segment(profile: tuple, t: int, cap: int) -> tuple:
     return end, limits, tuple(stuck)
 
 
+@functools.lru_cache(maxsize=256)  # a profile holds a few probabilities, met once per segment
 def _threshold(p) -> int:
     """The integer b with z < b exactly when the draw (z >> 11) / 2^53
     made from a final hash value z is below p, for any float or
@@ -280,19 +290,20 @@ class _Lanes:
     columns[i]."""
 
     def __init__(self, seed_key: int, trials: range, n: int, columns: list):
+        self.seed_key = seed_key
         self.columns = columns
         self.trials = array("Q", trials)
         self.resized()
-        self.keys = _packed_keys(seed_key, self.trials, n)
         self.pending = [self.ones] * n
         self.won = [0] * n
 
     def resized(self) -> None:
-        """Set what follows from the lanes' count: the width, ones and the
-        lane mask, every lane live, and no packed thresholds."""
+        """Set what follows from the lanes' trials: the width, ones and the
+        lane mask, every lane live, the keys, and no packed thresholds."""
         self.width = len(self.trials)
         self.live = self.ones = _lanes([1] * self.width)
         self.mask = self.ones * _MASK64
+        self.keys = _packed_keys(self.seed_key, self.trials, len(self.columns))
         self.limits = {}  # threshold -> (2^64 + threshold - 1) in every lane
 
     def censor(self, stuck: tuple) -> None:
@@ -320,12 +331,12 @@ class _Lanes:
         self.won = [0] * len(self.won)
 
     def repack(self) -> None:
-        """Write out the wins, then pack the live lanes anew, in order, one player's int at a time."""
+        """Write out the wins, then pack the live lanes anew, in order:
+        each player's pending bitmap is compressed, and the keys, a pure
+        function of the seed, trial and player, are built afresh."""
         self.flush()
         keep = _words(self.live, self.width)
-        for xs in (self.keys, self.pending):
-            for i, x in enumerate(xs):
-                xs[i] = _pack(array("Q", compress(_words(x, self.width), keep)))
+        self.pending = [_pack(array("Q", compress(_words(x, self.width), keep))) for x in self.pending]
         self.trials = array("Q", compress(self.trials, keep))
         self.resized()
 
@@ -465,20 +476,38 @@ def _quantile(sorted_values: list, q: float) -> float:
     return float(sorted_values[idx])
 
 
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den), correctly rounded, for integers num >= 0 and den > 0:
+    num / den is scaled by 4^k so its integer part has at least 109 bits,
+    the integer root of that gets its last bit set when inexact (round to
+    odd), and the division by 2^k rounds it to a float once."""
+    k = (110 - num.bit_length() + den.bit_length()) // 2
+    if k < 0:
+        den <<= -2 * k
+    else:
+        num <<= 2 * k
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return root / (1 << k) if k >= 0 else float(root << -k)
+
+
 def summarize(outcomes: Outcomes, focus_player: int) -> LatencyStats:
     """Aggregate one player's latencies; a censored trial counts at the
     slot cap, so the mean is a lower bound on the true mean whenever
-    censoring occurred."""
-    column = outcomes.columns[focus_player]
+    censoring occurred.  The mean and the standard deviation come from
+    the exact integer sums of the latencies and of their squares, so they
+    are correctly rounded on every Python version."""
+    column, cap = outcomes.columns[focus_player], outcomes.cap
+    trials = len(column)
     censored_count = column.count(0)
-    values = [slot or outcomes.cap for slot in column] if censored_count else column
-    trials = len(values)
-    ordered = sorted(values)
+    ordered = sorted(column)[censored_count:] + [cap] * censored_count  # the cap is past every slot
+    s1 = sum(column) + censored_count * cap
+    s2 = sum(map(mul, column, column)) + censored_count * cap * cap
     try:
-        sd = statistics.stdev(values) if trials > 1 else 0.0
+        sd = _sqrt_ratio(trials * s2 - s1 * s1, trials * (trials - 1)) if trials > 1 else 0.0
         return LatencyStats(
             trials=trials,
-            mean=sum(values) / trials,
+            mean=s1 / trials,
             median=_quantile(ordered, 0.5),
             q90=_quantile(ordered, 0.9),
             q99=_quantile(ordered, 0.99),
@@ -490,7 +519,15 @@ def summarize(outcomes: Outcomes, focus_player: int) -> LatencyStats:
 
 
 def outcomes_to_csv_rows(outcomes: Outcomes):
-    """Yield (trial_index, player, latency, censored) rows for export."""
-    for idx, slots in enumerate(zip(*outcomes.columns)):
-        for player, slot in enumerate(slots):
-            yield idx, player, slot or "", int(not slot)
+    """Yield each (trial_index, player, latency, censored) row as its
+    finished CSV line, the bytes csv.writer writes for it: latency empty
+    and censored 1 for a trial censored at the cap.  The lines are built
+    one chunk of _BLOCK trials at a time."""
+    columns = outcomes.columns
+    for start in range(0, len(outcomes), _BLOCK):
+        chunk = [
+            [f"{trial},{player},{slot},0\r\n" if slot else f"{trial},{player},,1\r\n"
+             for trial, slot in enumerate(column[start : start + _BLOCK], start)]
+            for player, column in enumerate(columns)
+        ]
+        yield from chain.from_iterable(zip(*chunk))

@@ -161,6 +161,15 @@ def test_simulate_command(tmp_path, capsys):
     assert {r["player"] for r in rows} == {"0", "1", "2"}
 
 
+def test_simulate_summary_is_the_same_on_every_python(capsys):
+    # statistics.stdev rounded this root twice on 3.10 and gave ...587; the
+    # exact sums give the correctly rounded ...586 on every version
+    config = str(Path(__file__).resolve().parent / "golden" / "config-allp.json")
+    code, out, _ = run_cli(capsys, "simulate", "--config", config, "--trials", "3", "--player", "0")
+    assert code == 0
+    assert float.hex(json.loads(out)["ci95_halfwidth"]) == "0x1.e23702a29632fp+2"  # 7.534607561851586
+
+
 def test_compare_deadline_command(capsys):
     code, out, _ = run_cli(capsys, "compare-deadline", "--t0", "5")
     assert code == 0

@@ -1,3 +1,6 @@
+import csv
+import io
+import math
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -126,11 +129,74 @@ def test_quantiles_monotone(age_based):
     assert stats.median <= stats.q90 <= stats.q99
 
 
+def _csv_writer_text(expected):
+    """csv.writer's text for the rows of a list of trial outcomes: (trial, player, latency or "", censored)."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    for idx, outcome in enumerate(expected):
+        for player, lat in enumerate(outcome.latency):
+            writer.writerow((idx, player, "" if lat is None else lat, int(lat is None)))
+    return out.getvalue()
+
+
+def _assert_csv_rows_match(outcomes, expected):
+    """outcomes_to_csv_rows gives one line per row, and csv.writer's bytes for run_trial's outcomes."""
+    lines = list(outcomes_to_csv_rows(outcomes))
+    assert len(lines) == len(expected) * len(expected[0].latency)
+    assert all(line.endswith("\r\n") and line.count("\r\n") == 1 for line in lines)
+    assert "".join(lines) == _csv_writer_text(expected)
+    return lines
+
+
+def _csv_rows_match_run_trial(config, trials):
+    return _assert_csv_rows_match(run_trials(config, trials), [run_trial(config, idx) for idx in range(trials)])
+
+
 def test_csv_rows(age_based):
     config = GameConfig(n=2, profile=(age_based, age_based), seed=3, slot_cap=10**4)
-    rows = list(outcomes_to_csv_rows(run_trials(config, 3)))
-    assert len(rows) == 6
-    assert rows[0][0] == 0 and rows[0][1] == 0
+    lines = _csv_rows_match_run_trial(config, 3)
+    assert lines[0].startswith("0,0,") and lines[1].startswith("0,1,")
+    censoring = GameConfig(n=3, profile=(age_based,) * 3, seed=4, slot_cap=3)  # most trials censored
+    lines = _csv_rows_match_run_trial(censoring, 50)
+    assert any(line.endswith(",,1\r\n") for line in lines) and any(line.endswith(",0\r\n") for line in lines)
+
+
+def _is_rounded_root(root: float, value: Fraction) -> bool:
+    """Whether root is sqrt(value) rounded to the nearest float: value lies
+    between the squares of root's midpoints with its neighbouring floats."""
+    low = (Fraction(math.nextafter(root, 0.0)) + Fraction(root)) / 2 if root else Fraction(0)
+    high = (Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2
+    return low * low <= value <= high * high
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.integers(min_value=0, max_value=2**300) | st.integers(min_value=0, max_value=100),
+    den=st.integers(min_value=1, max_value=2**300) | st.integers(min_value=1, max_value=100),
+)
+def test_sqrt_ratio_is_correctly_rounded(num, den):
+    assert _is_rounded_root(engine._sqrt_ratio(num, den), Fraction(num, den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.integers(min_value=0, max_value=10**18) | st.integers(min_value=0, max_value=50), min_size=1),
+    cap=st.integers(min_value=10**18, max_value=2**64 - 1),
+)
+def test_summarize_matches_exact_variance(values, cap):
+    # a 0 is a trial censored at the cap
+    stats = summarize(engine.Outcomes([array("Q", values)], cap), 0)
+    counted = [value or cap for value in values]
+    n = len(counted)
+    mean = Fraction(sum(counted), n)
+    assert stats.mean == float(mean) and stats.censored_count == values.count(0)
+    if n == 1:
+        assert stats.ci95_halfwidth == 0.0
+        return
+    variance = sum((value - mean) ** 2 for value in counted) / (n - 1)
+    root = engine._sqrt_ratio(variance.numerator, variance.denominator)
+    assert _is_rounded_root(root, variance)
+    assert stats.ci95_halfwidth == 1.96 * root / math.sqrt(n)
 
 
 def test_config_validation(age_based):
@@ -231,7 +297,10 @@ def test_packing_does_not_change_outcomes(name):
 )
 def test_huge_slots_round_trip(t0, profile):
     config = GameConfig(n=len(profile(t0)), profile=profile(t0), seed=6, slot_cap=2 * t0)
-    assert run_trials(config, 100) == [run_trial(config, idx) for idx in range(100)]
+    outcomes, expected = run_trials(config, 100), [run_trial(config, idx) for idx in range(100)]
+    assert outcomes == expected
+    with mock.patch.object(engine, "_BLOCK", 7):  # chunks of 7 trials' lines: 100 trials end in a short one
+        _assert_csv_rows_match(outcomes, expected)
 
 
 def test_outcomes_read_as_a_list_of_trial_outcomes():
@@ -252,30 +321,35 @@ def test_outcomes_read_as_a_list_of_trial_outcomes():
     assert [(out.censored, out.slots_run) for out in outcomes] == [(out.censored, out.slots_run) for out in expected]
 
 
-@pytest.mark.parametrize("name", ["all-protocol", "persistent", "constant"])
+@pytest.mark.parametrize("name", ["all-protocol", "persistent", "constant", "censoring-cap"])
 def test_csv_rows_match_run_trial_across_blocks(name):
     profile, cap = DIFFERENTIAL[name]
     config = GameConfig(n=len(profile), profile=profile, seed=41, slot_cap=cap)
-    trials = 2100  # past two blocks of lanes
-    assert trials > 2 * engine._BLOCK
-    rows = [
-        (idx, player, "" if lat is None else lat, int(lat is None))
-        for idx in range(trials)
-        for player, lat in enumerate(run_trial(config, idx).latency)
-    ]
-    assert list(outcomes_to_csv_rows(run_trials(config, trials))) == rows
+    trials = 2100  # past two blocks of lanes and two chunks of lines, and a multiple of neither
+    assert trials > 2 * engine._BLOCK and trials % engine._BLOCK
+    _csv_rows_match_run_trial(config, trials)
+
+
+def test_cached_threshold_is_exact():
+    cases = [0.0, 1.0, 0.75, 0.125, 0.1, 1 / 3, 0.9921875, 5e-324, math.nextafter(1.0, 0.0), Fraction(1, 3)]
+    hits = engine._threshold.cache_info().hits
+    for p in cases:
+        exact = math.ceil(Fraction(p) * 2**53) << 11
+        assert engine._threshold(p) == exact and engine._threshold(p) == exact
+    assert engine._threshold.cache_info().hits >= hits + len(cases)  # each second call is answered from the cache
 
 
 def test_packed_keys_match_player_keys():
-    trials = array("Q", range(4001))
-    for seed in (0, 7, 2**64 + 5, -1):
-        seed_key = engine._mix64(seed)
-        packed = engine._packed_keys(seed_key, trials, 3)
-        lanes = [key.to_bytes(16 * len(trials), "little") for key in packed]
-        for j in trials:
-            assert all(lane[16 * j + 8 : 16 * j + 16] == bytes(8) for lane in lanes)
-            keys = [int.from_bytes(lane[16 * j : 16 * j + 8], "little") for lane in lanes]
-            assert keys == engine._player_keys(seed_key, j, 3)
+    # a block's trials, and a repack's non-contiguous, increasing subset of them
+    for trials in (array("Q", range(4001)), array("Q", range(5, 3000, 3))):
+        for seed in (0, 7, 2**64 + 5, -1):
+            seed_key = engine._mix64(seed)
+            packed = engine._packed_keys(seed_key, trials, 3)
+            lanes = [key.to_bytes(16 * len(trials), "little") for key in packed]
+            for j, trial in enumerate(trials):
+                assert all(lane[16 * j + 8 : 16 * j + 16] == bytes(8) for lane in lanes)
+                keys = [int.from_bytes(lane[16 * j : 16 * j + 8], "little") for lane in lanes]
+                assert keys == engine._player_keys(seed_key, trial, 3)
 
 
 _PROB = st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
