@@ -500,7 +500,9 @@ def summarize(outcomes: Outcomes, focus_player: int) -> LatencyStats:
     column, cap = outcomes.columns[focus_player], outcomes.cap
     trials = len(column)
     censored_count = column.count(0)
-    ordered = sorted(column)[censored_count:] + [cap] * censored_count  # the cap is past every slot
+    ordered = sorted(column)
+    del ordered[:censored_count]  # the censored trials' zeros, which count at the cap, past every slot
+    ordered += [cap] * censored_count
     s1 = sum(column) + censored_count * cap
     s2 = sum(map(mul, column, column)) + censored_count * cap * cap
     try:
