@@ -81,7 +81,7 @@ and takes the mean and the standard deviation from the exact integer
 sums of the latencies and their squares, each rounded once, so it gives
 the same bits on every Python version.  `outcomes_to_csv_rows` yields
 each row as its finished CSV line, the bytes csv.writer would write,
-built one chunk of _BLOCK trials at a time.
+built one chunk of _CSV_CHUNK trials at a time.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ from .protocols import ProtocolSpec, decision_probability, next_prob_change
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 1024  # trials packed into one int at most
+_CSV_CHUNK = 256  # trials whose CSV lines are built at once: about 100 KB of text for 3 players
 _SURE = 1 << 64  # the _threshold of probability 1, above every hash value
 _WIDE = 1 << 64  # slots from here on fit neither a lane's low word nor an unsigned 64-bit column
 
@@ -524,12 +525,12 @@ def outcomes_to_csv_rows(outcomes: Outcomes):
     """Yield each (trial_index, player, latency, censored) row as its
     finished CSV line, the bytes csv.writer writes for it: latency empty
     and censored 1 for a trial censored at the cap.  The lines are built
-    one chunk of _BLOCK trials at a time."""
+    one chunk of _CSV_CHUNK trials at a time."""
     columns = outcomes.columns
-    for start in range(0, len(outcomes), _BLOCK):
+    for start in range(0, len(outcomes), _CSV_CHUNK):
         chunk = [
             [f"{trial},{player},{slot},0\r\n" if slot else f"{trial},{player},,1\r\n"
-             for trial, slot in enumerate(column[start : start + _BLOCK], start)]
+             for trial, slot in enumerate(column[start : start + _CSV_CHUNK], start)]
             for player, column in enumerate(columns)
         ]
         yield from chain.from_iterable(zip(*chunk))

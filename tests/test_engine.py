@@ -299,7 +299,7 @@ def test_huge_slots_round_trip(t0, profile):
     config = GameConfig(n=len(profile(t0)), profile=profile(t0), seed=6, slot_cap=2 * t0)
     outcomes, expected = run_trials(config, 100), [run_trial(config, idx) for idx in range(100)]
     assert outcomes == expected
-    with mock.patch.object(engine, "_BLOCK", 7):  # chunks of 7 trials' lines: 100 trials end in a short one
+    with mock.patch.object(engine, "_CSV_CHUNK", 7):  # chunks of 7 trials' lines: 100 trials end in a short one
         _assert_csv_rows_match(outcomes, expected)
 
 
@@ -325,8 +325,8 @@ def test_outcomes_read_as_a_list_of_trial_outcomes():
 def test_csv_rows_match_run_trial_across_blocks(name):
     profile, cap = DIFFERENTIAL[name]
     config = GameConfig(n=len(profile), profile=profile, seed=41, slot_cap=cap)
-    trials = 2100  # past two blocks of lanes and two chunks of lines, and a multiple of neither
-    assert trials > 2 * engine._BLOCK and trials % engine._BLOCK
+    trials = 2100  # past two blocks of lanes, and a multiple of neither a block nor a chunk of lines
+    assert trials > 2 * engine._BLOCK and trials % engine._BLOCK and trials % engine._CSV_CHUNK
     _csv_rows_match_run_trial(config, trials)
 
 
