@@ -7,12 +7,14 @@ floating-point rounding; results are reported as floats where a real
 number is all that is needed.
 
 Notation used throughout (per-round non-departure probabilities when
-3, 2 players remain, and the persistent deviator's survival rate):
+m, 3 or 2 players remain, and the persistent deviator's survival rate):
 
-    gamma = 1 - (1-p)^2        a lone scheduled slot fails to clear the
-                               persistent deviator
-    delta = 1 - 2p(1-p)        neither of 2 pending players departs
-    beta  = 1 - 3p(1-p)^2      none of 3 pending players departs
+    gamma  = 1 - (1-p)^2          a lone scheduled slot fails to clear the
+                                  persistent deviator
+    beta_m = 1 - m p(1-p)^(m-1)   none of m pending players departs, so
+                                  beta_1 = 1-p, beta_2 = delta, beta_3 = beta
+    delta  = 1 - 2p(1-p)          neither of 2 pending players departs
+    beta   = 1 - 3p(1-p)^2        none of 3 pending players departs
 """
 
 from __future__ import annotations
@@ -293,55 +295,57 @@ def _fixed_up(num: int, den: int) -> int:
     return -(-(num << _BITS) // den)
 
 
-def _step(x: int, den: int, *terms) -> tuple:
-    """The interval x + sum(w [lo, hi]) / den over the (w, (lo, hi)) terms,
-    all w >= 0, with the lower end rounded down and the upper end up."""
-    lo = sum(w * iv[0] for w, iv in terms)
-    hi = sum(w * iv[1] for w, iv in terms)
-    return x + lo // den, x - (-hi // den)
-
-
-def _lone_series(sched: Schedule, c: Fraction, p: Fraction, K: int) -> list:
-    """Fixed-point enclosures of the lone player's expected extra latency
-    after the (k-1)-th scheduled slot, k = 0..K, when she departs only at
-    scheduled slots: E[Y_1,k] = sum over ell >= k of (s_ell - s_{k-1})
-    p (1-p)^(ell-k) = x_k + (1-p) E[Y_1,k+1].  The recurrence runs down
-    from k = K + _LONE_TERMS, seeded with [0, 2c^k / (1 - c(1-p))], which
-    holds because x_j <= 2c^j."""
-    top = K + _LONE_TERMS
-    sched.extend_to(top)
+def _rule(m: int, c: Fraction, p: Fraction, below: Fraction) -> tuple:
+    """(a_m, beta_m, pd^m, C_m) for m pending players: a_m = (m-1) p (1-p)^(m-1) and beta_m as integers
+    over pd^m (p = pn/pd), and C_m = (2 + a_m c C_{m-1}) / (1 - beta_m c) from below = C_{m-1}."""
     pn, pd = p.numerator, p.denominator
-    iv = (0, _fixed_up(*(2 * c**top / (1 - c * (1 - p))).as_integer_ratio()))
-    rows = []
-    for k in range(top - 1, -1, -1):
-        iv = _step(sched.x[k] << _BITS, pd, (pd - pn, iv))
-        rows.append(iv)
-    return rows[::-1][: K + 1]
+    den = pd**m
+    depart = pn * (pd - pn) ** (m - 1)  # p (1-p)^(m-1): a given one of m pending players departs
+    a, beta = (m - 1) * depart, den - m * depart
+    return a, beta, den, (2 * den + a * c * below) / (den - beta * c)
+
+
+def _enclosures(sched: Schedule, c: Fraction, rule: tuple, top: int, below: list | None) -> list:
+    """E[Y_m,k] for k = 0..top as integer intervals in units of 2^-_BITS, by m's _rule: seeded with
+    [0, C_m c^top] at k = top and run down, reading E[Y_{m-1},k+1] from below (None when m = 1).
+    Every coefficient is nonnegative, so each step maps endpoints to endpoints, rounded outward."""
+    a, beta, den, bound = rule
+    sched.extend_to(top)
+    rows = [(0, _fixed_up(*(bound * c**top).as_integer_ratio()))] * (top + 1)
+    for i in range(top - 1, -1, -1):
+        lo, hi = rows[i + 1]
+        lo, hi = beta * lo, beta * hi
+        if below is not None:
+            blo, bhi = below[i + 1]
+            lo, hi = lo + a * blo, hi + a * bhi
+        x = sched.x[i] << _BITS
+        rows[i] = x + lo // den, x - (-hi // den)
+    return rows
 
 
 def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60) -> ExpectationTable:
-    """Certified enclosures of the expected extra latencies E[Y_{n,k}]
-    for n = 1, 2, 3 pending players and k = 0..truncation_K.
+    """Certified enclosures of the expected extra latencies E[Y_m,k]
+    for m = 1, 2, 3 pending players and k = 0..truncation_K.
 
-    The tails at k = truncation_K are seeded with [0, A c^K] and [0, B c^K]:
-    as x_k <= 2c^k and E[Y_1,k] <= e1 c^k, A c^k and B c^k are a supersolution
-    (T(u) <= u) of the linear recurrences T, so they lie above the expectations,
-    T's least nonnegative solution (Norris, Markov Chains, 1997, Thm 1.3.5).  T,
+    For m pending players the recurrence T, with a_m = (m-1) p (1-p)^(m-1), is
 
-        E[Y_2,i] = x_i + p(1-p)   E[Y_1,i+1] + delta E[Y_2,i+1]
-        E[Y_3,i] = x_i + 2p(1-p)^2 E[Y_2,i+1] + beta  E[Y_3,i+1],
+        E[Y_m,i] = x_i + a_m E[Y_{m-1},i+1] + beta_m E[Y_m,i+1].
 
-    runs down to k = 0 in interval arithmetic (all coefficients are
-    nonnegative, so endpoints map to endpoints).  Every endpoint is an
-    integer in units of 2^-128.  Each step applies the exact coefficients,
-    integers over pd^2 or pd^3 for p = pn/pd, and rounds the lower endpoint
-    down and the upper one up.  Endpoints are reported as floats rounded
-    outward, so each interval encloses the exact recurrence.
+    Its table is seeded at its top index k with [0, C_m c^k], where
+    C_m = (2 + a_m c C_{m-1}) / (1 - beta_m c): as x_k <= 2c^k and
+    E[Y_{m-1},k] <= C_{m-1} c^k, C_m c^k is a supersolution (T(u) <= u), so it
+    lies above the expectation, T's least nonnegative solution (Norris,
+    Markov Chains, 1997, Thm 1.3.5).  Each 1 - beta_m c is positive in the
+    finite-latency region, which is checked first.  T runs down to k = 0 in
+    interval arithmetic on integers in units of 2^-128, with the exact
+    coefficients, integers over pd^m for p = pn/pd.  Endpoints are reported
+    as floats rounded outward, so each interval encloses the exact recurrence.
 
-    semantics "literal": a lone player succeeds at the next slot, where
-    the protocol transmits with probability 1, so E[Y_1,k] = 1 = e1.
-    semantics "paper-series": the lone player departs only at scheduled
-    slots, giving the dominating series enclosed by _lone_series.
+    semantics "literal": a lone player succeeds at the next slot, where the
+    protocol transmits with probability 1, so E[Y_1,k] = 1 = C_1, and T runs
+    for m = 2, 3.  semantics "paper-series": the lone player departs only at
+    scheduled slots, which is m = 1 (a_1 = 0, beta_1 = 1-p), run down from
+    k = truncation_K + _LONE_TERMS; m = 2, 3 then run from truncation_K.
     """
     c, p = _check_cp(c, p)
     if semantics not in SEMANTICS:
@@ -351,37 +355,31 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     if not feasibility(c, p).finite_all_P:
         raise ValueError("parameters outside the finite-latency region: the expectations diverge")
 
-    def intervals(n, rows):
-        name, unit = f"an enclosure of E[Y_{n},k]", 1 << _BITS
+    def intervals(m, rows):
+        name, unit = f"an enclosure of E[Y_{m},k]", 1 << _BITS
         return [ExpectationInterval(_to_float(name, lo, unit, up=False), _to_float(name, hi, unit, up=True))
                 for lo, hi in rows]
 
-    K = truncation_K
-    pn, pd = p.numerator, p.denominator
-    qn = pd - pn
-    pd2, pd3 = pd**2, pd**3
-    a2, delta = pn * qn, pd2 - 2 * pn * qn
-    a3, beta = 2 * pn * qn**2, pd3 - 3 * pn * qn**2
-    lone = 1 if semantics == "literal" else 2 / (1 - c * (1 - p))  # e1, the bound _lone_series' seed uses
-    A = (2 * pd2 + a2 * lone * c) / (pd2 - delta * c)
-    B = (2 * pd3 + a3 * A * c) / (pd3 - beta * c)
+    K, lone = truncation_K, semantics == "paper-series"
+    rules, below = {}, 0 if lone else 1  # C_0 = 0 where m = 1 runs, else literal's C_1 = 1
+    for m in (1, 2, 3) if lone else (2, 3):
+        rules[m] = _rule(m, c, p, below)
+        below = rules[m][3]
     # the tables are emitted y1 first.  In paper-series E[Y_1,K] >= x_K >= c^K, and every
-    # E[Y_1,k] fits when e1 c^K (plus K + _LONE_TERMS units) is below 2^1022.  E[Y_2,K]'s upper end is A c^K
-    if semantics == "paper-series":
+    # E[Y_1,k] fits when C_1 c^K (plus K + _LONE_TERMS units) is below 2^1022.  E[Y_2,K]'s upper end is C_2 c^K
+    if lone:
         _check_fits("an enclosure of E[Y_1,k]", K * _log2(c))
-    if semantics == "literal" or _log2(lone) + K * _log2(c) < 1022:
-        _check_fits("an enclosure of E[Y_2,k]", _log2(A) + K * _log2(c))
+    if not lone or _log2(rules[1][3]) + K * _log2(c) < 1022:
+        _check_fits("an enclosure of E[Y_2,k]", _log2(rules[2][3]) + K * _log2(c))
     sched = Schedule(c, K)
-    y1 = [(1 << _BITS,) * 2] * (K + 1) if semantics == "literal" else _lone_series(sched, c, p, K)
-    y2, y3 = [[(0, _fixed_up(*(u * c**K).as_integer_ratio()))] for u in (A, B)]
-    for i in range(K - 1, -1, -1):
-        x = sched.x[i] << _BITS  # E[Y_3,i] goes first: it reads E[Y_2,i+1]
-        y3.append(_step(x, pd3, (a3, y2[-1]), (beta, y3[-1])))
-        y2.append(_step(x, pd2, (a2, y1[i + 1]), (delta, y2[-1])))
+    tables = {} if lone else {1: [(1 << _BITS,) * 2] * (K + 1)}  # literal's E[Y_1,k] = 1
+    for m, rule in rules.items():
+        top = K + _LONE_TERMS if m == 1 else K
+        tables[m] = _enclosures(sched, c, rule, top, tables.get(m - 1))[: K + 1]
 
     return ExpectationTable(
         c=c, p=p, semantics=semantics, truncation_K=K,
-        y1=intervals(1, y1), y2=intervals(2, y2[::-1]), y3=intervals(3, y3[::-1]),
+        y1=intervals(1, tables[1]), y2=intervals(2, tables[2]), y3=intervals(3, tables[3]),
     )
 
 

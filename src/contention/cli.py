@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import contextlib
-import csv
 import dataclasses
 import functools
 import itertools
@@ -49,15 +48,11 @@ def _add_output(parser, formats: bool = False):
 def _emit(path, report) -> None:
     """Write a report to the file at path, or to stdout when path is
     None; the file gets the same bytes as stdout would.  A report is a
-    text, an iterator of text chunks, or the (header, rows) of a CSV
-    table; chunks and rows are written as they come."""
+    text or an iterator of text chunks, such as a CSV table's finished
+    \r\n lines; chunks are written as they come."""
     with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
         if isinstance(report, str):
             out.write(report)
-        elif isinstance(report, tuple):
-            writer = csv.writer(out)
-            writer.writerow(report[0])
-            writer.writerows(report[1])
         else:
             out.writelines(report)
 
@@ -109,7 +104,8 @@ def cmd_schedule(args):
             f"schedule entry s_{k} has more than {limit} digits, Python's limit for printing an integer"
         )
     if args.output_format == "csv":
-        return ("k", "x", "s"), [(k, sched.x[k], sched.s[k]) for k in range(len(sched.s))]
+        lines = (f"{k},{x},{s}\r\n" for k, (x, s) in enumerate(zip(sched.x, sched.s)))
+        return itertools.chain(["k,x,s\r\n"], lines)
     # streamed, not built by _json: the report can pass 60 MB, and chunks keep peak memory low
     return itertools.chain(json.JSONEncoder(indent=2).iterencode(sched.to_json()), ["\n"])
 
@@ -132,8 +128,9 @@ def cmd_analyze(args):
     dist = analysis.persistent_distribution(args.c, args.p, args.zmax)
     if args.output_format == "csv":
         data = dist.to_json()
-        rows = zip(range(len(dist.support)), dist.support, data["pmf"], data["partial_expectations"])
-        return ("z", "support", "pmf", "partial_expectation"), rows
+        rows = zip(itertools.count(), dist.support, data["pmf"], data["partial_expectations"])
+        lines = (f"{z},{s},{pmf},{e}\r\n" for z, s, pmf, e in rows)
+        return itertools.chain(["z,support,pmf,partial_expectation\r\n"], lines)
     return _json(dist.to_json())
 
 

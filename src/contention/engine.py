@@ -265,10 +265,8 @@ def _mix_lanes(z: int, m: int) -> int:
     return (z ^ (z >> 31)) & m
 
 
-def _packed_keys(seed_key: int, trials: array, n: int) -> list:
-    """Player i's _player_keys for the trial in every lane, one packed int per player."""
-    ones = _lanes([1] * len(trials))
-    m = ones * _MASK64
+def _packed_keys(seed_key: int, trials: array, n: int, ones: int, m: int) -> list:
+    """Player i's _player_keys for the trial in every lane, one packed int per player; m is the lane mask."""
     trial_keys = _mix_lanes(((_lanes(trials) * _GOLDEN) & m) ^ seed_key * ones, m)
     return [_mix_lanes(trial_keys ^ ((i * _GOLDEN) & _MASK64) * ones, m) for i in range(n)]
 
@@ -304,7 +302,7 @@ class _Lanes:
         self.width = len(self.trials)
         self.live = self.ones = _lanes([1] * self.width)
         self.mask = self.ones * _MASK64
-        self.keys = _packed_keys(self.seed_key, self.trials, len(self.columns))
+        self.keys = _packed_keys(self.seed_key, self.trials, len(self.columns), self.ones, self.mask)
         self.limits = {}  # threshold -> (2^64 + threshold - 1) in every lane
 
     def censor(self, stuck: tuple) -> None:

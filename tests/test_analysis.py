@@ -11,8 +11,10 @@ from contention import analysis
 from contention.analysis import (
     _BITS,
     _K1_LIMIT,
+    _LONE_TERMS,
+    _enclosures,
     _fixed_up,
-    _lone_series,
+    _rule,
     bound_report,
     deadline_comparison,
     derive_constants,
@@ -364,9 +366,10 @@ def _lone_series_rows(sched, c, p, K, base, terms=80):
      (Fraction(11, 10), Fraction(1, 10))],
 )
 def test_lone_series_interval_matches_fraction_loop(c, p):
-    # each floor or ceiling moves an endpoint by less than one unit, and
-    # each step scales what earlier steps moved by 1-p: less than 1/p units
-    rows = _lone_series(Schedule(c, 8), c, p, 400)
+    # the recurrence at m = 1, run down from K + _LONE_TERMS as paper-series
+    # runs it.  Each floor or ceiling moves an endpoint by less than one unit,
+    # and each step scales what earlier steps moved by 1-p: less than 1/p units
+    rows = _enclosures(Schedule(c, 8), c, _rule(1, c, p, 0), 400 + _LONE_TERMS, None)
     base = _lone_seed(c, p, 480).denominator
     exact = _lone_series_rows(Schedule(c, 8), c, p, 400, base)
     for k in (0, 1, 7, 60, 400):
@@ -471,6 +474,24 @@ def test_seeds_are_a_supersolution(point, semantics):
             assert x[k] + (1 - p) * u1 <= e1 * c**k
         assert x[k] + p * (1 - p) * u1 + consts.delta * a * c ** (k + 1) <= a * c**k
         assert x[k] + 2 * p * (1 - p) ** 2 * a * c ** (k + 1) + consts.beta * b * c ** (k + 1) <= b * c**k
+
+
+@settings(max_examples=100, deadline=None)
+@given(feasible_points())
+def test_recurrence_rule_matches_derive_constants(point):
+    # the one expression for every m gives the paper's named coefficients
+    # and the hand-derived supersolution constants
+    c, p = point
+    consts = derive_constants(p)
+    e1, a, b = _supersolution(c, p, "paper-series")
+    expected = [(0, 1 - p, e1), (p * (1 - p), consts.delta, a), (2 * p * (1 - p) ** 2, consts.beta, b)]
+    below = 0  # C_0: no pending player, no latency
+    for m, (a_m, beta_m, bound) in enumerate(expected, 1):
+        rule = _rule(m, c, p, below)
+        assert rule[2] == p.denominator**m
+        assert (Fraction(rule[0], rule[2]), Fraction(rule[1], rule[2]), rule[3]) == (a_m, beta_m, bound)
+        below = rule[3]
+    assert _rule(2, c, p, Fraction(1))[3] == _supersolution(c, p, "literal")[1]
 
 
 @settings(max_examples=100, deadline=None)

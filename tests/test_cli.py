@@ -19,6 +19,7 @@ import contention
 from contention import analysis
 from contention.cli import _json, main
 from contention.engine import LatencyStats
+from contention.schedule import Schedule
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,38 @@ def test_schedule_csv(capsys):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert [int(r["s"]) for r in rows] == [2, 4, 6, 8, 10, 13]
+
+
+def _schedule_table(c, k):
+    sched = Schedule(Fraction(c), k)
+    return ("k", "x", "s"), zip(range(k + 1), sched.x, sched.s)
+
+
+def _persistent_table(zmax):
+    data = analysis.persistent_distribution(Fraction(11, 10), Fraction(3, 4), zmax).to_json()
+    columns = (data["support"], data["pmf"], data["partial_expectations"])
+    return ("z", "support", "pmf", "partial_expectation"), zip(range(zmax + 1), *columns)
+
+
+@pytest.mark.parametrize(
+    "argv, table, args",
+    [
+        (["schedule"], _schedule_table, ("11/10", 8)),
+        (["schedule", "--c", "2", "--k", "300"], _schedule_table, ("2", 300)),  # integers past 2^64
+        (["analyze", "--persistent"], _persistent_table, (200,)),
+        (["analyze", "--persistent", "--zmax", "2000"], _persistent_table, (2000,)),
+    ],
+    ids=["schedule-golden", "schedule-k-300", "persistent-golden", "persistent-zmax-2000"],
+)
+def test_csv_tables_match_csv_writer(capsys, argv, table, args):
+    # the CLI writes its CSV lines itself: they must be csv.writer's text
+    header, rows = table(*args)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    code, out, _ = run_cli(capsys, *argv, "--output-format", "csv")
+    assert code == 0 and out == expected.getvalue()
 
 
 def test_feasibility_command(capsys):

@@ -342,9 +342,10 @@ def test_cached_threshold_is_exact():
 def test_packed_keys_match_player_keys():
     # a block's trials, and a repack's non-contiguous, increasing subset of them
     for trials in (array("Q", range(4001)), array("Q", range(5, 3000, 3))):
+        ones = engine._lanes([1] * len(trials))
         for seed in (0, 7, 2**64 + 5, -1):
             seed_key = engine._mix64(seed)
-            packed = engine._packed_keys(seed_key, trials, 3)
+            packed = engine._packed_keys(seed_key, trials, 3, ones, ones * engine._MASK64)
             lanes = [key.to_bytes(16 * len(trials), "little") for key in packed]
             for j, trial in enumerate(trials):
                 assert all(lane[16 * j + 8 : 16 * j + 16] == bytes(8) for lane in lanes)
