@@ -295,6 +295,16 @@ def _fixed_up(num: int, den: int) -> int:
     return -(-(num << _BITS) // den)
 
 
+def _fixed_to_float(name: str, num: int, up: bool) -> float:
+    """num >= 0 in units of 2^-_BITS as a float rounded up (down) when up is True (False), as _to_float
+    rounds it: num cut to 53 bits by a shift that rounds up (down).  A value past the float range is named."""
+    shift = max(num.bit_length() - 53, 0)
+    try:
+        return math.ldexp(-(-num >> shift) if up else num >> shift, shift - _BITS)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 def _rule(m: int, c: Fraction, p: Fraction, below: Fraction) -> tuple:
     """(a_m, beta_m, pd^m, C_m) for m pending players: a_m = (m-1) p (1-p)^(m-1) and beta_m as integers
     over pd^m (p = pn/pd), and C_m = (2 + a_m c C_{m-1}) / (1 - beta_m c) from below = C_{m-1}."""
@@ -356,8 +366,8 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         raise ValueError("parameters outside the finite-latency region: the expectations diverge")
 
     def intervals(m, rows):
-        name, unit = f"an enclosure of E[Y_{m},k]", 1 << _BITS
-        return [ExpectationInterval(_to_float(name, lo, unit, up=False), _to_float(name, hi, unit, up=True))
+        name = f"an enclosure of E[Y_{m},k]"
+        return [ExpectationInterval(_fixed_to_float(name, lo, False), _fixed_to_float(name, hi, True))
                 for lo, hi in rows]
 
     K, lone = truncation_K, semantics == "paper-series"

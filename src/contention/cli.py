@@ -57,33 +57,48 @@ def _emit(path, report) -> None:
             out.writelines(report)
 
 
-# json.dumps(payload, indent=2)'s encoding of each leaf, by exact type (bool is an int)
-_LEAVES = {
-    str: json.encoder.encode_basestring_ascii,
-    int: int.__repr__,
-    float: lambda f: float.__repr__(f) if math.isfinite(f) else json.dumps(f),
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+# json.dumps' text of a leaf; in a list's text "\x00" parts the leaves (ensure_ascii escapes it in strings)
+_encode = json.JSONEncoder(separators=("\x00", ":")).encode
+
+
+def _texts(leaves: list) -> list:
+    """The JSON text of each of a nonempty list of leaves, from one encoder call."""
+    return _encode(leaves)[1:-1].split("\x00")
+
+
+def _table(rows, indent: str) -> str | None:
+    """rows as _write writes them, when every row is a dict with one nonempty key tuple and only
+    leaf values: one row template, repeated and filled by one % over every cell's text; else None."""
+    if set(map(type, rows)) != {dict} or len(keys := set(map(tuple, rows))) != 1:
+        return None
+    cells = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    if not cells or not _LEAF_TYPES.issuperset(map(type, cells)):
+        return None
+    inner, names = indent + "  ", [name.replace("%", "%%") for name in _texts(list(keys.pop()))]
+    row = "{" + ",".join([f"\n{inner}  {name}: %s" for name in names]) + "\n" + inner + "}"
+    return ("[\n" + inner + (",\n" + inner).join([row] * len(rows)) + "\n" + indent + "]") % tuple(_texts(cells))
 
 
 def _write(value, indent: str) -> str:
     """value as json.dumps(value, indent=2) writes it at this indent: str-keyed dicts, lists, tuples, leaves."""
-    get = _LEAVES.get
-    leaf = get(type(value))
-    if leaf is not None:
-        return leaf(value)
+    if type(value) in _LEAF_TYPES:
+        return _encode(value)
+    is_dict = isinstance(value, dict)
+    if not value:
+        return "{}" if is_dict else "[]"
+    if not is_dict and (table := _table(value, indent)) is not None:
+        return table
     inner = indent + "  "
-    # a leaf is encoded in place, without a recursive call
-    if isinstance(value, dict):
-        quote = _LEAVES[str]
-        items = [f"{quote(k)}: {f(v) if (f := get(type(v))) else _write(v, inner)}" for k, v in value.items()]
-        ends = "{}"
-    else:  # a list or a tuple
-        items, ends = [f(v) if (f := get(type(v))) else _write(v, inner) for v in value], "[]"
-    if not items:
-        return ends
-    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
+    children = list(itertools.chain.from_iterable(value.items())) if is_dict else value  # keys, values alternate
+    if _LEAF_TYPES.issuperset(map(type, children)):
+        items = _texts(children)
+    else:  # a nested container is encoded as null, then written in its place
+        texts = _texts([v if type(v) in _LEAF_TYPES else None for v in children])
+        items = [t if type(v) in _LEAF_TYPES else _write(v, inner) for v, t in zip(children, texts)]
+    if is_dict:
+        return ("{" + ",".join([f"\n{inner}%s: %s"] * len(value)) + "\n" + indent + "}") % tuple(items)
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def _json(payload) -> str:

@@ -218,6 +218,39 @@ def test_rounding_up_past_the_largest_float_is_named():
         analysis._to_float("v", -4 * num - 1, 4 * den, up=False)
 
 
+def _check_fixed_to_float(num):
+    # an endpoint num * 2^-_BITS is rounded to the float at or below (down) or at or above (up) it,
+    # which is _to_float's directed rounding wherever that returns
+    exact = Fraction(num, 1 << _BITS)
+    for up in (False, True):
+        if exact > sys.float_info.max if up else exact >= 2**1024:
+            with pytest.raises(ValueError, match="v is too large for a float"):
+                analysis._fixed_to_float("v", num, up)
+            continue
+        value = analysis._fixed_to_float("v", num, up)
+        step = math.nextafter(value, -math.inf if up else math.inf)
+        if up:
+            assert Fraction(step) < exact <= Fraction(value)
+        else:
+            assert Fraction(value) <= exact and (math.isinf(step) or exact < Fraction(step))
+        try:
+            assert value == analysis._to_float("v", num, 1 << _BITS, up)
+        except ValueError:  # only down, past the largest float, where the nearest float is 2^1024
+            assert not up and exact > sys.float_info.max
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 1200).flatmap(lambda bits: st.integers(0, 2**bits)))
+@example(2**1152 - 1)  # just below 2^1024: down is the largest float, up is past the range
+def test_fixed_point_endpoints_round_outward(num):
+    _check_fixed_to_float(num)
+
+
+def test_fixed_point_endpoints_round_outward_at_powers_of_two():
+    for num in {0, 2**53 - 1, 2**53, 2**53 + 1} | {2**k + d for k in range(1201) for d in (-1, 0, 1)}:
+        _check_fixed_to_float(num)
+
+
 def test_delta_bound_larger_truncation_regression():
     # larger truncation tightens the bound; value frozen from exact evaluation
     value = bound_report(C, P, k1_prime=3, k_max=0).delta_bound

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,67 @@ _PAYLOADS = st.recursive(
 def test_json_writer_matches_json_dumps(payload):
     # json.dumps is the oracle for the CLI's own writer, as run_trial is for the engine
     assert _json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+# table-shaped JSON: lists and tuples of dicts that share one key tuple, with keys that a
+# %-template or a "\x00" split could misread and cells at the float and integer edges
+_TABLE_KEYS = st.lists(
+    st.sampled_from(["%", "%s", "%%", '"', "\x00", "lower", "\u00e9", "\ud800", ""]) | st.text(max_size=4),
+    min_size=0, max_size=4, unique=True,
+)
+_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 10**400, -(10**400), True, False, None]),
+    _LEAVES,
+)
+
+
+@st.composite
+def _tables(draw):
+    keys = draw(_TABLE_KEYS)
+    rows = [{key: draw(_CELLS) for key in keys} for _ in range(draw(st.integers(0, 5)))]
+    if rows and keys and draw(st.booleans()):  # a nested container sends the list to the general path
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.sampled_from(keys))] = draw(_PAYLOADS)
+    table = draw(st.sampled_from([list, tuple]))(rows)
+    return draw(st.sampled_from([table, {"rows": table, "n": len(rows)}, [table, table]]))
+
+
+_TABLE_EXAMPLES = (
+    [{}, {}],
+    [{"%s": 1.5, "%%": -0.0, '"': None}, {"%s": math.nan, "%%": 10**400, '"': True}],
+    ({"\x00": math.inf, "\ud800": 5e-324}, {"\x00": -math.inf, "\ud800": "\x00%s"}),
+    [{"a": 1, "b": 2}, {"a": [1, {"c": 2}], "b": 3}],  # one nested container: the general path
+    [{"a": 1, "b": 2}, {"b": 2, "a": 1}],  # the same keys in another order: the general path
+    [{"a": 1}, ["a"]],
+)
+
+
+def _writes_like_json_dumps(payload, c_encoder: bool) -> bool:
+    # json.dumps(indent=2) never uses the C encoder, so the oracle is the same either way
+    encoder = json.encoder.c_make_encoder if c_encoder else None
+    with mock.patch.object(json.encoder, "c_make_encoder", encoder):
+        return _json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+@pytest.mark.parametrize("payload", _TABLE_EXAMPLES)
+def test_json_writer_matches_json_dumps_on_table_edges(payload, c_encoder):
+    assert _writes_like_json_dumps(payload, c_encoder)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False])
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_json_writer_matches_json_dumps_on_tables(c_encoder, payload):
+    assert _writes_like_json_dumps(payload, c_encoder)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOADS)
+@example({"a": [], "b": {}, "c": [{}, [[]], ()], "d": {"e": {"f": None}}})
+@example([math.nan, math.inf, -math.inf, -0.0, 5e-324, True, False, 0, -(10**300)])
+def test_json_writer_matches_json_dumps_without_the_c_encoder(payload):
+    # the bulk leaf encoding gives the same text from json's pure-Python encoder
+    assert _writes_like_json_dumps(payload, c_encoder=False)
 
 
 def test_analyze_expectations_command(capsys):
