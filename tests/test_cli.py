@@ -9,8 +9,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from unittest import mock
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
