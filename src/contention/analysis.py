@@ -19,6 +19,7 @@ m, 3 or 2 players remain, and the persistent deviator's survival rate):
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from bisect import bisect_left
@@ -71,12 +72,16 @@ def _to_float(name: str, num: int, den: int, up: bool | None = None) -> float:
 
 @dataclass(frozen=True)
 class _Report:
-    """A report at one parameter point (c, p): its JSON opens with c as exact text and p as a float."""
+    """A report at one parameter point (c, p): its JSON opens with c as exact text and p as a float,
+    then holds every other field in declaration order, each as it is printed."""
     c: Fraction
     p: Fraction
 
     def _payload(self, **fields) -> dict:
         return {"c": format_rational(self.c), "p": float(self.p), **fields}
+
+    def to_json(self) -> dict:
+        return self._payload(**{field.name: getattr(self, field.name) for field in dataclasses.fields(self)[2:]})
 
 
 @dataclass(frozen=True)
@@ -105,17 +110,12 @@ class FeasibilityReport(_Report):
     persistent_diverges: bool
     feasible: bool
 
-    def to_json(self) -> dict:
+    def to_json(self) -> dict:  # each threshold as exact text and as a float, in the thresholds' place
         thr = {
             name: {"exact": format_rational(val), "value": _to_float(name, *val.as_integer_ratio())}
             for name, val in self.thresholds.items()
         }
-        return self._payload(
-            thresholds=thr,
-            finite_all_P=self.finite_all_P,
-            persistent_diverges=self.persistent_diverges,
-            feasible=self.feasible,
-        )
+        return {**super().to_json(), "thresholds": thr}
 
 
 def feasibility(c, p) -> FeasibilityReport:
@@ -181,16 +181,7 @@ class BoundReport(_Report):
     k1_used: int
     delta_bound: float
     y30_upper: float
-    y1k_upper: list  # [(k, bound)]
-
-    def to_json(self) -> dict:
-        return self._payload(
-            k1_min=self.k1_min,
-            k1_used=self.k1_used,
-            delta_bound=self.delta_bound,
-            y30_upper=self.y30_upper,
-            y1k_upper=[{"k": k, "bound": b} for k, b in self.y1k_upper],
-        )
+    y1k_upper: list  # [{"k", "bound"}]
 
 
 def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundReport:
@@ -243,7 +234,7 @@ def bound_report(c, p, k1_prime: int | None = None, k_max: int = 10) -> BoundRep
     for k in range(k_max + 1):
         name = f"y1_upper at index {k}"
         _check_fits(name, _log2(lone) + k * _log2(step))
-        y1k_upper.append((k, _to_float(name, *(lone * step**k).as_integer_ratio(), up=True)))
+        y1k_upper.append({"k": k, "bound": _to_float(name, *(lone * step**k).as_integer_ratio(), up=True)})
     return BoundReport(c=c, p=p, k1_min=k1_min, k1_used=k1, delta_bound=delta_bound, y30_upper=y30_upper,
                        y1k_upper=y1k_upper)
 
@@ -256,38 +247,12 @@ _BITS = 128  # the enclosures' fixed-point scale: units of 2^-_BITS
 
 
 @dataclass(frozen=True)
-class ExpectationInterval:
-    lower: float
-    upper: float
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lower - slack <= value <= self.upper + slack
-
-
-@dataclass(frozen=True)
 class ExpectationTable(_Report):
     semantics: str
     truncation_K: int
-    y1: list
+    y1: list  # [{"lower", "upper", "truncation_K", "semantics"}] for k = 0..truncation_K
     y2: list
     y3: list
-
-    def to_json(self) -> dict:
-        return self._payload(
-            semantics=self.semantics,
-            truncation_K=self.truncation_K,
-            y1=self._rows(self.y1),
-            y2=self._rows(self.y2),
-            y3=self._rows(self.y3),
-        )
-
-    def _rows(self, intervals: list) -> list:
-        table = {"truncation_K": self.truncation_K, "semantics": self.semantics}
-        return [{"lower": iv.lower, "upper": iv.upper, **table} for iv in intervals]
 
 
 def _fixed_up(num: int, den: int) -> int:
@@ -350,6 +315,9 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
     interval arithmetic on integers in units of 2^-128, with the exact
     coefficients, integers over pd^m for p = pn/pd.  Endpoints are reported
     as floats rounded outward, so each interval encloses the exact recurrence.
+    Each of y1, y2, y3 holds its rows as the report prints them, one dict
+    {"lower", "upper", "truncation_K", "semantics"} per k, made where its
+    endpoints become floats.
 
     semantics "literal": a lone player succeeds at the next slot, where the
     protocol transmits with probability 1, so E[Y_1,k] = 1 = C_1, and T runs
@@ -364,11 +332,6 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         raise ValueError("truncation_K must be >= 1")
     if not feasibility(c, p).finite_all_P:
         raise ValueError("parameters outside the finite-latency region: the expectations diverge")
-
-    def intervals(m, rows):
-        name = f"an enclosure of E[Y_{m},k]"
-        return [ExpectationInterval(_fixed_to_float(name, lo, False), _fixed_to_float(name, hi, True))
-                for lo, hi in rows]
 
     K, lone = truncation_K, semantics == "paper-series"
     rules, below = {}, 0 if lone else 1  # C_0 = 0 where m = 1 runs, else literal's C_1 = 1
@@ -387,10 +350,11 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
         top = K + _LONE_TERMS if m == 1 else K
         tables[m] = _enclosures(sched, c, rule, top, tables.get(m - 1))[: K + 1]
 
-    return ExpectationTable(
-        c=c, p=p, semantics=semantics, truncation_K=K,
-        y1=intervals(1, tables[1]), y2=intervals(2, tables[2]), y3=intervals(3, tables[3]),
-    )
+    for m in (1, 2, 3):
+        name = f"an enclosure of E[Y_{m},k]"
+        tables[m] = [{"lower": _fixed_to_float(name, lo, False), "upper": _fixed_to_float(name, hi, True),
+                      "truncation_K": K, "semantics": semantics} for lo, hi in tables[m]]
+    return ExpectationTable(c=c, p=p, semantics=semantics, truncation_K=K, y1=tables[1], y2=tables[2], y3=tables[3])
 
 
 # --- persistent deviator ------------------------------------------------------
@@ -495,16 +459,7 @@ class DeadlineComparison(_Report):
     xi: int
     prE_lower: float
     diverges: bool
-    truncated_lower_bounds: list  # [(z_max, lower bound on E[latency])]
-
-    def to_json(self) -> dict:
-        return self._payload(
-            t0=self.t0,
-            xi=self.xi,
-            prE_lower=self.prE_lower,
-            diverges=self.diverges,
-            truncated_lower_bounds=[{"z_max": z, "bound": b} for z, b in self.truncated_lower_bounds],
-        )
+    truncated_lower_bounds: list  # [{"z_max", "bound"}]: a lower bound on E[latency] at each z_max
 
 
 def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) -> DeadlineComparison:
@@ -567,7 +522,8 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
     for z in z_grid:  # factor * total / zden - t0^2, with zden = pd^(2(z+1)) from the law
         total, zden = law[z] if c > 1 else (0, 1)
         low = num * total - t0**2 * den * zden
-        bounds.append((z, _to_float(f"truncated lower bound at z_max = {z}", low, den * zden, up=False)))
+        name = f"truncated lower bound at z_max = {z}"
+        bounds.append({"z_max": z, "bound": _to_float(name, low, den * zden, up=False)})
     return DeadlineComparison(
         c=c,
         p=p,

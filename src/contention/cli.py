@@ -162,11 +162,13 @@ def _load_config(path: str) -> engine.GameConfig:
         seed = parse_int(data["seed"], "seed")
         n = parse_int(data.get("n", len(profile)), "n")
         slot_cap = parse_int(data.get("slot_cap", engine.GameConfig.slot_cap), "slot_cap")
+        return engine.GameConfig(n=n, profile=tuple(profile), seed=seed, slot_cap=slot_cap)
     except KeyError as exc:
         raise ValueError(f"config {path} is missing key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"config {path} has a value of the wrong type: {exc}") from None
-    return engine.GameConfig(n=n, profile=tuple(profile), seed=seed, slot_cap=slot_cap)
+    except ValueError as exc:  # a value out of its range
+        raise ValueError(f"config {path}: {exc}") from None
 
 
 SAMPLES_HEADER = "trial_index,player,latency,censored\r\n"

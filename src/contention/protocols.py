@@ -143,4 +143,7 @@ def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:
 
 
 def profile_from_json(data: dict) -> list[ProtocolSpec]:
-    return [spec_from_json(entry) for entry in data["players"]]
+    players = data["players"]
+    if not isinstance(players, list):
+        raise TypeError(f"players must be a JSON array, got {players!r}")
+    return [spec_from_json(entry) for entry in players]

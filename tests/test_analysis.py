@@ -74,7 +74,9 @@ def test_feasibility_flips_exactly_at_thresholds():
 
 
 def test_y1_upper_values():
-    assert bound_report(C, P, k_max=1).y1k_upper == [(0, 22.758620689655174), (1, 100.13793103448276)]
+    assert bound_report(C, P, k_max=1).y1k_upper == [
+        {"k": 0, "bound": 22.758620689655174}, {"k": 1, "bound": 100.13793103448276}
+    ]
 
 
 def test_y1_upper_divergent():
@@ -154,7 +156,7 @@ def test_requested_truncation_below_the_least_is_too_small(settles):
 def test_bound_report_rejects_negative_table_horizon():
     with pytest.raises(ValueError, match="k_max must be >= 0"):
         bound_report(C, P, k_max=-1)
-    assert bound_report(C, P, k_max=0).y1k_upper == [(0, 22.758620689655174)]
+    assert bound_report(C, P, k_max=0).y1k_upper == [{"k": 0, "bound": 22.758620689655174}]
 
 
 @pytest.mark.parametrize("p", [0, 1, Fraction(-1, 2)])
@@ -205,7 +207,8 @@ def test_bounds_near_the_float_range_keep_their_exact_value():
     # each is the least float at or above its exact value
     assert bound_report(C, P, k1_prime=600, k_max=0).delta_bound == 4.267545258889281e264
     assert bound_report(C, P, k1_prime=698, k_max=0).y30_upper == 1.7421463357065434e308
-    assert bound_report(C, P, k_max=476).y1k_upper[-1] == (476, 4.3713939318653676e307)  # the last k that fits
+    # the last k that fits
+    assert bound_report(C, P, k_max=476).y1k_upper[-1] == {"k": 476, "bound": 4.3713939318653676e307}
 
 
 def test_rounding_up_past_the_largest_float_is_named():
@@ -277,8 +280,8 @@ def test_y30_upper_divergent():
 def test_bound_report_consistency():
     report = bound_report(C, P)
     assert report.k1_min == 2 and report.k1_used == 2
-    assert report.y30_upper >= report.y1k_upper[0][1]
-    ratios = [b / a for (_, a), (_, b) in zip(report.y1k_upper, report.y1k_upper[1:])]
+    assert report.y30_upper >= report.y1k_upper[0]["bound"]
+    ratios = [b["bound"] / a["bound"] for a, b in zip(report.y1k_upper, report.y1k_upper[1:])]
     assert all(r == pytest.approx(4.4, rel=1e-9) for r in ratios)
 
 
@@ -328,6 +331,14 @@ def test_requested_truncation_past_the_limit_is_named(monkeypatch):
     assert exponents and max(exponents) <= min_truncation_k1(Fraction(21, 20), Fraction(1, 10))
 
 
+def _width(row: dict) -> float:
+    return row["upper"] - row["lower"]
+
+
+def _contains(row: dict, value: float, slack: float) -> bool:
+    return row["lower"] - slack <= value <= row["upper"] + slack
+
+
 def lone_player_series_oracle(c: Fraction, p: Fraction, k: int, terms: int = 200) -> float:
     # independent direct summation: sum_{l>=k} (s_l - s_{k-1}) p (1-p)^(l-k)
     sched = Schedule(c, k + terms)
@@ -342,17 +353,17 @@ def test_paper_series_lone_player_expectation():
     table = solve_expectations(C, P, "paper-series", truncation_K=10)
     oracle = lone_player_series_oracle(C, Fraction(3, 4), 0)
     assert oracle == pytest.approx(2.668, abs=0.001)
-    assert table.y1[0].lower <= oracle <= table.y1[0].upper
-    assert table.y1[0].width < 1e-9
+    assert table.y1[0]["lower"] <= oracle <= table.y1[0]["upper"]
+    assert _width(table.y1[0]) < 1e-9
     for k in (1, 2, 5):
-        assert table.y1[k].contains(lone_player_series_oracle(C, Fraction(3, 4), k), slack=1e-9)
+        assert _contains(table.y1[k], lone_player_series_oracle(C, Fraction(3, 4), k), slack=1e-9)
     # at (21/20, 1/10) the series converges slowly, c(1-p) = 0.945: 600
     # terms leave a remainder below 1e-12
     c, p = Fraction(21, 20), Fraction(1, 10)
     table = solve_expectations(c, p, "paper-series", truncation_K=400)
     for k in (0, 1, 2, 5):
-        assert table.y1[k].width < 1e-9
-        assert table.y1[k].contains(lone_player_series_oracle(c, p, k, terms=600), slack=1e-9)
+        assert _width(table.y1[k]) < 1e-9
+        assert _contains(table.y1[k], lone_player_series_oracle(c, p, k, terms=600), slack=1e-9)
 
 
 # The exact oracles below hold each endpoint of E[Y_n,k] as an integer
@@ -459,9 +470,9 @@ def _assert_encloses(table, exact):
     for rows, exact_rows in zip((table.y1, table.y2, table.y3), exact):
         assert len(rows) == len(exact_rows)
         for iv, (lo, hi, den) in zip(rows, exact_rows):
-            (ln, ld), (hn, hd) = iv.lower.as_integer_ratio(), iv.upper.as_integer_ratio()
+            (ln, ld), (hn, hd) = iv["lower"].as_integer_ratio(), iv["upper"].as_integer_ratio()
             assert ln * den <= lo * ld and hi * hd <= hn * den
-            for end, num in ((iv.lower, lo), (iv.upper, hi)):
+            for end, num in ((iv["lower"], lo), (iv["upper"], hi)):
                 assert abs(end - num / den) <= math.ulp(num / den)
 
 
@@ -480,7 +491,7 @@ def test_solve_expectations_matches_fraction_recurrence(c, p, semantics, K):
 def test_enclosure_at_k800_keeps_its_width():
     # rounded to nearest, both endpoints once became 45.03982003659102
     iv = solve_expectations(C, P, "literal", truncation_K=800).y3[0]
-    assert iv.lower < iv.upper
+    assert iv["lower"] < iv["upper"]
 
 
 @st.composite
@@ -545,7 +556,7 @@ def test_longer_truncation_encloses_within(point, semantics, K):
     narrow = solve_expectations(c, p, semantics, truncation_K=4 * K)
     for rows, inner_rows in ((wide.y1, narrow.y1), (wide.y2, narrow.y2), (wide.y3, narrow.y3)):
         for iv, inner in zip(rows, inner_rows):
-            assert iv.lower <= inner.lower and inner.upper <= iv.upper
+            assert iv["lower"] <= inner["lower"] and inner["upper"] <= iv["upper"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -576,7 +587,7 @@ def test_public_bounds_round_outward(point, k, extra, t0):
     head = 2 * c * p / ((c - 1) * (1 - c * (1 - p)))
     k1 = min_truncation_k1(c, p) + extra
     bounds, bound2 = bound_report(c, p, k1_prime=k1, k_max=k), _delta_fraction(c, p, k1)
-    _assert_outward(bounds.y1k_upper[k][1], head * (c / (1 - p)) ** k, up=True)
+    _assert_outward(bounds.y1k_upper[k]["bound"], head * (c / (1 - p)) ** k, up=True)
     _assert_outward(bounds.delta_bound, bound2, up=True)
     _assert_outward(bounds.y30_upper, _y30_fraction(c, p, bound2), up=True)
     report = deadline_comparison(c, p, t0, z_grid=(0, 7, 25))
@@ -584,18 +595,18 @@ def test_public_bounds_round_outward(point, k, extra, t0):
     _assert_outward(report.prE_lower, delta**report.xi, up=False)
     partials = persistent_distribution(c, p, 25).partial_expectations
     factor = delta**report.xi * c ** (report.xi - 1) * (c - 1)
-    for z, bound in report.truncated_lower_bounds:
-        _assert_outward(bound, factor * partials[z] - t0**2, up=False)
+    for row in report.truncated_lower_bounds:
+        _assert_outward(row["bound"], factor * partials[row["z_max"]] - t0**2, up=False)
 
 
 def test_literal_lone_player_is_one():
     table = solve_expectations(C, P, "literal", truncation_K=20)
-    assert all(iv.lower == iv.upper == 1.0 for iv in table.y1)
+    assert all(iv["lower"] == iv["upper"] == 1.0 for iv in table.y1)
 
 
 def test_enclosures_shrink_with_truncation():
     widths = [
-        solve_expectations(C, P, "literal", truncation_K=K).y3[0].width for K in (20, 60, 150, 300)
+        _width(solve_expectations(C, P, "literal", truncation_K=K).y3[0]) for K in (20, 60, 150, 300)
     ]
     assert widths == sorted(widths, reverse=True)
     assert widths[-1] < 1e-3
@@ -603,16 +614,16 @@ def test_enclosures_shrink_with_truncation():
 
 def test_literal_enclosure_tight_reference():
     iv = solve_expectations(C, P, "literal", truncation_K=300).y3[0]
-    assert iv.lower == pytest.approx(45.0398, abs=0.001)
-    assert iv.width < 1e-3
-    assert iv.upper < 2759
+    assert iv["lower"] == pytest.approx(45.0398, abs=0.001)
+    assert _width(iv) < 1e-3
+    assert iv["upper"] < 2759
 
 
 def test_paper_series_dominates_literal():
     lit = solve_expectations(C, P, "literal", truncation_K=300)
     pap = solve_expectations(C, P, "paper-series", truncation_K=300)
     for k in range(0, 301, 50):
-        assert pap.y3[k].lower >= lit.y3[k].lower - 1e-9
+        assert pap.y3[k]["lower"] >= lit.y3[k]["lower"] - 1e-9
 
 
 def test_expectation_midpoints_satisfy_domination():
@@ -620,13 +631,13 @@ def test_expectation_midpoints_satisfy_domination():
     c = float(C)
 
     def mid(iv):
-        return (iv.lower + iv.upper) / 2
+        return (iv["lower"] + iv["upper"]) / 2
 
     for rows in (table.y2, table.y3):
         for k, k_prime in [(0, 1), (0, 5), (2, 7), (3, 20)]:
             lo = c ** (k_prime - k - 1) * (c - 1) * mid(rows[k])
             hi = c ** (k_prime - k - 1) * (c + 1) * mid(rows[k])
-            slack = rows[k].width + rows[k_prime].width + 1e-9
+            slack = _width(rows[k]) + _width(rows[k_prime]) + 1e-9
             assert lo - slack <= mid(rows[k_prime]) <= hi + slack
 
 
@@ -721,7 +732,7 @@ def test_partial_expectations_match_fraction_loop(c, p):
     report = deadline_comparison(c, p, 5, z_grid=z_grid)
     factor = derive_constants(p).delta ** report.xi * c ** (report.xi - 1) * (c - 1)
     assert report.truncated_lower_bounds == [
-        (z, _float_down(factor * dist.partial_expectations[z] - 25)) for z in z_grid
+        {"z_max": z, "bound": _float_down(factor * dist.partial_expectations[z] - 25)} for z in z_grid
     ]
 
 
@@ -744,7 +755,9 @@ def test_deadline_comparison_matches_the_fraction_formula(c, p, t0, xi):
     delta = derive_constants(p).delta
     factor = delta**xi * c ** (xi - 1) * (c - 1)
     assert report.xi == xi and report.prE_lower == _float_down(delta**xi)
-    assert report.truncated_lower_bounds == [(z, _float_down(factor * partials[z] - t0**2)) for z in z_grid]
+    assert report.truncated_lower_bounds == [
+        {"z_max": z, "bound": _float_down(factor * partials[z] - t0**2)} for z in z_grid
+    ]
 
 
 def _deadline_at_c1(p):
@@ -772,12 +785,14 @@ def test_deadline_comparison_at_c1_matches_the_exact_path(case):
     delta = derive_constants(p).delta
     factor = delta**xi * c ** (xi - 1) * (c - 1)
     assert report.xi == xi and report.prE_lower == _float_down(delta**xi)
-    assert report.truncated_lower_bounds == [(z, _float_down(factor * partials[z] - t0**2)) for z in z_grid]
+    assert report.truncated_lower_bounds == [
+        {"z_max": z, "bound": _float_down(factor * partials[z] - t0**2)} for z in z_grid
+    ]
 
 
 def test_deadline_lower_bounds_unbounded_in_zmax():
     report = deadline_comparison(C, P, 5, z_grid=(50, 100, 200, 400, 800))
-    bounds = [b for _, b in report.truncated_lower_bounds]
+    bounds = [row["bound"] for row in report.truncated_lower_bounds]
     assert bounds == sorted(bounds)
     assert bounds[-1] > 10**8
 

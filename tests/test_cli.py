@@ -230,6 +230,27 @@ def test_analyze_expectations_command(capsys):
     assert all(iv["lower"] == iv["upper"] == 1.0 for iv in data["y1"])
 
 
+@pytest.mark.parametrize(
+    "c, p, K", [("11/10", "3/4", "60"), ("10001/10000", "0.9921875", "400")], ids=["golden", "corner-k400"]
+)
+def test_report_rows_are_the_rows_printed(capsys, c, p, K):
+    # the library's table rows are the dicts the CLI prints, row for row and key for key
+    cp, (fc, fp) = ["--c", c, "--p", p], (Fraction(c), Fraction(p))
+
+    def printed(*argv):
+        code, out, _ = run_cli(capsys, *argv, *cp)
+        assert code == 0
+        return json.loads(out)
+
+    for semantics in analysis.SEMANTICS:
+        table = analysis.solve_expectations(fc, fp, semantics, truncation_K=int(K))
+        report = printed("analyze", "--semantics", semantics, "--K", K)
+        assert [table.y1, table.y2, table.y3] == [report["y1"], report["y2"], report["y3"]]
+    assert analysis.bound_report(fc, fp).y1k_upper == printed("bounds")["y1k_upper"]
+    rows = printed("compare-deadline", "--t0", "5")["truncated_lower_bounds"]
+    assert analysis.deadline_comparison(fc, fp, 5).truncated_lower_bounds == rows
+
+
 def test_simulate_command(tmp_path, capsys):
     config = {
         "n": 3,
@@ -563,18 +584,30 @@ _ONE_PLAYER = {"players": [{"type": "deadline", "t0": 1}], "seed": 1}
         (["compare-deadline", "--t0", "0"], None, "deadline must be >= 1"),
         (["bounds", "--k1", "0"], None, "truncation index must be >= 1"),
         (["schedule", "--k", "-1"], None, "horizon_k must be >= 0"),
-        (["simulate", "--trials", "5"], {"players": [], "seed": 1}, "need at least one player"),
+        # a value out of range in the config is named with the config's path ({path})
+        (["simulate", "--trials", "5"], {"players": [], "seed": 1}, "config {path}: need at least one player"),
         (
             ["simulate", "--trials", "5"],
             {"players": [{"type": "deadline", "t0": 3, "pre": {"type": "loud"}}], "seed": 1},
-            "unknown pre-deadline rule 'loud'",
+            "config {path}: unknown pre-deadline rule 'loud'",
+        ),
+        (["simulate", "--trials", "5"], {**_ONE_PLAYER, "slot_cap": 0}, "config {path}: slot_cap must be >= 1"),
+        (["simulate", "--trials", "5"], {**_ONE_PLAYER, "n": 4}, "config {path}: profile length 1 != n=4"),
+        (
+            ["simulate", "--trials", "5"],
+            {"players": [{"type": "constant_prob", "q": 1.5}], "seed": 1},
+            "config {path}: q must be a probability in [0, 1], got 1.5",
         ),
     ],
-    ids=["trials-0", "K-0", "zmax-negative", "t0-0", "k1-0", "schedule-k-negative", "no-players", "unknown-pre-rule"],
+    ids=[
+        "trials-0", "K-0", "zmax-negative", "t0-0", "k1-0", "schedule-k-negative", "no-players", "unknown-pre-rule",
+        "slot-cap-0", "n-mismatch", "q-1.5",
+    ],
 )
 def test_argument_out_of_range_is_one_line_error(tmp_path, capsys, argv, config, what):
     if config is not None:
-        argv = [*argv, "--config", _write_config(tmp_path, config)]
+        path = _write_config(tmp_path, config)
+        argv, what = [*argv, "--config", path], what.replace("{path}", path)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {what}\n")
 
@@ -629,6 +662,13 @@ def test_missing_config_key_is_one_line_error(tmp_path, capsys, data, key):
         ({"players": [{"type": "deadline", "t0": 3, "pre": [1]}], "seed": 1}, "pre must be a JSON object"),
         ({"players": [{"type": "deadline", "t0": 3, "pre": None}], "seed": 1}, "pre must be a JSON object"),
         ({"players": [{"type": "deadline", "t0": 3, "pre": "quiet"}], "seed": 1}, "pre must be a JSON object"),
+        # players is a list: an object, text or a number is not walked as one
+        (
+            {"players": {"type": "constant_prob", "q": 0.5}, "seed": 1},
+            "players must be a JSON array, got {'type': 'constant_prob', 'q': 0.5}",
+        ),
+        ({"players": "ab", "seed": 1}, "players must be a JSON array, got 'ab'"),
+        ({"players": 5, "seed": 1}, "players must be a JSON array, got 5"),
     ],
 )
 def test_malformed_config_is_one_line_error(tmp_path, capsys, data, what):
