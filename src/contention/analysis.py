@@ -73,7 +73,7 @@ def _to_float(name: str, num: int, den: int, up: bool | None = None) -> float:
 @dataclass(frozen=True)
 class _Report:
     """A report at one parameter point (c, p): its JSON opens with c as exact text and p as a float,
-    then holds every other field in declaration order, each as it is printed."""
+    then holds every other field, as the report holds it, in declaration order."""
     c: Fraction
     p: Fraction
 
