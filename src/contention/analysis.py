@@ -45,27 +45,24 @@ def _log2(x: Fraction) -> float:
 
 
 def _check_fits(name: str, log2_lower: float) -> None:
-    """Name a value as too large for a float before the exact work that builds it, from
-    log2_lower, a lower bound on its log2; a value past 2^1025 fails _to_float for certain."""
+    """Name a value as too large for a float before the exact work that builds it, from log2_lower,
+    a lower bound on its log2: _to_float names a magnitude of 2^1024 or more, so one past 2^1025 for certain."""
     if log2_lower > 1025:
         raise ValueError(f"{name} is too large for a float")
 
 
 def _to_float(name: str, num: int, den: int, up: bool | None = None) -> float:
-    """num/den (den > 0) as the nearest float or, when up is True (False),
-    rounded up (down): the nearest float, stepped once if an exact check
-    finds it on the wrong side.  A value past the float range is named."""
+    """num/den (den > 0) as the nearest float or, when up is True (False), the float at or above (below) it:
+    num/den times 2^k rounded the same way to an integer of 54 bits or more, cut by _fixed_to_float.  A value is
+    named when its float would be infinite, and always at a magnitude of 2^1024 or more; below that, rounding
+    toward zero gives a finite float."""
+    if up is not None:
+        k = max(54 + den.bit_length() - num.bit_length(), 0)
+        return _fixed_to_float(name, _scaled(num, den, k, up), k, up)
     try:
-        f = num / den
-        if up is not None:
-            fn, fd = f.as_integer_ratio()
-            if (fn * den < num * fd) if up else (fn * den > num * fd):
-                f = math.nextafter(f, math.inf if up else -math.inf)
-                if math.isinf(f):  # stepped past the largest float
-                    raise OverflowError
+        return num / den
     except OverflowError:
         raise ValueError(f"{name} is too large for a float") from None
-    return f
 
 
 # --- derived constants and feasibility --------------------------------------
@@ -255,17 +252,18 @@ class ExpectationTable(_Report):
     y3: list
 
 
-def _fixed_up(num: int, den: int) -> int:
-    """num/den (den > 0) in units of 2^-_BITS, rounded up."""
-    return -(-(num << _BITS) // den)
+def _scaled(num: int, den: int, k: int, up: bool) -> int:
+    """num * 2^k / den (den > 0) rounded up (down) to an integer when up is True (False)."""
+    return -(-(num << k) // den) if up else (num << k) // den
 
 
-def _fixed_to_float(name: str, num: int, up: bool) -> float:
-    """num >= 0 in units of 2^-_BITS as a float rounded up (down) when up is True (False), as _to_float
-    rounds it: num cut to 53 bits by a shift that rounds up (down).  A value past the float range is named."""
-    shift = max(num.bit_length() - 53, 0)
+def _fixed_to_float(name: str, num: int, scale: int, up: bool) -> float:
+    """num * 2^-scale as the float at or above (below) it when up is True (False): num cut by one
+    shift that rounds the same way, to 53 bits or to a subnormal float's last bit, 2^-1074.
+    A value whose float would be infinite is named: so every magnitude of 2^1024 or more."""
+    shift = max(num.bit_length() - 53, scale - 1074, 0)
     try:
-        return math.ldexp(-(-num >> shift) if up else num >> shift, shift - _BITS)
+        return math.ldexp(-(-num >> shift) if up else num >> shift, shift - scale)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float") from None
 
@@ -286,7 +284,7 @@ def _enclosures(sched: Schedule, c: Fraction, rule: tuple, top: int, below: list
     Every coefficient is nonnegative, so each step maps endpoints to endpoints, rounded outward."""
     a, beta, den, bound = rule
     sched.extend_to(top)
-    rows = [(0, _fixed_up(*(bound * c**top).as_integer_ratio()))] * (top + 1)
+    rows = [(0, _scaled(*(bound * c**top).as_integer_ratio(), _BITS, True))] * (top + 1)
     for i in range(top - 1, -1, -1):
         lo, hi = rows[i + 1]
         lo, hi = beta * lo, beta * hi
@@ -352,7 +350,8 @@ def solve_expectations(c, p, semantics: str = "literal", truncation_K: int = 60)
 
     for m in (1, 2, 3):
         name = f"an enclosure of E[Y_{m},k]"
-        tables[m] = [{"lower": _fixed_to_float(name, lo, False), "upper": _fixed_to_float(name, hi, True),
+        tables[m] = [{"lower": _fixed_to_float(name, lo, _BITS, False),
+                      "upper": _fixed_to_float(name, hi, _BITS, True),
                       "truncation_K": K, "semantics": semantics} for lo, hi in tables[m]]
     return ExpectationTable(c=c, p=p, semantics=semantics, truncation_K=K, y1=tables[1], y2=tables[2], y3=tables[3])
 

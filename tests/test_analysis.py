@@ -13,8 +13,8 @@ from contention.analysis import (
     _K1_LIMIT,
     _LONE_TERMS,
     _enclosures,
-    _fixed_up,
     _rule,
+    _scaled,
     bound_report,
     deadline_comparison,
     derive_constants,
@@ -219,39 +219,66 @@ def test_rounding_up_past_the_largest_float_is_named():
         analysis._to_float("v", 4 * num + 1, 4 * den, up=True)
     with pytest.raises(ValueError, match="v is too large for a float"):
         analysis._to_float("v", -4 * num - 1, 4 * den, up=False)
+    # below 2^1024, rounding toward zero gives a finite float, even where the nearest float is past the largest
+    assert analysis._to_float("v", 2**1024 - 1, 1, up=False) == sys.float_info.max
+    assert analysis._to_float("v", -(2**1024 - 1), 1, up=True) == -sys.float_info.max
+    for num, up in ((2**1024, False), (2**1024, True), (-(2**1024), False), (-(2**1024), True)):
+        with pytest.raises(ValueError, match="v is too large for a float"):
+            analysis._to_float("v", num, 1, up)
 
 
-def _check_fixed_to_float(num):
-    # an endpoint num * 2^-_BITS is rounded to the float at or below (down) or at or above (up) it,
-    # which is _to_float's directed rounding wherever that returns
-    exact = Fraction(num, 1 << _BITS)
-    for up in (False, True):
-        if exact > sys.float_info.max if up else exact >= 2**1024:
-            with pytest.raises(ValueError, match="v is too large for a float"):
-                analysis._fixed_to_float("v", num, up)
-            continue
-        value = analysis._fixed_to_float("v", num, up)
-        step = math.nextafter(value, -math.inf if up else math.inf)
-        if up:
-            assert Fraction(step) < exact <= Fraction(value)
+def _check_to_float(num, den):
+    # num/den to the nearest float, as float(Fraction) gives it, and up (down) to the least (greatest)
+    # float at or above (below) it; a den of 2^_BITS is an enclosure endpoint, which _fixed_to_float
+    # rounds the same way.  Named: a nearest float past the largest, and a directed value with no
+    # finite float on its side or a magnitude of 2^1024 or more
+    exact = Fraction(num, den)
+    try:
+        nearest = float(exact)
+    except OverflowError:
+        nearest = None
+    for up in (None, False, True):
+        calls = [lambda: analysis._to_float("v", num, den, up)]
+        if up is not None and den == 1 << _BITS:
+            calls.append(lambda: analysis._fixed_to_float("v", num, _BITS, up))
+        if up is None:
+            named = nearest is None
         else:
-            assert Fraction(value) <= exact and (math.isinf(step) or exact < Fraction(step))
-        try:
-            assert value == analysis._to_float("v", num, 1 << _BITS, up)
-        except ValueError:  # only down, past the largest float, where the nearest float is 2^1024
-            assert not up and exact > sys.float_info.max
+            named = abs(exact) >= 2**1024 or (exact > sys.float_info.max if up else exact < -sys.float_info.max)
+        for call in calls:
+            if named:
+                with pytest.raises(ValueError, match="v is too large for a float"):
+                    call()
+            elif up is None:
+                assert call() == nearest
+            else:
+                _assert_outward(call(), exact, up)
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.integers(0, 1200).flatmap(lambda bits: st.integers(0, 2**bits)))
-@example(2**1152 - 1)  # just below 2^1024: down is the largest float, up is past the range
-def test_fixed_point_endpoints_round_outward(num):
-    _check_fixed_to_float(num)
+@given(
+    st.integers(0, 1200).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)),
+    st.sampled_from([1, 3, 1 << _BITS]) | st.integers(0, 1200).flatmap(lambda bits: st.integers(1, 2**bits)),
+)
+@example(1, 3 << 1074)  # a third of the least subnormal: 5e-324 up, 0.0 down
+@example(-1, 3 << 1074)
+@example(2**1152 - 1, 1 << _BITS)  # just below 2^1024: down is the largest float, up is named
+@example(-(2**1152 - 1), 1 << _BITS)
+@example(2**1024, 1)
+@example(-(2**1024), 1)
+@example(2**1025 - 1, 2)
+def test_to_float_matches_the_fraction_oracle(num, den):
+    _check_to_float(num, den)
 
 
-def test_fixed_point_endpoints_round_outward_at_powers_of_two():
-    for num in {0, 2**53 - 1, 2**53, 2**53 + 1} | {2**k + d for k in range(1201) for d in (-1, 0, 1)}:
-        _check_fixed_to_float(num)
+def test_to_float_matches_the_fraction_oracle_at_powers_of_two():
+    nums = {0, 2**53 - 1, 2**53, 2**53 + 1} | {2**k + d for k in range(1201) for d in (-1, 0, 1)}
+    for num in nums:
+        for den in (1, 3, 1 << _BITS):
+            _check_to_float(num, den)
+            _check_to_float(-num, den)
+    assert analysis._to_float("v", 1, 3 << 1074, up=True) == 5e-324
+    assert analysis._to_float("v", 1, 3 << 1074, up=False) == 0.0
 
 
 def test_delta_bound_larger_truncation_regression():
@@ -427,8 +454,8 @@ def test_fixed_point_seeds_round_up():
     # a seed rounded down can sit below its exact value by less than a
     # float's ulp, which no float endpoint shows
     for value in (Fraction(1, 3), Fraction(10**40 + 1, 7), _delta_fraction(C, Fraction(3, 4), 2)):
-        assert 0 < _fixed_up(*value.as_integer_ratio()) - value * 2**_BITS < 1
-    assert _fixed_up(5, 4) == _fixed_up(10, 8) == 5 << (_BITS - 2)
+        assert 0 < _scaled(*value.as_integer_ratio(), _BITS, True) - value * 2**_BITS < 1
+    assert _scaled(5, 4, _BITS, True) == _scaled(10, 8, _BITS, True) == 5 << (_BITS - 2)
 
 
 def _supersolution(c, p, semantics):
@@ -573,10 +600,11 @@ def test_delta_and_y30_match_the_fraction_formula_property(point, extra):
 
 
 def _assert_outward(value: float, exact: Fraction, up: bool):
-    """value is on the side of exact that up names, within 1 ulp of the
-    float nearest exact."""
+    """value is the float nearest exact on the side that up names: at or above (below) exact
+    when up is True (False), and the next float toward exact is strictly past it."""
     assert value >= exact if up else value <= exact
-    assert abs(value - float(exact)) <= math.ulp(float(exact))
+    step = math.nextafter(value, -math.inf if up else math.inf)
+    assert step < exact if up else step > exact
 
 
 @settings(max_examples=100, deadline=None)
