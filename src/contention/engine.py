@@ -22,7 +22,8 @@ is cached per probability value.
 Since a draw depends on nothing but its counters, `run_trials` makes the
 same slot's draw for many trials at once (SWAR, SIMD within a register).
 It takes the trials in blocks of _BLOCK, and packs each block into
-Python ints, trial j of the block in lane j, bits [128j, 128j + 64):
+Python ints, trial j of the block in lane j, bits [128j, 128j + 128):
+keys and hash values in its low word, bitmaps and win slots from bit 64.
 - Each player's key, the hash state after the seed, trial and player
   are mixed in, is one packed int.  The keys are built packed: the trial
   indices times the golden ratio, then the trial mix and one mix per
@@ -32,28 +33,31 @@ Python ints, trial j of the block in lane j, bits [128j, 128j + 64):
   the last shift-xor.  A lane's product with a 64-bit constant fills
   its 128 bits and never carries into the next lane, and the masks
   clear what a shift brings down from the next lane.
-- Player i's pending set is a bitmap with one bit at the bottom of each
+- Player i's pending set is a bitmap with one bit at bit 64 of each
   lane.  Lane j of (2^64 + T - 1) * ONES - z has bit 64 set exactly when
-  z < T, so a shift by 64 and the pending bitmap give the lanes where
-  player i transmits; a player certain to transmit does so in all its
-  pending lanes.  Each packed threshold is kept until the lanes are
-  packed anew.  Two OR-accumulators over those bitmaps find the lanes
-  with exactly one transmitter.
+  z < T, so its AND with the pending bitmap gives the lanes where player
+  i transmits: a draw test is one subtraction and one AND.  A player
+  certain to transmit does so in all its pending lanes.  Each segment
+  carries its forced players, certain to transmit, and its drawers, so a
+  slot only skips those with no pending lane.  Each packed threshold is
+  kept until the lanes are packed anew.  Two OR-accumulators over those
+  bitmaps find the lanes with exactly one transmitter.
 - Player i's win slots stay in the lanes too: a packed int whose lane
   holds the slot of the player's success there, 0 if none yet, gains
   slot t in the lanes of w, the player's winning lanes, as won |= w * t.
   The win ints are written into the player's column, with one
   itertools.compress over their lane words, when the lanes are packed
   anew and at the block's end.  A slot at or past 2^64 fits no lane's
-  low word and goes straight into the column.
+  high word and goes straight into the column.
 - Segments are walked in order.  One in which no live lane can resolve
   (each has two pending players certain to transmit, or none that can
   transmit) is skipped to its end, and one in which only such players
   transmit needs one slot.  A lane with two pending players certain to
   transmit up to the slot cap is censored at once.
-- When the live lanes fall below half the packed width, their wins are
-  written out and they are packed anew, down to no lanes at all; a
-  block ends when no lane is live or the slot cap is passed.  A repack
+- A flag, set whenever a win or a censoring drops live lanes, tells when
+  they fall below half the packed width.  Their wins are then written
+  out and they are packed anew, down to no lanes at all; a block ends
+  when no lane is live or the slot cap is passed.  A repack
   compresses the pending bitmaps and the trial indices only: a key is a
   pure function of (seed, trial, player), so the kept trials' keys are
   built afresh at the new width.
@@ -102,7 +106,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 1024  # trials packed into one int at most
 _CSV_CHUNK = 256  # trials whose CSV lines are built at once: about 100 KB of text for 3 players
 _SURE = 1 << 64  # the _threshold of probability 1, above every hash value
-_WIDE = 1 << 64  # slots from here on fit neither a lane's low word nor an unsigned 64-bit column
+_WIDE = 1 << 64  # slots from here on fit neither a lane's high word nor an unsigned 64-bit column
 
 
 def _mix64(z: int) -> int:
@@ -203,11 +207,12 @@ def run_trial(config: GameConfig, trial_index: int) -> TrialOutcome:
 
 
 def _segment(profile: tuple, t: int, cap: int) -> tuple:
-    """The timeline segment that starts at slot t: (end, limits, stuck),
-    where limits[i] is the _threshold of player i's transmission
-    probability at every slot from t to end (0 for silence, _SURE for a
-    certain transmitter), and stuck lists the players certain to transmit
-    at every slot from t to the cap."""
+    """The timeline segment that starts at slot t: (end, limits, stuck,
+    forced, drawers), where limits[i] is the _threshold of player i's
+    transmission probability at every slot from t to end (0 for silence,
+    _SURE for a certain transmitter), stuck lists the players certain to
+    transmit at every slot from t to the cap, forced those certain to
+    transmit up to end, and drawers those that draw."""
     limits = tuple(_threshold(decision_probability(spec, t)) for spec in profile)
     end, stuck = cap, []
     for i, spec in enumerate(profile):
@@ -217,7 +222,9 @@ def _segment(profile: tuple, t: int, cap: int) -> tuple:
                 stuck.append(i)
         elif change <= end:
             end = change - 1
-    return end, limits, tuple(stuck)
+    forced = tuple(i for i, limit in enumerate(limits) if limit == _SURE)
+    drawers = tuple(i for i, limit in enumerate(limits) if 0 < limit < _SURE)
+    return end, limits, tuple(stuck), forced, drawers
 
 
 @functools.lru_cache(maxsize=256)  # a profile holds a few probabilities, met once per segment
@@ -228,29 +235,29 @@ def _threshold(p) -> int:
     return math.ceil(Fraction(p) * (1 << 53)) << 11
 
 
-# --- lanes: trial j of a packed int in bits [128j, 128j + 64) ---------------
+# --- lanes: trial j of a packed int in bits [128j, 128j + 128) --------------
 
 _SWAP = array("Q", [1]).tobytes()[0] == 0  # a big-endian host: swap values into little-endian words
 
 
 def _words(x: int, width: int) -> memoryview:
-    """The low words of x's width lanes, as stored: true where a bitmap has a lane."""
-    return memoryview(x.to_bytes(16 * width, "little")).cast("Q")[::2]
+    """The high words of x's width lanes, as stored: true where a bitmap has a lane."""
+    return memoryview(x.to_bytes(16 * width, "little")).cast("Q")[1::2]
 
 
 def _pack(words) -> int:
-    """The packed int whose lanes hold words, as _words reads them."""
+    """The packed int whose lanes' high words hold words, as _words reads them."""
     spaced = array("Q", [0]) * (2 * len(words))
-    spaced[::2] = words
+    spaced[1::2] = words
     return int.from_bytes(spaced, "little")
 
 
 def _lanes(values) -> int:
-    """The packed int whose lane j holds values[j]."""
+    """The packed int whose lane j holds values[j] in its low word."""
     values = array("Q", values)
     if _SWAP:
         values.byteswap()
-    return _pack(values)
+    return _pack(values) >> 64
 
 
 def _mix_lanes(z: int, m: int) -> int:
@@ -271,50 +278,45 @@ def _packed_keys(seed_key: int, trials: array, n: int, ones: int, m: int) -> lis
     return [_mix_lanes(trial_keys ^ ((i * _GOLDEN) & _MASK64) * ones, m) for i in range(n)]
 
 
-def _tally(xs) -> tuple:
-    """(one, two): the lanes set in at least one, and in at least two, of the bitmaps xs."""
-    one = two = 0
-    for x in xs:
-        two |= one & x
-        one |= x
-    return one, two
-
-
 class _Lanes:
     """One block of a run_trials call, trial trials[j] in lane j: each
     player's keys packed, pending[i], the lanes where player i has not won
-    yet, as a bitmap with one bit at each lane's bottom, live, the lanes
-    where some player has not, and won[i], player i's win slots in the
-    lanes' low words (0 for none) since they were last written into
-    columns[i]."""
+    yet, as a bitmap with one bit at each lane's bit 64, live, the lanes
+    where some player has not, thin, whether live has fallen below half the
+    width, and won[i], player i's win slots in the lanes' high words (0 for
+    none) since they were last written into columns[i]."""
 
     def __init__(self, seed_key: int, trials: range, n: int, columns: list):
         self.seed_key = seed_key
         self.columns = columns
         self.trials = array("Q", trials)
         self.resized()
-        self.pending = [self.ones] * n
+        self.pending = [self.live] * n
         self.won = [0] * n
 
     def resized(self) -> None:
         """Set what follows from the lanes' trials: the width, ones and the
         lane mask, every lane live, the keys, and no packed thresholds."""
         self.width = len(self.trials)
-        self.live = self.ones = _lanes([1] * self.width)
+        self.ones = _lanes([1] * self.width)
+        self.live, self.thin = self.ones << 64, False
         self.mask = self.ones * _MASK64
         self.keys = _packed_keys(self.seed_key, self.trials, len(self.columns), self.ones, self.mask)
         self.limits = {}  # threshold -> (2^64 + threshold - 1) in every lane
 
+    def set_live(self, live: int) -> None:
+        """Set the live lanes, and whether they have fallen below half the width: run then packs them anew."""
+        self.live, self.thin = live, 2 * live.bit_count() < self.width
+
     def censor(self, stuck: tuple) -> None:
         """Drop the lanes where two of the stuck players are pending: they collide to the cap."""
-        two = _tally(self.pending[i] for i in stuck)[1]
+        one = two = 0
+        for i in stuck:
+            two |= one & self.pending[i]
+            one |= self.pending[i]
         if two:
             self.pending = [x & ~two for x in self.pending]
-            self.live &= ~two
-
-    def thinned(self) -> bool:
-        """Whether the live lanes have fallen below half the width: run then packs them anew."""
-        return 2 * self.live.bit_count() < self.width
+            self.set_live(self.live & ~two)
 
     def flush(self) -> None:
         """Write the win slots held in the lanes into the columns, and clear them."""
@@ -348,13 +350,14 @@ class _Lanes:
                 self.pending[i] ^= w
                 if t < _WIDE:
                     self.won[i] |= w * t
-                else:  # past a lane's low word: straight into the column
+                else:  # past a lane's high word: straight into the column
                     column = self.columns[i]
                     for trial in compress(self.trials, _words(w, self.width)):
                         column[trial] = t
-        self.live = 0
+        live = 0
         for x in self.pending:
-            self.live |= x
+            live |= x
+        self.set_live(live)
 
     def limit(self, threshold: int) -> int:
         """(2^64 + threshold - 1) in every lane, kept until the width changes."""
@@ -364,53 +367,60 @@ class _Lanes:
             packed = self.limits[threshold] = (threshold + _MASK64) * self.ones
             return packed
 
-    def play(self, t: int, end: int, limits: tuple) -> int:
-        """Play slots t to end of a timeline segment; stop early, after a
-        slot with winners, when the lanes are thinned or none can resolve.
-        Returns the next slot."""
+    def play(self, t: int, end: int, limits: tuple, forced: tuple, drawers: tuple) -> int:
+        """Play slots t to end of a timeline segment, given its limits and
+        its forced and drawing players; stop early, after a slot with
+        winners, when the lanes are thinned or none can resolve.  Returns
+        the next slot."""
         pending, ones, m = self.pending, self.ones, self.mask
-        forced = [i for i, limit in enumerate(limits) if limit == _SURE and pending[i]]
-        drawers = [i for i, limit in enumerate(limits) if 0 < limit < _SURE and pending[i]]
-
-        def resolvable():
-            # one forced player pending, or none and a drawer
-            one, two = _tally(pending[i] for i in forced)
-            return (one | _tally(pending[i] for i in drawers)[0]) & ~two
-
-        if not drawers:  # a lone forced player wins at once; the rest stay stuck or silent
-            one, two = _tally(pending[i] for i in forced)
-            if one & ~two:
-                self.settle(one & ~two, [(i, pending[i]) for i in forced], t)
-            return end + 1
-        if not resolvable():
-            return end + 1  # collision or silence in every live lane until the segment ends
-        draws = [(i, self.limit(limits[i]), self.keys[i]) for i in drawers]
-        for t in range(t, end + 1):
-            step = ((t * _GOLDEN) & _MASK64) * ones
-            sent = [(i, pending[i]) for i in forced]
-            for i, limit_i, key in draws:
-                if pending[i]:
-                    # bit 64 of a lane of limit_i - z is set exactly when z < _threshold
-                    sent.append((i, pending[i] & (limit_i - _mix_lanes(key ^ step, m)) >> 64))
-            one, two = _tally(x for _, x in sent)
-            win = one & ~two
-            if win:
-                self.settle(win, sent, t)
-                if self.thinned() or not resolvable():
+        draws = [(i, self.limit(limits[i]), self.keys[i]) for i in drawers if pending[i]]
+        while True:  # from slot t to the next win: the forced players' tally, and the drawers' lanes
+            sure = [(i, pending[i]) for i in forced if pending[i]]
+            one = two = drawn = 0
+            for _, x in sure:
+                two |= one & x
+                one |= x
+            for i, _, _ in draws:
+                drawn |= pending[i]
+            if not drawn:  # a lone forced player wins at once; the rest stay stuck or silent
+                lone = one & ~two
+                if lone:
+                    self.settle(lone, sure, t)
+                return end + 1
+            if two and not (one | drawn) & ~two:  # with no two forced players together, a drawer can win
+                return end + 1  # collision or silence in every live lane until the segment ends
+            for t in range(t, end + 1):
+                step = ((t * _GOLDEN) & _MASK64) * ones
+                sent, once, twice = sure.copy(), one, two
+                for i, limit_i, key in draws:
+                    x = pending[i]
+                    if x:
+                        # bit 64 of a lane of limit_i - z is set exactly when z < _threshold
+                        x &= limit_i - _mix_lanes(key ^ step, m)
+                        twice |= once & x
+                        once |= x
+                        sent.append((i, x))
+                win = once & ~twice
+                if win:
                     break
-        return t + 1
+            else:
+                return end + 1
+            self.settle(win, sent, t)
+            if self.thin or t == end:
+                return t + 1
+            t += 1
 
     def run(self, timeline: list, profile: tuple, cap: int) -> None:
         """Play every lane's trial to its end or the cap, writing each
         win's slot into columns[player][trial]."""
         k, t = 0, 1
         while True:
-            end, limits, stuck = timeline[k]
+            end, limits, stuck, forced, drawers = timeline[k]
             if len(stuck) > 1:
                 self.censor(stuck)
-            if self.thinned():
+            if self.thin:
                 self.repack()
-            t = self.play(t, end, limits)
+            t = self.play(t, end, limits, forced, drawers)
             if not self.live or t > cap:
                 break
             if t > end:

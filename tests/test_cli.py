@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contention
-from contention import analysis
+from contention import analysis, cli, engine
 from contention.cli import _json, main
 from contention.engine import LatencyStats
 from contention.schedule import Schedule
@@ -856,6 +856,15 @@ def test_csv_simulate_prints_its_rows_without_a_summary(tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "") and err.endswith("player 0's latencies are too large for a float: lower slot_cap\n")
     assert not samples.exists()
+
+
+@pytest.mark.parametrize("trials", [1, 255, 256, 257, 1000])  # around engine._CSV_CHUNK, the trials per chunk of rows
+def test_samples_file_holds_the_csv_rows(tmp_path, capsys, trials):
+    config = str(Path(__file__).resolve().parent / "golden" / "config-persistent.json")
+    samples = tmp_path / "samples.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--config", config, "--trials", str(trials), "--samples-path", str(samples))
+    rows = engine.outcomes_to_csv_rows(engine.run_trials(cli._load_config(config), trials))
+    assert code == 0 and samples.read_bytes() == (cli.SAMPLES_HEADER + "".join(rows)).encode()
 
 
 # --- fuzz: no input may end in a traceback ------------------------------------

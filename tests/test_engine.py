@@ -473,6 +473,57 @@ def test_threshold_matches_float_draw(p):
             assert (z < threshold) == ((z >> 11) * 2.0**-53 < p)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    profile=st.lists(_SPEC, min_size=1, max_size=6),
+    t=st.integers(min_value=1, max_value=400),
+    cap=st.integers(min_value=1, max_value=400),
+)
+def test_segment_roles_classify_its_players(profile, t, cap):
+    # forced: certain to transmit at every slot of the segment; drawers: drawing there
+    end, limits, stuck, forced, drawers = engine._segment(tuple(profile), t, max(t, cap))
+    for slot in {t, end}:
+        probs = [decision_probability(spec, slot) for spec in profile]
+        assert forced == tuple(i for i, pr in enumerate(probs) if pr == 1.0)
+        assert drawers == tuple(i for i, pr in enumerate(probs) if 0.0 < pr < 1.0)
+    assert [limit == engine._SURE for limit in limits] == [i in forced for i in range(len(profile))]
+    assert set(stuck) <= set(forced)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_cached_lane_state_is_current_at_every_play(name, monkeypatch):
+    # a stale thinning flag only delays or adds a repack, so no outcome would show it
+    play, entries = engine._Lanes.play, []
+
+    def checked(lanes, *args):
+        live = 0
+        for x in lanes.pending:
+            live |= x
+        entries.append((lanes.live == live, lanes.thin == (2 * live.bit_count() < lanes.width)))
+        return play(lanes, *args)
+
+    monkeypatch.setattr(engine._Lanes, "play", checked)
+    monkeypatch.setattr(engine, "_BLOCK", 16)  # several blocks, each thinned and packed anew
+    profile, cap = DIFFERENTIAL[name]
+    config = GameConfig(n=len(profile), profile=profile, seed=2024, slot_cap=cap)
+    assert run_trials(config, 100) == [run_trial(config, idx) for idx in range(100)]
+    assert entries and all(live and thin for live, thin in entries)
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 33])
+def test_words_and_pack_round_trip_in_both_lane_halves(width):
+    values = [((j + 1) * engine._GOLDEN) & engine._MASK64 for j in range(width)]
+    low_half = engine._lanes([1] * width) * engine._MASK64
+    high = engine._pack(array("Q", values))  # stored words, in the lanes' high words
+    assert list(engine._words(high, width)) == values and high & low_half == 0
+    low = engine._lanes(values)  # values, in the lanes' low words
+    assert [(low >> 128 * j) & engine._MASK64 for j in range(width)] == values and low & ~low_half == 0
+    words = array("Q", engine._words(low << 64, width))
+    if engine._SWAP:
+        words.byteswap()
+    assert list(words) == values
+
+
 def test_timeline_reaches_only_as_far_as_the_trials(monkeypatch):
     config = GameConfig(n=3, profile=(AB,) * 3, seed=5, slot_cap=10**6)
     queried = []
