@@ -41,7 +41,9 @@ keys and hash values in its low word, bitmaps and win slots from bit 64.
   carries its forced players, certain to transmit, and its drawers, so a
   slot only skips those with no pending lane.  Each packed threshold is
   kept until the lanes are packed anew.  Two OR-accumulators over those
-  bitmaps find the lanes with exactly one transmitter.
+  bitmaps, once and twice, give the lanes with exactly one transmitter
+  as once ^ twice, since twice only gains lanes already in once.  A
+  slot's hash input is built from golden lanes kept at each width.
 - Player i's win slots stay in the lanes too: a packed int whose lane
   holds the slot of the player's success there, 0 if none yet, gains
   slot t in the lanes of w, the player's winning lanes, as won |= w * t.
@@ -85,7 +87,7 @@ and takes the mean and the standard deviation from the exact integer
 sums of the latencies and their squares, each rounded once, so it gives
 the same bits on every Python version.  `outcomes_to_csv_rows` yields
 each row as its finished CSV line, the bytes csv.writer would write,
-built one chunk of _CSV_CHUNK trials at a time.
+formatted by one % per chunk of _CSV_CHUNK trials.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from operator import mul
 
 from .protocols import ProtocolSpec, decision_probability, next_prob_change
@@ -300,7 +302,7 @@ class _Lanes:
         self.width = len(self.trials)
         self.ones = _lanes([1] * self.width)
         self.live, self.thin = self.ones << 64, False
-        self.mask = self.ones * _MASK64
+        self.mask, self.gold = self.ones * _MASK64, self.ones * _GOLDEN
         self.keys = _packed_keys(self.seed_key, self.trials, len(self.columns), self.ones, self.mask)
         self.limits = {}  # threshold -> (2^64 + threshold - 1) in every lane
 
@@ -315,8 +317,8 @@ class _Lanes:
             two |= one & self.pending[i]
             one |= self.pending[i]
         if two:
-            self.pending = [x & ~two for x in self.pending]
-            self.set_live(self.live & ~two)
+            self.pending = [x ^ (x & two) for x in self.pending]
+            self.set_live(self.live ^ two)
 
     def flush(self) -> None:
         """Write the win slots held in the lanes into the columns, and clear them."""
@@ -372,7 +374,7 @@ class _Lanes:
         its forced and drawing players; stop early, after a slot with
         winners, when the lanes are thinned or none can resolve.  Returns
         the next slot."""
-        pending, ones, m = self.pending, self.ones, self.mask
+        pending, gold, m = self.pending, self.gold, self.mask
         draws = [(i, self.limit(limits[i]), self.keys[i]) for i in drawers if pending[i]]
         while True:  # from slot t to the next win: the forced players' tally, and the drawers' lanes
             sure = [(i, pending[i]) for i in forced if pending[i]]
@@ -383,14 +385,14 @@ class _Lanes:
             for i, _, _ in draws:
                 drawn |= pending[i]
             if not drawn:  # a lone forced player wins at once; the rest stay stuck or silent
-                lone = one & ~two
+                lone = one ^ two  # two only holds lanes of one
                 if lone:
                     self.settle(lone, sure, t)
                 return end + 1
-            if two and not (one | drawn) & ~two:  # with no two forced players together, a drawer can win
+            if two and not (one | drawn) ^ two:  # with no two forced players together, a drawer can win
                 return end + 1  # collision or silence in every live lane until the segment ends
             for t in range(t, end + 1):
-                step = ((t * _GOLDEN) & _MASK64) * ones
+                step = ((t & _MASK64) * gold) & m  # a lane's product stays below 2^128
                 sent, once, twice = sure.copy(), one, two
                 for i, limit_i, key in draws:
                     x = pending[i]
@@ -400,7 +402,7 @@ class _Lanes:
                         twice |= once & x
                         once |= x
                         sent.append((i, x))
-                win = once & ~twice
+                win = once ^ twice  # twice only holds lanes of once
                 if win:
                     break
             else:
@@ -532,13 +534,14 @@ def summarize(outcomes: Outcomes, focus_player: int) -> LatencyStats:
 def outcomes_to_csv_rows(outcomes: Outcomes):
     """Yield each (trial_index, player, latency, censored) row as its
     finished CSV line, the bytes csv.writer writes for it: latency empty
-    and censored 1 for a trial censored at the cap.  The lines are built
-    one chunk of _CSV_CHUNK trials at a time."""
-    columns = outcomes.columns
+    and censored 1 for a trial censored at the cap.  One % builds a chunk
+    of _CSV_CHUNK trials' lines from their interleaved (trial, slot) cells."""
+    columns, n = outcomes.columns, len(outcomes.columns)
+    row = "".join(f"%d,{player},%d,0\r\n" for player in range(n))  # one trial's lines
     for start in range(0, len(outcomes), _CSV_CHUNK):
-        chunk = [
-            [f"{trial},{player},{slot},0\r\n" if slot else f"{trial},{player},,1\r\n"
-             for trial, slot in enumerate(column[start : start + _CSV_CHUNK], start)]
-            for player, column in enumerate(columns)
-        ]
-        yield from chain.from_iterable(zip(*chunk))
+        trials = range(start, min(start + _CSV_CHUNK, len(outcomes)))
+        cells = [0] * (2 * n * len(trials))
+        for player, column in enumerate(columns):
+            cells[2 * player :: 2 * n], cells[2 * player + 1 :: 2 * n] = trials, column[start : trials.stop]
+        # a latency of 0 marks a censored row: its latency is empty and censored 1
+        yield from ((row * len(trials)) % tuple(cells)).replace(",0,0\r\n", ",,1\r\n").splitlines(keepends=True)

@@ -161,6 +161,27 @@ def test_csv_rows(age_based):
     assert any(line.endswith(",,1\r\n") for line in lines) and any(line.endswith(",0\r\n") for line in lines)
 
 
+_SLOT = st.one_of(st.just(0), st.integers(min_value=1, max_value=2**64 - 1))  # 0: censored
+_WIDE_SLOT = st.one_of(_SLOT, st.integers(min_value=2**64, max_value=2**80))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),  # players 10 and 11 have two-digit indices
+    trials=st.integers(min_value=1, max_value=30),
+    wide=st.booleans(),
+    chunk=st.integers(min_value=1, max_value=9),
+    data=st.data(),
+)
+def test_csv_rows_of_arbitrary_columns(n, trials, wide, chunk, data):
+    # columns built directly, censored zeros anywhere: the ",0,0\r\n" rewrite must touch censored rows only
+    column = st.lists(_WIDE_SLOT if wide else _SLOT, min_size=trials, max_size=trials)
+    columns = [data.draw(column) if wide else array("Q", data.draw(column)) for _ in range(n)]
+    outcomes = engine.Outcomes(columns, 2**80)
+    with mock.patch.object(engine, "_CSV_CHUNK", chunk):  # chunk edges fall inside the trials
+        _assert_csv_rows_match(outcomes, list(outcomes))
+
+
 def _is_rounded_root(root: float, value: Fraction) -> bool:
     """Whether root is sqrt(value) rounded to the nearest float: value lies
     between the squares of root's midpoints with its neighbouring floats."""
@@ -301,6 +322,16 @@ def test_huge_slots_round_trip(t0, profile):
     assert outcomes == expected
     with mock.patch.object(engine, "_CSV_CHUNK", 7):  # chunks of 7 trials' lines: 100 trials end in a short one
         _assert_csv_rows_match(outcomes, expected)
+
+
+def test_draws_past_2_64_match_run_trial():
+    # scheduled slots near 2^81 and 2^120, distinct mod 2^64: every lane draws there, so
+    # a step that carried from one lane into the next would change later lanes' draws
+    spec = AgeBased(schedule=Schedule(Fraction(3**25), 0), p=0.5)
+    config = GameConfig(n=3, profile=(spec,) * 3, seed=6, slot_cap=2**130)
+    outcomes = run_trials(config, 100)
+    assert outcomes == [run_trial(config, idx) for idx in range(100)]
+    assert any(slot >= 2**80 for column in outcomes.columns for slot in column)
 
 
 def test_outcomes_read_as_a_list_of_trial_outcomes():
@@ -522,6 +553,15 @@ def test_words_and_pack_round_trip_in_both_lane_halves(width):
     if engine._SWAP:
         words.byteswap()
     assert list(words) == values
+
+
+@pytest.mark.parametrize("width", [1, 3, 1024])
+def test_step_from_golden_lanes(width):
+    # play's step: t mod 2^64 times the cached golden lanes, each lane reduced mod 2^64
+    lanes = engine._Lanes(engine._mix64(5), range(width), 2, [array("Q", [0]) * width for _ in range(2)])
+    for t in (1, 2**30 - 1, 2**30, 2**60 + 7, 2**64 - 1, 2**64, 2**64 + 5, 3 * 2**70):
+        step = ((t & engine._MASK64) * lanes.gold) & lanes.mask
+        assert step == ((t * engine._GOLDEN) & engine._MASK64) * lanes.ones
 
 
 def test_timeline_reaches_only_as_far_as_the_trials(monkeypatch):
