@@ -15,9 +15,11 @@ so the timeline reaches only as far as the trials do.
 Randomness is counter-based: every attempt draw is a pure hash of
 (seed, trial_index, player, slot), so results are bit-identical for a
 fixed (config, trials) regardless of the order in which trials run.  A
-draw compares the final hash value with an integer threshold,
-ceil(p * 2^53) << 11, which is exact for every float or rational p and
-is cached per probability value.
+slot takes one splitmix64 round per 64-bit word: the words above its
+lowest, lowest first, then its low word, so slots 2^64 apart draw apart
+and every slot below 2^64 takes one round.  A draw compares the final
+hash value with an integer threshold, ceil(p * 2^53) << 11, which is
+exact for every float or rational p and is cached per probability value.
 
 Since a draw depends on nothing but its counters, `run_trials` makes the
 same slot's draw for many trials at once (SWAR, SIMD within a register).
@@ -43,13 +45,15 @@ keys and hash values in its low word, bitmaps and win slots from bit 64.
   kept until the lanes are packed anew.  Two OR-accumulators over those
   bitmaps, once and twice, give the lanes with exactly one transmitter
   as once ^ twice, since twice only gains lanes already in once.  A
-  slot's hash input is built from golden lanes kept at each width.
+  slot's hash input is built from golden lanes kept at each width.  At
+  2^64 and past, the keys take the slot's higher words once per play
+  of a segment, which stops at each multiple of 2^64.
 - Player i's win slots stay in the lanes too: a packed int whose lane
   holds the slot of the player's success there, 0 if none yet, gains
   slot t in the lanes of w, the player's winning lanes, as won |= w * t.
   The win ints are written into the player's column, with one
   itertools.compress over their lane words, when the lanes are packed
-  anew and at the block's end.  A slot at or past 2^64 fits no lane's
+  anew and when they end or park.  A slot at or past 2^64 fits no lane's
   high word and goes straight into the column.
 - Segments are walked in order.  One in which no live lane can resolve
   (each has two pending players certain to transmit, or none that can
@@ -58,13 +62,20 @@ keys and hash values in its low word, bitmaps and win slots from bit 64.
   transmit up to the slot cap is censored at once.
 - A flag, set whenever a win or a censoring drops live lanes, tells when
   they fall below half the packed width.  Their wins are then written
-  out and they are packed anew, down to no lanes at all; a block ends
-  when no lane is live or the slot cap is passed.  A repack
+  out and they are packed anew, down to no lanes at all.  A repack
   compresses the pending bitmaps and the trial indices only: a key is a
   pure function of (seed, trial, player), so the kept trials' keys are
   built afresh at the new width.
+- While more trials remain, thinned lanes are parked at their segment
+  and slot instead.  The next block plays from slot 1 up to that slot,
+  packed anew as it thins, and one repack then packs the live lanes of
+  both, which play on as one: blocks share the walk through the tail of
+  long trials instead of each walking it alone.  Lanes end when none is
+  live or the slot cap is passed.
 Blocks keep memory bounded whatever the trial count: a 1024-lane int is
-16 KiB, and a block holds a few dozen at a time.
+16 KiB, and a _Lanes holds a few dozen such ints at a time.  Parked
+lanes are fewer than half their width, so lanes that join stay below
+2 * _BLOCK wide.
 
 `run_trial` plays one trial straight from the rules, querying them anew
 at every slot it visits, and compares float draws with the
@@ -122,9 +133,9 @@ def _mix64(z: int) -> int:
 def attempt_uniform(seed: int, trial_index: int, player: int, slot: int) -> float:
     """Deterministic uniform in [0, 1) for one attempt draw."""
     z = _mix64(seed)
-    for part in (trial_index, player, slot):
+    for part in (trial_index, player):
         z = _mix64(z ^ ((part * _GOLDEN) & _MASK64))
-    return (z >> 11) * (1.0 / (1 << 53))
+    return _keyed_uniform(z, slot)
 
 
 def _player_keys(seed_key: int, trial_index: int, n: int) -> list:
@@ -136,7 +147,13 @@ def _player_keys(seed_key: int, trial_index: int, n: int) -> list:
 
 
 def _keyed_uniform(key: int, slot: int) -> float:
-    """attempt_uniform's draw at this slot for the player whose key _player_keys gave."""
+    """attempt_uniform's draw at this slot for the player whose key _player_keys gave:
+    the slot's 64-bit words above its lowest are mixed into the key first, lowest
+    first, one round each, so slots t and t + 2^64 draw apart; then its low word."""
+    high = slot >> 64
+    while high:
+        key = _mix64(key ^ ((high * _GOLDEN) & _MASK64))
+        high >>= 64
     return (_mix64(key ^ ((slot * _GOLDEN) & _MASK64)) >> 11) * (1.0 / (1 << 53))
 
 
@@ -281,12 +298,13 @@ def _packed_keys(seed_key: int, trials: array, n: int, ones: int, m: int) -> lis
 
 
 class _Lanes:
-    """One block of a run_trials call, trial trials[j] in lane j: each
-    player's keys packed, pending[i], the lanes where player i has not won
-    yet, as a bitmap with one bit at each lane's bit 64, live, the lanes
-    where some player has not, thin, whether live has fallen below half the
-    width, and won[i], player i's win slots in the lanes' high words (0 for
-    none) since they were last written into columns[i]."""
+    """Packed trials, trial trials[j] in lane j, that play on from at, a
+    timeline segment's index and a slot: each player's keys packed,
+    pending[i], the lanes where player i has not won yet, as a bitmap with
+    one bit at each lane's bit 64, live, the lanes where some player has
+    not, thin, whether live has fallen below half the width, and won[i],
+    player i's win slots in the lanes' high words (0 for none) since they
+    were last written into columns[i]."""
 
     def __init__(self, seed_key: int, trials: range, n: int, columns: list):
         self.seed_key = seed_key
@@ -295,6 +313,7 @@ class _Lanes:
         self.resized()
         self.pending = [self.live] * n
         self.won = [0] * n
+        self.at = 0, 1
 
     def resized(self) -> None:
         """Set what follows from the lanes' trials: the width, ones and the
@@ -307,7 +326,8 @@ class _Lanes:
         self.limits = {}  # threshold -> (2^64 + threshold - 1) in every lane
 
     def set_live(self, live: int) -> None:
-        """Set the live lanes, and whether they have fallen below half the width: run then packs them anew."""
+        """Set the live lanes, and whether they have fallen below half the
+        width: run then parks them or packs them anew."""
         self.live, self.thin = live, 2 * live.bit_count() < self.width
 
     def censor(self, stuck: tuple) -> None:
@@ -333,14 +353,20 @@ class _Lanes:
                     column[trial] = slot
         self.won = [0] * len(self.won)
 
-    def repack(self) -> None:
-        """Write out the wins, then pack the live lanes anew, in order:
-        each player's pending bitmap is compressed, and the keys, a pure
-        function of the seed, trial and player, are built afresh."""
-        self.flush()
-        keep = _words(self.live, self.width)
-        self.pending = [_pack(array("Q", compress(_words(x, self.width), keep))) for x in self.pending]
-        self.trials = array("Q", compress(self.trials, keep))
+    def repack(self, other=None) -> None:
+        """Write out the wins, then pack the live lanes anew, in order,
+        followed by those of other, lanes at the same slot, if given: each
+        player's pending bitmap is compressed, and the keys, a pure
+        function of the seed, trial and player, are built afresh.  The
+        lanes keep their slot."""
+        trials, pending = array("Q"), [array("Q") for _ in self.pending]
+        for lanes in filter(None, (self, other)):
+            lanes.flush()
+            keep = _words(lanes.live, lanes.width)
+            trials.extend(compress(lanes.trials, keep))
+            for words, x in zip(pending, lanes.pending):
+                words.extend(compress(_words(x, lanes.width), keep))
+        self.trials, self.pending = trials, [_pack(words) for words in pending]
         self.resized()
 
     def settle(self, win: int, sent: list, t: int) -> None:
@@ -372,10 +398,16 @@ class _Lanes:
     def play(self, t: int, end: int, limits: tuple, forced: tuple, drawers: tuple) -> int:
         """Play slots t to end of a timeline segment, given its limits and
         its forced and drawing players; stop early, after a slot with
-        winners, when the lanes are thinned or none can resolve.  Returns
-        the next slot."""
+        winners, when the lanes are thinned or none can resolve, or at the
+        last slot below the next multiple of 2^64, where the keys change.
+        Returns the next slot."""
         pending, gold, m = self.pending, self.gold, self.mask
-        draws = [(i, self.limit(limits[i]), self.keys[i]) for i in drawers if pending[i]]
+        keys, high, last = self.keys, t >> 64, min(end, t | _MASK64)
+        while high:  # from 2^64 on, the keys take the slot's words above the lowest, as _keyed_uniform's do
+            step = ((high & _MASK64) * gold) & m
+            keys = [_mix_lanes(key ^ step, m) for key in keys]
+            high >>= 64
+        draws = [(i, self.limit(limits[i]), keys[i]) for i in drawers if pending[i]]
         while True:  # from slot t to the next win: the forced players' tally, and the drawers' lanes
             sure = [(i, pending[i]) for i in forced if pending[i]]
             one = two = drawn = 0
@@ -391,7 +423,7 @@ class _Lanes:
                 return end + 1
             if two and not (one | drawn) ^ two:  # with no two forced players together, a drawer can win
                 return end + 1  # collision or silence in every live lane until the segment ends
-            for t in range(t, end + 1):
+            for t in range(t, last + 1):
                 step = ((t & _MASK64) * gold) & m  # a lane's product stays below 2^128
                 sent, once, twice = sure.copy(), one, two
                 for i, limit_i, key in draws:
@@ -406,30 +438,37 @@ class _Lanes:
                 if win:
                     break
             else:
-                return end + 1
+                return last + 1
             self.settle(win, sent, t)
-            if self.thin or t == end:
+            if self.thin or t == last:
                 return t + 1
             t += 1
 
-    def run(self, timeline: list, profile: tuple, cap: int) -> None:
-        """Play every lane's trial to its end or the cap, writing each
-        win's slot into columns[player][trial]."""
-        k, t = 0, 1
-        while True:
+    def run(self, timeline: list, profile: tuple, cap: int, until: int, park: bool) -> bool:
+        """Play every lane's trial from the slot the lanes are at to its end,
+        the cap or slot until - 1, writing each win's slot into
+        columns[player][trial]; with park, stop instead where the lanes are
+        thinned, rather than pack them anew.  Returns whether live lanes
+        were left there."""
+        k, t = self.at
+        while t < until:
             end, limits, stuck, forced, drawers = timeline[k]
             if len(stuck) > 1:
                 self.censor(stuck)
             if self.thin:
+                if park:
+                    break
                 self.repack()
-            t = self.play(t, end, limits, forced, drawers)
-            if not self.live or t > cap:
+            t = self.play(t, min(end, until - 1), limits, forced, drawers)
+            if not self.live or t >= until:
                 break
             if t > end:
                 k += 1
                 if k == len(timeline):  # the first lanes to reach slot t build its segment
                     timeline.append(_segment(profile, t, cap))
+        self.at = k, t
         self.flush()
+        return t < until and bool(self.live)
 
 
 def _column(trials: int, cap: int):
@@ -477,8 +516,15 @@ def run_trials(config: GameConfig, trials: int) -> Outcomes:
     timeline = [_segment(profile, 1, cap)]  # every trial reaches slot 1
     columns = [_column(trials, cap) for _ in range(n)]
     seed_key = _mix64(config.seed)
+    parked = None  # thinned lanes of the blocks so far, waiting at their slot for the next block
     for start in range(0, trials, _BLOCK):
-        _Lanes(seed_key, range(start, min(start + _BLOCK, trials)), n, columns).run(timeline, profile, cap)
+        stop = min(start + _BLOCK, trials)
+        lanes = _Lanes(seed_key, range(start, stop), n, columns)
+        if parked:
+            lanes.run(timeline, profile, cap, parked.at[1], park=False)  # up to the parked lanes' slot
+            parked.repack(lanes)  # both blocks' live lanes, at the parked slot
+            lanes = parked
+        parked = lanes if lanes.run(timeline, profile, cap, cap + 1, park=stop < trials) else None
     return Outcomes(columns, cap)
 
 

@@ -4,6 +4,7 @@ import math
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from unittest import mock
 
 import pytest
@@ -300,7 +301,8 @@ def test_packing_does_not_change_outcomes(name):
     profile, cap = DIFFERENTIAL[name]
     config = GameConfig(n=len(profile), profile=profile, seed=99, slot_cap=cap)
     everything = run_trials(config, 2000)
-    for k in (1, 2, 511, 512, 513, engine._BLOCK + 1):  # widths around the repack point, half a block
+    # widths around the repack point, half a block; a second block of one lane or of half a block; all but one trial
+    for k in (1, 2, 511, 512, 513, engine._BLOCK + 1, engine._BLOCK + 512, 1999):
         assert run_trials(config, k) == everything[:k]
 
 
@@ -322,6 +324,49 @@ def test_huge_slots_round_trip(t0, profile):
     assert outcomes == expected
     with mock.patch.object(engine, "_CSV_CHUNK", 7):  # chunks of 7 trials' lines: 100 trials end in a short one
         _assert_csv_rows_match(outcomes, expected)
+
+
+def test_slots_2_64_apart_draw_apart():
+    # the scheduled slots 2 + 2^41, 2 + 2^41 + 2^81 and 2 + 2^41 + 2^81 + 2^121 are equal mod 2^64:
+    # hashing only a slot's low word would give them one draw (170 of these 400 trials all pending)
+    spec = AgeBased(schedule=Schedule(Fraction(2**40), 0), p=0.5)
+    config = GameConfig(n=3, profile=(spec,) * 3, seed=1, slot_cap=2**130)
+    trials = 400
+    outcomes = run_trials(config, trials)
+    assert outcomes == [run_trial(config, idx) for idx in range(trials)]
+    scheduled, slot = 0, spec.schedule.next_nontrivial_after(0)
+    while slot <= config.slot_cap:
+        scheduled, slot = scheduled + 1, spec.schedule.next_nontrivial_after(slot)
+    assert scheduled == 4
+    # all three transmit at every other slot; at a scheduled one exactly one of three does with probability 3/8
+    p = Fraction(5, 8) ** scheduled
+    all_pending = sum(out.latency == (None,) * 3 for out in outcomes)
+    assert abs(all_pending - trials * p) <= 4 * math.sqrt(trials * p * (1 - p))
+    for t in (1, 2**41 + 2, 2**64 - 1):
+        assert attempt_uniform(1, 0, 0, t) != attempt_uniform(1, 0, 0, t + 2**64)
+
+
+def test_play_across_a_multiple_of_2_64():
+    # three drawers from slot 2^64 - 3: a play stops at 2^64 - 1, past which the keys take the slot's high word
+    start, end, width, n = 2**64 - 3, 2**64 + 60, 16, 3
+    seed_key = engine._mix64(9)
+    columns = [[0] * width for _ in range(n)]
+    lanes = engine._Lanes(seed_key, range(width), n, columns)
+    limits = (engine._threshold(0.5),) * n
+    t = start
+    while lanes.live and t <= end:
+        t = lanes.play(t, end, limits, (), tuple(range(n)))
+    lanes.flush()
+    for trial in range(width):  # each lane against the scalar draws
+        keys, pending, slots = engine._player_keys(seed_key, trial, n), list(range(n)), [0] * n
+        for slot in range(start, end + 1):
+            sent = [i for i in pending if engine._keyed_uniform(keys[i], slot) < 0.5]
+            if len(sent) == 1:
+                slots[sent[0]] = slot
+                pending.remove(sent[0])
+        assert not pending and [column[trial] for column in columns] == slots
+    slots = [slot for column in columns for slot in column]
+    assert min(slots) < 2**64 <= max(slots)
 
 
 def test_draws_past_2_64_match_run_trial():
@@ -456,9 +501,11 @@ def test_run_trial_matches_slot_by_slot_loop(profile, seed, slot_cap, trials):
     ]
 
 
-def _four_mix_uniform(seed, trial_index, player, slot):
-    # the hash written out: seed, trial, player and slot mixed in one after another
+def _written_out_uniform(seed, trial_index, player, slot):
+    # the hash written out: seed, trial and player mixed in one after another, then the
+    # slot's 64-bit words above its lowest, lowest first, then its lowest word
     mask, golden = (1 << 64) - 1, 0x9E3779B97F4A7C15
+    high = [(slot >> shift) & mask for shift in range(64, slot.bit_length(), 64)]
 
     def mix(z):
         z &= mask
@@ -467,7 +514,7 @@ def _four_mix_uniform(seed, trial_index, player, slot):
         return z ^ (z >> 31)
 
     z = mix(seed)
-    for part in (trial_index, player, slot):
+    for part in (trial_index, player, *high, slot & mask):
         z = mix(z ^ ((part * golden) & mask))
     return (z >> 11) * (1.0 / (1 << 53))
 
@@ -475,8 +522,9 @@ def _four_mix_uniform(seed, trial_index, player, slot):
 def test_split_key_reproduces_attempt_uniform():
     cases = [(7, 0, 0, 2), (7, 3999, 2, 13), (2**64 + 5, 10**6, 1, 10**6), (-1, 1, 2, 3)]
     cases += [(s, t, p, slot) for s in (0, 31) for t in (0, 5) for p in range(3) for slot in (1, 2, 77)]
+    cases += [(7, 3, 1, slot) for slot in (2**64 - 1, 2**64, 2**64 + 5, 2**128 + 7, 3 * 2**130 + 2**70 + 1)]
     for seed, trial, player, slot in cases:
-        assert attempt_uniform(seed, trial, player, slot) == _four_mix_uniform(seed, trial, player, slot)
+        assert attempt_uniform(seed, trial, player, slot) == _written_out_uniform(seed, trial, player, slot)
     # values recorded before the hash was split into per-player keys
     assert [attempt_uniform(*case) for case in cases[:4]] == [
         0.5297901411194159, 0.5632193649605226, 0.3435247918539034, 0.2884533026485421,
@@ -491,7 +539,7 @@ def test_keyed_draw_reproduces_attempt_uniform():
         for trial in (0, 1, 5, 3999, 10**6):
             keys = engine._player_keys(seed_key, trial, 4)
             for player in range(4):
-                for slot in (1, 2, 13, 77, 10**6):
+                for slot in (1, 2, 13, 77, 10**6, 2**64 + 13, 2**129 + 77):
                     draw = engine._keyed_uniform(keys[player], slot)
                     assert draw == attempt_uniform(seed, trial, player, slot)
 
@@ -525,6 +573,7 @@ def test_segment_roles_classify_its_players(profile, t, cap):
 def test_cached_lane_state_is_current_at_every_play(name, monkeypatch):
     # a stale thinning flag only delays or adds a repack, so no outcome would show it
     play, entries = engine._Lanes.play, []
+    resized, widths = engine._Lanes.resized, []
 
     def checked(lanes, *args):
         live = 0
@@ -533,12 +582,64 @@ def test_cached_lane_state_is_current_at_every_play(name, monkeypatch):
         entries.append((lanes.live == live, lanes.thin == (2 * live.bit_count() < lanes.width)))
         return play(lanes, *args)
 
+    def recorded(lanes):
+        resized(lanes)
+        widths.append(lanes.width)
+
     monkeypatch.setattr(engine._Lanes, "play", checked)
-    monkeypatch.setattr(engine, "_BLOCK", 16)  # several blocks, each thinned and packed anew
+    monkeypatch.setattr(engine._Lanes, "resized", recorded)
+    monkeypatch.setattr(engine, "_BLOCK", 16)  # several blocks, each thinned, and parked or packed anew
     profile, cap = DIFFERENTIAL[name]
     config = GameConfig(n=len(profile), profile=profile, seed=2024, slot_cap=cap)
-    assert run_trials(config, 100) == [run_trial(config, idx) for idx in range(100)]
+    for trials in (17, 33, 83, 100):  # blocks of 16, the last of one lane (17, 33), of three and of four
+        assert run_trials(config, trials) == [run_trial(config, idx) for idx in range(trials)]
     assert entries and all(live and thin for live, thin in entries)
+    assert max(widths) < 2 * 16  # parked lanes are fewer than half their width
+
+
+def _joins(config, trials, monkeypatch):
+    """run_trials' outcomes in blocks of 16, checked against run_trial, and each
+    join of parked lanes with the next block's: (the parked lanes' segment index
+    and slot, their live trials, the next block's live lanes)."""
+    repack, joins = engine._Lanes.repack, []
+
+    def recorded(lanes, other=None):
+        if other is not None:
+            assert other.at[1] == lanes.at[1] or not other.live  # live lanes join at the parked slot
+            parked = list(compress(lanes.trials, engine._words(lanes.live, lanes.width)))
+            joins.append((lanes.at, parked, other.live.bit_count()))
+        repack(lanes, other)
+
+    monkeypatch.setattr(engine._Lanes, "repack", recorded)
+    monkeypatch.setattr(engine, "_BLOCK", 16)
+    outcomes = run_trials(config, trials)
+    assert outcomes == [run_trial(config, idx) for idx in range(trials)]
+    assert joins
+    return outcomes, joins
+
+
+def test_next_block_done_before_the_parked_slot(monkeypatch):
+    # the second block's one lane ends before the first block's parked slot
+    profile, cap = DIFFERENTIAL["all-protocol"]
+    config = GameConfig(n=len(profile), profile=profile, seed=2026, slot_cap=cap)
+    _, joins = _joins(config, 17, monkeypatch)
+    assert [other for _, _, other in joins] == [0]
+
+
+def test_lanes_parked_inside_a_segment(monkeypatch):
+    # constant_prob has one segment, from slot 1 to the cap: every block parks inside it
+    profile, cap = DIFFERENTIAL["constant"]
+    config = GameConfig(n=len(profile), profile=profile, seed=2024, slot_cap=cap)
+    _, joins = _joins(config, 33, monkeypatch)
+    assert all(k == 0 and t > 1 for (k, t), _, _ in joins)
+
+
+def test_parked_lanes_reach_the_cap(monkeypatch):
+    profile, _ = DIFFERENTIAL["persistent"]
+    config = GameConfig(n=len(profile), profile=profile, seed=2024, slot_cap=300)
+    outcomes, joins = _joins(config, 83, monkeypatch)
+    censored = {idx for idx, out in enumerate(outcomes) if any(out.censored)}
+    assert censored & {trial for _, parked, _ in joins for trial in parked}
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 33])
