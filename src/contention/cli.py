@@ -171,12 +171,9 @@ def _load_config(path: str) -> engine.GameConfig:
         raise ValueError(f"config {path}: {exc}") from None
 
 
-SAMPLES_HEADER = "trial_index,player,latency,censored\r\n"
-
-
 def _samples(outcomes: engine.Outcomes):
     """The samples CSV as text chunks: the header line, then one line per trial and player."""
-    return itertools.chain([SAMPLES_HEADER], engine.outcomes_to_csv_rows(outcomes))
+    return itertools.chain([engine.SAMPLES_HEADER], engine.outcomes_to_csv_rows(outcomes))
 
 
 def cmd_simulate(args):

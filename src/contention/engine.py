@@ -91,14 +91,14 @@ censored trial.
 The library simulates through `run_trials` alone.  It returns Outcomes,
 one column per player holding its success slot in each trial, 0 where it
 has none by the cap: an array of unsigned 64-bit words, or a list when
-the cap reaches 2^64.  Outcomes reads as a sequence of TrialOutcome and
-equals a list of them, so it compares with `run_trial`'s.
+the cap reaches 2^64.  Iterating Outcomes gives each trial's TrialOutcome,
+in trial order, so list(outcomes) compares with `run_trial`'s.
 `summarize(outcomes, player)` counts a censored trial at the slot cap,
 and takes the mean and the standard deviation from the exact integer
 sums of the latencies and their squares, each rounded once, so it gives
 the same bits on every Python version.  `outcomes_to_csv_rows` yields
-each row as its finished CSV line, the bytes csv.writer would write,
-formatted by one % per chunk of _CSV_CHUNK trials.
+each samples CSV row after the SAMPLES_HEADER line as the bytes csv.writer
+would write, formatted by one % per chunk of _CSV_CHUNK trials.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -306,13 +305,13 @@ class _Lanes:
     player i's win slots in the lanes' high words (0 for none) since they
     were last written into columns[i]."""
 
-    def __init__(self, seed_key: int, trials: range, n: int, columns: list):
+    def __init__(self, seed_key: int, trials: range, columns: list):
         self.seed_key = seed_key
         self.columns = columns
         self.trials = array("Q", trials)
         self.resized()
-        self.pending = [self.live] * n
-        self.won = [0] * n
+        self.pending = [self.live] * len(columns)
+        self.won = [0] * len(columns)
         self.at = 0, 1
 
     def resized(self) -> None:
@@ -476,35 +475,21 @@ def _column(trials: int, cap: int):
     return array("Q", [0]) * trials if cap < _WIDE else [0] * trials
 
 
-class Outcomes(Sequence):
-    """Trial outcomes in trial-index order, kept as one column per player:
-    columns[i][j] is player i's success slot in trial j, 0 if it has none
-    by the slot cap.  Indexing and iteration give TrialOutcomes, a slice
-    gives Outcomes, and it equals a list of the same TrialOutcomes."""
+class Outcomes:
+    """Trial outcomes as one column per player: columns[i][j] is player i's success
+    slot in trial j, 0 if none by the cap.  Iterating gives each trial's TrialOutcome in order."""
 
     def __init__(self, columns: list, cap: int):
         self.columns = columns
         self.cap = cap
 
-    def _outcome(self, slots) -> TrialOutcome:
-        latency = tuple(slot or None for slot in slots)
-        return TrialOutcome(latency=latency, slots_run=self.cap if None in latency else max(latency))
-
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return Outcomes([column[k] for column in self.columns], self.cap)
-        return self._outcome([column[k] for column in self.columns])
-
     def __iter__(self):
-        return map(self._outcome, zip(*self.columns))
-
-    def __eq__(self, other):
-        if isinstance(other, (Outcomes, list)):
-            return list(self) == list(other)
-        return NotImplemented
+        for slots in zip(*self.columns):
+            latency = tuple(slot or None for slot in slots)
+            yield TrialOutcome(latency=latency, slots_run=self.cap if None in latency else max(latency))
 
 
 def run_trials(config: GameConfig, trials: int) -> Outcomes:
@@ -519,7 +504,7 @@ def run_trials(config: GameConfig, trials: int) -> Outcomes:
     parked = None  # thinned lanes of the blocks so far, waiting at their slot for the next block
     for start in range(0, trials, _BLOCK):
         stop = min(start + _BLOCK, trials)
-        lanes = _Lanes(seed_key, range(start, stop), n, columns)
+        lanes = _Lanes(seed_key, range(start, stop), columns)
         if parked:
             lanes.run(timeline, profile, cap, parked.at[1], park=False)  # up to the parked lanes' slot
             parked.repack(lanes)  # both blocks' live lanes, at the parked slot
@@ -575,6 +560,9 @@ def summarize(outcomes: Outcomes, focus_player: int) -> LatencyStats:
         )
     except OverflowError:  # a latency past the float range: every value is at most the slot cap
         raise ValueError(f"player {focus_player}'s latencies are too large for a float: lower slot_cap") from None
+
+
+SAMPLES_HEADER = "trial_index,player,latency,censored\r\n"
 
 
 def outcomes_to_csv_rows(outcomes: Outcomes):

@@ -154,5 +154,5 @@ def test_criterion_10_trial_order_determinism(all_p_config, all_p_outcomes):
     outcomes = []
     for start in reversed(range(0, 100_000, chunk)):
         outcomes[:0] = [run_trial(all_p_config, idx) for idx in range(start, start + chunk)]
-    assert in_order == outcomes
+    assert list(in_order) == outcomes
     print("\nPASS criterion 10: trial outcomes identical with chunks run last-to-first")

@@ -864,7 +864,7 @@ def test_samples_file_holds_the_csv_rows(tmp_path, capsys, trials):
     samples = tmp_path / "samples.csv"
     code, _, _ = run_cli(capsys, "simulate", "--config", config, "--trials", str(trials), "--samples-path", str(samples))
     rows = engine.outcomes_to_csv_rows(engine.run_trials(cli._load_config(config), trials))
-    assert code == 0 and samples.read_bytes() == (cli.SAMPLES_HEADER + "".join(rows)).encode()
+    assert code == 0 and samples.read_bytes() == (engine.SAMPLES_HEADER + "".join(rows)).encode()
 
 
 # --- fuzz: no input may end in a traceback ------------------------------------
