@@ -514,12 +514,13 @@ def deadline_comparison(c, p, t0: int, z_grid: tuple = (25, 50, 100, 200, 400)) 
             elif upper < log2_t0_sq - 1:
                 _check_fits(name, log2_t0_sq - 1)
             break
-    if c > 1:  # at c = 1 the factor is 0, so every bound is -t0^2 and the law is not needed
+    law = dict.fromkeys(z_grid, (0, 1))  # (total, zden) at the grid's z only, one walk of the law
+    if num:  # num = 0 exactly at c = 1: every bound is -t0^2 and the law is not needed
         sched.extend_to(z_max)
-        law = [(total, zden) for _, total, zden in _exact_law(sched.s[: z_max + 1], p)]
+        law.update((z, row[1:]) for z, row in enumerate(_exact_law(sched.s[: z_max + 1], p)) if z in law)
     bounds = []
     for z in z_grid:  # factor * total / zden - t0^2, with zden = pd^(2(z+1)) from the law
-        total, zden = law[z] if c > 1 else (0, 1)
+        total, zden = law[z]
         low = num * total - t0**2 * den * zden
         name = f"truncated lower bound at z_max = {z}"
         bounds.append({"z_max": z, "bound": _to_float(name, low, den * zden, up=False)})

@@ -81,8 +81,8 @@ lanes are fewer than half their width, so lanes that join stay below
 at every slot it visits, and compares float draws with the
 probabilities; it is kept as the oracle that `run_trials` is tested
 against.  It shares only the per-player keys' definition with
-`run_trials`, and the tests check its draws against `attempt_uniform`,
-the hash written out in full.  While two pending players transmit with
+`run_trials`, and the tests check its draws against the hash written
+out in full, one mix per part.  While two pending players transmit with
 probability 1, or none can transmit, no draw can change the outcome, so
 it skips to the next slot where a pending player's rule can change.  In
 both, slots_run is a trial's last success slot, or the slot cap for a
@@ -131,22 +131,19 @@ def _mix64(z: int) -> int:
 
 def attempt_uniform(seed: int, trial_index: int, player: int, slot: int) -> float:
     """Deterministic uniform in [0, 1) for one attempt draw."""
-    z = _mix64(seed)
-    for part in (trial_index, player):
-        z = _mix64(z ^ ((part * _GOLDEN) & _MASK64))
-    return _keyed_uniform(z, slot)
+    return _keyed_uniform(_player_keys(_mix64(seed), trial_index, player + 1)[player], slot)
 
 
 def _player_keys(seed_key: int, trial_index: int, n: int) -> list:
     """Each player's key for one trial, from seed_key = _mix64(seed): the
-    state of attempt_uniform's hash after the trial and the player are
-    mixed in, so a draw needs one more mix, of the slot."""
+    hash's state once the trial and then the player are mixed in, so a
+    draw needs one more mix, of the slot."""
     trial_key = _mix64(seed_key ^ ((trial_index * _GOLDEN) & _MASK64))
     return [_mix64(trial_key ^ ((i * _GOLDEN) & _MASK64)) for i in range(n)]
 
 
 def _keyed_uniform(key: int, slot: int) -> float:
-    """attempt_uniform's draw at this slot for the player whose key _player_keys gave:
+    """The draw at this slot for the player whose key _player_keys gave:
     the slot's 64-bit words above its lowest are mixed into the key first, lowest
     first, one round each, so slots t and t + 2^64 draw apart; then its low word."""
     high = slot >> 64

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -669,6 +670,17 @@ def test_expectation_midpoints_satisfy_domination():
             assert lo - slack <= mid(rows[k_prime]) <= hi + slack
 
 
+@pytest.mark.parametrize("p", [Fraction(-1, 2), Fraction(3, 2)])
+def test_derive_constants_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=rf"p must be in \[0, 1\], got {p}"):
+        derive_constants(p)
+
+
+def test_solver_rejects_an_unknown_semantics():
+    with pytest.raises(ValueError, match="semantics must be one of"):
+        solve_expectations(C, P, "psychic", truncation_K=20)
+
+
 def test_solver_rejects_infeasible_parameters():
     with pytest.raises(ValueError, match="diverge"):
         solve_expectations(Fraction(6, 5), P, "literal", truncation_K=20)
@@ -777,15 +789,27 @@ def test_deadline_comparison_examples():
     "c, p, t0, xi", [(C, Fraction(3, 4), 1, 0), (Fraction(10001, 10000), Fraction(127, 128), 1000, 499)]
 )
 def test_deadline_comparison_matches_the_fraction_formula(c, p, t0, xi):
-    z_grid = (0, 25, 100)
-    report = deadline_comparison(c, p, t0, z_grid=z_grid)
-    partials = persistent_distribution(c, p, max(z_grid)).partial_expectations
+    partials = persistent_distribution(c, p, 400).partial_expectations
     delta = derive_constants(p).delta
     factor = delta**xi * c ** (xi - 1) * (c - 1)
-    assert report.xi == xi and report.prE_lower == _float_down(delta**xi)
-    assert report.truncated_lower_bounds == [
-        {"z_max": z, "bound": _float_down(factor * partials[z] - t0**2)} for z in z_grid
-    ]
+    for z_grid in [(0, 25, 100), (400, 25, 400, 0)]:  # the second repeats z and is out of order
+        report = deadline_comparison(c, p, t0, z_grid=z_grid)
+        assert report.xi == xi and report.prE_lower == _float_down(delta**xi)
+        assert report.truncated_lower_bounds == [
+            {"z_max": z, "bound": _float_down(factor * partials[z] - t0**2)} for z in z_grid
+        ]
+
+
+def test_deadline_comparison_keeps_only_the_grid_rows_of_the_law():
+    # the law's rows hold integers of O(z) bits, so a table of every row up to z = 4000 peaks
+    # near 14 MiB; one walk that keeps only the grid's two rows stays well under 1 MiB
+    tracemalloc.start()
+    try:
+        deadline_comparison(Fraction(21, 20), Fraction(1, 10), 5, z_grid=(25, 4000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _deadline_at_c1(p):

@@ -153,6 +153,12 @@ def test_unknown_protocol_type_rejected():
         spec_from_json({"type": "psychic"})
 
 
+@pytest.mark.parametrize("query", [decision_probability, next_prob_change])
+def test_rule_queries_reject_an_unknown_spec(query):
+    with pytest.raises(TypeError, match=r"unknown protocol spec 'psychic'"):
+        query("psychic", 3)
+
+
 @pytest.mark.parametrize(
     "build",
     [

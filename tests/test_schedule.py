@@ -177,6 +177,17 @@ def test_domination_invalid_order():
         check_domination(sched, k=3, k_prime=3, j=0)
 
 
+def test_domination_rejects_c_outside_1_2():
+    with pytest.raises(ValueError, match=r"domination check requires c in \[1, 2\], got 5/2"):
+        check_domination(Schedule(Fraction(5, 2), 4), k=0, k_prime=2, j=0)
+
+
+def test_schedule_equality_is_by_c_and_only_against_schedules():
+    assert Schedule(Fraction(11, 10), 2) == Schedule(Fraction(11, 10), 9)
+    assert Schedule(Fraction(11, 10), 2).__eq__(Fraction(11, 10)) is NotImplemented
+    assert Schedule(Fraction(11, 10), 2) != Fraction(11, 10)
+
+
 _SCHEDULES: dict[Fraction, Schedule] = {}
 
 
