@@ -53,7 +53,7 @@ keys and hash values in its low word, bitmaps and win slots from bit 64.
   slot t in the lanes of w, the player's winning lanes, as won |= w * t.
   The win ints are written into the player's column, with one
   itertools.compress over their lane words, when the lanes are packed
-  anew and when they end or park.  A slot at or past 2^64 fits no lane's
+  anew and when they end.  A slot at or past 2^64 fits no lane's
   high word and goes straight into the column.
 - Segments are walked in order.  One in which no live lane can resolve
   (each has two pending players certain to transmit, or none that can
@@ -62,20 +62,15 @@ keys and hash values in its low word, bitmaps and win slots from bit 64.
   transmit up to the slot cap is censored at once.
 - A flag, set whenever a win or a censoring drops live lanes, tells when
   they fall below half the packed width.  Their wins are then written
-  out and they are packed anew, down to no lanes at all.  A repack
+  out and they are packed anew, down to no lanes at all; a block ends
+  when no lane is live or the slot cap is passed.  A repack
   compresses the pending bitmaps and the trial indices only: a key is a
   pure function of (seed, trial, player), so the kept trials' keys are
   built afresh at the new width.
-- While more trials remain, thinned lanes are parked at their segment
-  and slot instead.  The next block plays from slot 1 up to that slot,
-  packed anew as it thins, and one repack then packs the live lanes of
-  both, which play on as one: blocks share the walk through the tail of
-  long trials instead of each walking it alone.  Lanes end when none is
-  live or the slot cap is passed.
-Blocks keep memory bounded whatever the trial count: a 1024-lane int is
-16 KiB, and a _Lanes holds a few dozen such ints at a time.  Parked
-lanes are fewer than half their width, so lanes that join stay below
-2 * _BLOCK wide.
+Blocks keep memory bounded whatever the trial count: a block is at most
+2,048 lanes wide, so a packed int is at most 32 KiB, and a block holds a
+few dozen such ints at a time.  Each block plays its trials to their
+end and carries nothing into the next.
 
 `run_trial` plays one trial straight from the rules, querying them anew
 at every slot it visits, and compares float draws with the
@@ -115,7 +110,7 @@ from .protocols import ProtocolSpec, decision_probability, next_prob_change
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_BLOCK = 1024  # trials packed into one int at most
+_BLOCK = 2048  # trials packed into one int at most
 _CSV_CHUNK = 256  # trials whose CSV lines are built at once: about 100 KB of text for 3 players
 _SURE = 1 << 64  # the _threshold of probability 1, above every hash value
 _WIDE = 1 << 64  # slots from here on fit neither a lane's high word nor an unsigned 64-bit column
@@ -294,13 +289,12 @@ def _packed_keys(seed_key: int, trials: array, n: int, ones: int, m: int) -> lis
 
 
 class _Lanes:
-    """Packed trials, trial trials[j] in lane j, that play on from at, a
-    timeline segment's index and a slot: each player's keys packed,
-    pending[i], the lanes where player i has not won yet, as a bitmap with
-    one bit at each lane's bit 64, live, the lanes where some player has
-    not, thin, whether live has fallen below half the width, and won[i],
-    player i's win slots in the lanes' high words (0 for none) since they
-    were last written into columns[i]."""
+    """One block of a run_trials call, trial trials[j] in lane j: each
+    player's keys packed, pending[i], the lanes where player i has not won
+    yet, as a bitmap with one bit at each lane's bit 64, live, the lanes
+    where some player has not, thin, whether live has fallen below half the
+    width, and won[i], player i's win slots in the lanes' high words (0 for
+    none) since they were last written into columns[i]."""
 
     def __init__(self, seed_key: int, trials: range, columns: list):
         self.seed_key = seed_key
@@ -309,7 +303,6 @@ class _Lanes:
         self.resized()
         self.pending = [self.live] * len(columns)
         self.won = [0] * len(columns)
-        self.at = 0, 1
 
     def resized(self) -> None:
         """Set what follows from the lanes' trials: the width, ones and the
@@ -322,8 +315,7 @@ class _Lanes:
         self.limits = {}  # threshold -> (2^64 + threshold - 1) in every lane
 
     def set_live(self, live: int) -> None:
-        """Set the live lanes, and whether they have fallen below half the
-        width: run then parks them or packs them anew."""
+        """Set the live lanes, and whether they have fallen below half the width: run then packs them anew."""
         self.live, self.thin = live, 2 * live.bit_count() < self.width
 
     def censor(self, stuck: tuple) -> None:
@@ -349,20 +341,14 @@ class _Lanes:
                     column[trial] = slot
         self.won = [0] * len(self.won)
 
-    def repack(self, other=None) -> None:
-        """Write out the wins, then pack the live lanes anew, in order,
-        followed by those of other, lanes at the same slot, if given: each
-        player's pending bitmap is compressed, and the keys, a pure
-        function of the seed, trial and player, are built afresh.  The
-        lanes keep their slot."""
-        trials, pending = array("Q"), [array("Q") for _ in self.pending]
-        for lanes in filter(None, (self, other)):
-            lanes.flush()
-            keep = _words(lanes.live, lanes.width)
-            trials.extend(compress(lanes.trials, keep))
-            for words, x in zip(pending, lanes.pending):
-                words.extend(compress(_words(x, lanes.width), keep))
-        self.trials, self.pending = trials, [_pack(words) for words in pending]
+    def repack(self) -> None:
+        """Write out the wins, then pack the live lanes anew, in order:
+        each player's pending bitmap is compressed, and the keys, a pure
+        function of the seed, trial and player, are built afresh."""
+        self.flush()
+        keep = _words(self.live, self.width)
+        self.pending = [_pack(array("Q", compress(_words(x, self.width), keep))) for x in self.pending]
+        self.trials = array("Q", compress(self.trials, keep))
         self.resized()
 
     def settle(self, win: int, sent: list, t: int) -> None:
@@ -440,31 +426,24 @@ class _Lanes:
                 return t + 1
             t += 1
 
-    def run(self, timeline: list, profile: tuple, cap: int, until: int, park: bool) -> bool:
-        """Play every lane's trial from the slot the lanes are at to its end,
-        the cap or slot until - 1, writing each win's slot into
-        columns[player][trial]; with park, stop instead where the lanes are
-        thinned, rather than pack them anew.  Returns whether live lanes
-        were left there."""
-        k, t = self.at
-        while t < until:
+    def run(self, timeline: list, profile: tuple, cap: int) -> None:
+        """Play every lane's trial to its end or the cap, writing each
+        win's slot into columns[player][trial]."""
+        k, t = 0, 1
+        while True:
             end, limits, stuck, forced, drawers = timeline[k]
             if len(stuck) > 1:
                 self.censor(stuck)
             if self.thin:
-                if park:
-                    break
                 self.repack()
-            t = self.play(t, min(end, until - 1), limits, forced, drawers)
-            if not self.live or t >= until:
+            t = self.play(t, end, limits, forced, drawers)
+            if not self.live or t > cap:
                 break
             if t > end:
                 k += 1
                 if k == len(timeline):  # the first lanes to reach slot t build its segment
                     timeline.append(_segment(profile, t, cap))
-        self.at = k, t
         self.flush()
-        return t < until and bool(self.live)
 
 
 def _column(trials: int, cap: int):
@@ -498,15 +477,8 @@ def run_trials(config: GameConfig, trials: int) -> Outcomes:
     timeline = [_segment(profile, 1, cap)]  # every trial reaches slot 1
     columns = [_column(trials, cap) for _ in range(n)]
     seed_key = _mix64(config.seed)
-    parked = None  # thinned lanes of the blocks so far, waiting at their slot for the next block
     for start in range(0, trials, _BLOCK):
-        stop = min(start + _BLOCK, trials)
-        lanes = _Lanes(seed_key, range(start, stop), columns)
-        if parked:
-            lanes.run(timeline, profile, cap, parked.at[1], park=False)  # up to the parked lanes' slot
-            parked.repack(lanes)  # both blocks' live lanes, at the parked slot
-            lanes = parked
-        parked = lanes if lanes.run(timeline, profile, cap, cap + 1, park=stop < trials) else None
+        _Lanes(seed_key, range(start, min(start + _BLOCK, trials)), columns).run(timeline, profile, cap)
     return Outcomes(columns, cap)
 
 

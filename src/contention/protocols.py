@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .schedule import Schedule, parse_int, parse_rational
 
@@ -53,14 +52,14 @@ class ConstantProb:
 @dataclass(frozen=True)
 class Deadline:
     t0: int
-    pre: Union[AgeBased, ConstantProb] = ConstantProb(0.0)
+    pre: AgeBased | ConstantProb = ConstantProb(0.0)
 
     def __post_init__(self):
         if self.t0 < 1:
             raise ValueError(f"deadline t0 must be >= 1, got {self.t0!r}")
 
 
-ProtocolSpec = Union[AgeBased, Deadline, ConstantProb]
+ProtocolSpec = AgeBased | Deadline | ConstantProb
 
 
 def decision_probability(spec: ProtocolSpec, t: int) -> float:
@@ -127,7 +126,7 @@ def _age_based_from_json(data: dict) -> AgeBased:
     return AgeBased(schedule=Schedule(_rational(data, "c"), 0), p=_json_probability(data, "p"))
 
 
-def _pre_from_json(data: dict) -> Union[AgeBased, ConstantProb]:
+def _pre_from_json(data: dict) -> AgeBased | ConstantProb:
     """The rule a deadline player follows before t0: "quiet",
     "fixed_prob" (key q) or "follow_age_based" (keys c, p)."""
     if not isinstance(data, dict):

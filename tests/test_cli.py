@@ -777,6 +777,12 @@ def test_cli_import_does_not_load_numpy():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_typing():
+    # the package writes its unions as X | Y; without site, nothing else imports typing
+    result = _fresh_process("-S", "-c", "import sys, contention.cli; print('typing' in sys.modules)", check=True)
+    assert result.stdout.strip() == "False"
+
+
 def test_cli_import_builds_no_parser():
     # the first main call builds the parser, so importing the CLI stays cheap
     probe = "import contention.cli as cli; print(cli.build_parser.cache_info().currsize)"

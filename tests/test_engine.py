@@ -4,7 +4,6 @@ import math
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
 from unittest import mock
 
 import pytest
@@ -308,9 +307,10 @@ def test_packing_does_not_change_outcomes(name):
     # which trials share a packed int depends on the trial count; the outcomes must not
     profile, cap = DIFFERENTIAL[name]
     config = GameConfig(n=len(profile), profile=profile, seed=99, slot_cap=cap)
-    everything = run_trials(config, 2000)
+    block = engine._BLOCK
+    everything = run_trials(config, 2 * block)
     # widths around the repack point, half a block; a second block of one lane or of half a block; all but one trial
-    for k in (1, 2, 511, 512, 513, engine._BLOCK + 1, engine._BLOCK + 512, 1999):
+    for k in (1, 2, block // 2 - 1, block // 2, block // 2 + 1, block + 1, block + block // 2, 2 * block - 1):
         assert run_trials(config, k).columns == [column[:k] for column in everything.columns]
 
 
@@ -397,8 +397,8 @@ def test_outcomes_iterate_as_trial_outcomes():
 def test_csv_rows_match_run_trial_across_blocks(name):
     profile, cap = DIFFERENTIAL[name]
     config = GameConfig(n=len(profile), profile=profile, seed=41, slot_cap=cap)
-    trials = 2100  # past two blocks of lanes, and a multiple of neither a block nor a chunk of lines
-    assert trials > 2 * engine._BLOCK and trials % engine._BLOCK and trials % engine._CSV_CHUNK
+    trials = 2 * engine._BLOCK + 52  # past two blocks of lanes, and a multiple of neither a block nor a chunk of lines
+    assert trials % engine._BLOCK and trials % engine._CSV_CHUNK
     _csv_rows_match_run_trial(config, trials)
 
 
@@ -585,57 +585,13 @@ def test_cached_lane_state_is_current_at_every_play(name, monkeypatch):
 
     monkeypatch.setattr(engine._Lanes, "play", checked)
     monkeypatch.setattr(engine._Lanes, "resized", recorded)
-    monkeypatch.setattr(engine, "_BLOCK", 16)  # several blocks, each thinned, and parked or packed anew
+    monkeypatch.setattr(engine, "_BLOCK", 16)  # several blocks, each thinned and packed anew
     profile, cap = DIFFERENTIAL[name]
     config = GameConfig(n=len(profile), profile=profile, seed=2024, slot_cap=cap)
     for trials in (17, 33, 83, 100):  # blocks of 16, the last of one lane (17, 33), of three and of four
         _matches_run_trial(config, trials)
     assert entries and all(live and thin for live, thin in entries)
-    assert max(widths) < 2 * 16  # parked lanes are fewer than half their width
-
-
-def _joins(config, trials, monkeypatch):
-    """run_trials' outcomes in blocks of 16, checked against run_trial, and each
-    join of parked lanes with the next block's: (the parked lanes' segment index
-    and slot, their live trials, the next block's live lanes)."""
-    repack, joins = engine._Lanes.repack, []
-
-    def recorded(lanes, other=None):
-        if other is not None:
-            assert other.at[1] == lanes.at[1] or not other.live  # live lanes join at the parked slot
-            parked = list(compress(lanes.trials, engine._words(lanes.live, lanes.width)))
-            joins.append((lanes.at, parked, other.live.bit_count()))
-        repack(lanes, other)
-
-    monkeypatch.setattr(engine._Lanes, "repack", recorded)
-    monkeypatch.setattr(engine, "_BLOCK", 16)
-    outcomes = _matches_run_trial(config, trials)
-    assert joins
-    return outcomes, joins
-
-
-def test_next_block_done_before_the_parked_slot(monkeypatch):
-    # the second block's one lane ends before the first block's parked slot
-    profile, cap = DIFFERENTIAL["all-protocol"]
-    config = GameConfig(n=len(profile), profile=profile, seed=2026, slot_cap=cap)
-    _, joins = _joins(config, 17, monkeypatch)
-    assert [other for _, _, other in joins] == [0]
-
-
-def test_lanes_parked_inside_a_segment(monkeypatch):
-    # constant_prob has one segment, from slot 1 to the cap: every block parks inside it
-    profile, cap = DIFFERENTIAL["constant"]
-    config = GameConfig(n=len(profile), profile=profile, seed=2024, slot_cap=cap)
-    _, joins = _joins(config, 33, monkeypatch)
-    assert all(k == 0 and t > 1 for (k, t), _, _ in joins)
-
-
-def test_parked_lanes_reach_the_cap(monkeypatch):
-    profile, _ = DIFFERENTIAL["persistent"]
-    config = GameConfig(n=len(profile), profile=profile, seed=2024, slot_cap=300)
-    outcomes, joins = _joins(config, 83, monkeypatch)
-    censored = {idx for idx, out in enumerate(outcomes) if any(out.censored)}
-    assert censored & {trial for _, parked, _ in joins for trial in parked}
+    assert max(widths) <= 16  # lanes never outgrow their block
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 33])
